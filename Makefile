@@ -2,16 +2,24 @@ PYTHON ?= python
 
 .PHONY: test verify bench bench-apps bench-flow bench-weighted \
 	bench-batch bench-serving bench-dynamic bench-distributed \
-	check-bench examples
+	check-bench examples results
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Tier-1 tests plus a parity-checked smoke run of the backend benchmark.
+# Deterministic tests plus reference-parity smoke runs of the benchmarks.
 verify:
 	sh scripts/verify.sh
 
-# Full benchmark: rewrites BENCH_backend.json at the repository root.
+# Regenerate the committed experiment tables: the benchmark suite
+# writes them into the gitignored benchmarks/out/ (so a plain test run
+# never touches tracked files); this copies them over benchmarks/results/.
+results:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
+	cp benchmarks/out/*.txt benchmarks/results/
+
+# Full CSR-vs-reference benchmark: rewrites BENCH_backend.json at the
+# repository root.
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backend.py
 
@@ -26,16 +34,16 @@ bench-flow:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_flow.py $(QUICK)
 
 # Weighted-engine parity smoke: the bucket-queue / bidirectional
-# Dijkstra scenarios only, quick instances, dict-vs-csr answers
-# asserted per scenario.  Never writes the JSON reports.
+# Dijkstra scenarios only, quick instances, CSR answers asserted equal
+# to the dict reference per scenario.  Never writes the JSON reports.
 bench-weighted:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backend.py --quick --only verif
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_applications.py --quick --only oracle
 
 # Batch-engine parity smoke: only the multi-source scenarios (batched
-# oracle distances + batched routing tables), quick instances,
-# dict-vs-csr answers asserted per scenario.  Never writes the JSON
-# reports.
+# oracle distances + batched routing tables), quick instances, CSR
+# answers asserted equal to the dict reference per scenario.  Never
+# writes the JSON reports.
 bench-batch:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_applications.py --quick --only multi
 
@@ -67,8 +75,7 @@ check-bench:
 	$(PYTHON) scripts/check_bench_json.py
 
 # Run every example end to end with DeprecationWarning promoted to an
-# error, so the repository's own snippets can never regress onto the
-# deprecated per-algorithm entry points.
+# error, so the repository's own snippets never lean on a deprecated API.
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex"; \

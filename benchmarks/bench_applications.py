@@ -1,9 +1,11 @@
-"""Micro-benchmark: dict vs CSR backend across the applications layer.
+"""Micro-benchmark: the CSR applications layer vs the dict reference.
 
-Times the three spanner applications under both execution backends,
-checks that the answers are bit-identical, and writes the results to
-``BENCH_applications.json`` at the repository root so successive PRs can
-track the layer's performance trajectory:
+Times the three spanner applications on the production CSR path and on
+the dict reference implementations in ``tests/reference/`` (the
+``dict`` columns), checks that the answers are bit-identical, and
+writes the results to ``BENCH_applications.json`` at the repository
+root so successive changes can track the layer's performance
+trajectory:
 
 * ``oracle_batch`` -- the monitoring pattern on a unit-weight spanner:
   a few fault scenarios, many distance queries per scenario.  The dict
@@ -31,7 +33,7 @@ track the layer's performance trajectory:
 * ``availability_sweep`` -- Monte-Carlo availability analysis of a
   weighted spanner (paired distance probes over sampled scenarios).
 
-Every scenario drives the unified public API: a fresh
+The CSR side of every scenario drives the unified public API: a fresh
 :class:`~repro.session.SpannerSession` per timed run (so the timing
 still covers the one-off CSR freeze, exactly like the pre-session
 per-call behavior), with the oracle/router/availability consumers
@@ -57,12 +59,18 @@ import argparse
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
 from repro.graph import generators
 from repro.registry import build_spanner
 from repro.session import SpannerSession
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # the dict reference lives in tests/
+
+from tests import reference as ref  # noqa: E402
 
 SEED = 42
 K = 2
@@ -173,16 +181,17 @@ def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights,
         scenarios = _vertex_scenarios(nodes, ORACLE_SCENARIOS, rng)
         pairs = _surviving_pairs(nodes, scenarios, pairs_per_scenario, rng)
 
-        def run(backend, batch):
-            # A fresh session + oracle per run so the timing covers real
-            # cache misses (and, for CSR, the one-off snapshot build).
-            # The search engine only matters on the CSR side.
-            session = SpannerSession(
-                g, k=K, f=F, backend=backend,
-                search=search if backend == "csr" else None,
-            )
-            session.adopt(prebuilt)
-            oracle = session.oracle(cache_size=2 * n)
+        def run(csr, batch):
+            # A fresh oracle per run so the timing covers real cache
+            # misses (and, for CSR, the one-off snapshot build).
+            if csr:
+                session = SpannerSession(g, k=K, f=F, search=search)
+                session.adopt(prebuilt)
+                oracle = session.oracle(cache_size=2 * n)
+            else:
+                oracle = ref.FaultTolerantDistanceOracle(
+                    g, K, F, cache_size=2 * n, prebuilt=prebuilt
+                )
             answers = []
             for faults in scenarios:
                 if batch:
@@ -194,8 +203,8 @@ def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights,
                     )
             return answers
 
-        t_dict, a_dict = _best_of(lambda: run("dict", batch=False), repeats)
-        t_csr, a_csr = _best_of(lambda: run("csr", batch=True), repeats)
+        t_dict, a_dict = _best_of(lambda: run(False, batch=False), repeats)
+        t_csr, a_csr = _best_of(lambda: run(True, batch=True), repeats)
         rows.append(_row(n, p, g.num_edges, {
             "spanner_edges": prebuilt.spanner.num_edges,
             "scenarios": len(scenarios),
@@ -228,13 +237,13 @@ def bench_routing_tables(instances, repeats, dests_per_scenario,
             faulted.update(sc)
         dests = [x for x in nodes if x not in faulted][:dests_per_scenario]
 
-        def run(backend, use_batch):
-            session = SpannerSession(
-                g, k=K, f=F, backend=backend,
-                search=search if backend == "csr" else None,
-            )
-            session.adopt(prebuilt)
-            router = session.router()
+        def run(csr, use_batch):
+            if csr:
+                session = SpannerSession(g, k=K, f=F, search=search)
+                session.adopt(prebuilt)
+                router = session.router()
+            else:
+                router = ref.SpannerRouter(g, K, F, prebuilt=prebuilt)
             if use_batch:
                 # One multi-source pass per scenario builds every
                 # destination-rooted tree at once.
@@ -248,9 +257,9 @@ def bench_routing_tables(instances, repeats, dests_per_scenario,
             ]
 
         t_dict, tables_dict = _best_of(
-            lambda: run("dict", use_batch=False), repeats)
+            lambda: run(False, use_batch=False), repeats)
         t_csr, tables_csr = _best_of(
-            lambda: run("csr", use_batch=batch), repeats)
+            lambda: run(True, use_batch=batch), repeats)
         rows.append(_row(n, p, g.num_edges, {
             "spanner_edges": prebuilt.spanner.num_edges,
             "scenarios": len(scenarios),
@@ -274,15 +283,21 @@ def bench_availability(instances, repeats, scenarios, pairs):
         g = _instance(n, p, weights="float")
         prebuilt = build_spanner(g, "greedy", k=K, f=F)
 
-        def run(backend):
-            session = SpannerSession(g, k=K, f=F, backend=backend, seed=SEED)
+        def run():
+            session = SpannerSession(g, k=K, f=F, seed=SEED)
             session.adopt(prebuilt)
             return session.availability(
                 failures=F, scenarios=scenarios, pairs_per_scenario=pairs,
             )
 
-        t_dict, r_dict = _best_of(lambda: run("dict"), repeats)
-        t_csr, r_csr = _best_of(lambda: run("csr"), repeats)
+        t_dict, r_dict = _best_of(
+            lambda: ref.availability_analysis(
+                g, prebuilt.spanner, failures=F, guarantee=2 * K - 1,
+                scenarios=scenarios, pairs_per_scenario=pairs, seed=SEED,
+            ),
+            repeats,
+        )
+        t_csr, r_csr = _best_of(run, repeats)
         rows.append(_row(n, p, g.num_edges, {
             "spanner_edges": prebuilt.spanner.num_edges,
             "scenarios": scenarios,
@@ -382,7 +397,7 @@ def main(argv=None) -> int:
                         help=f"where to write the JSON report "
                              f"(default: {DEFAULT_OUTPUT})")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per backend (default 3)")
+                        help="timing repetitions per side (default 3)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke run: tiny instances, one repeat "
                              "(parity checks still apply)")
@@ -400,7 +415,7 @@ def main(argv=None) -> int:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.output}")
     if not _all_parity_ok(report):
-        print("ERROR: backend parity violated")
+        print("ERROR: parity with the dict reference violated")
         return 1
     return 0
 

@@ -1,8 +1,10 @@
-"""Micro-benchmark: dict vs CSR execution backend across the library.
+"""Micro-benchmark: the CSR production path vs the dict reference.
 
-Times four scenarios under both backends, checks output parity, and
-writes the results to ``BENCH_backend.json`` at the repository root so
-successive PRs can track the backend's performance trajectory:
+Times five scenarios on the production CSR path and on the dict
+reference implementations in ``tests/reference/`` (the ``dict`` columns),
+checks output parity, and writes the results to ``BENCH_backend.json``
+at the repository root so successive changes can track the CSR path's
+performance trajectory:
 
 * ``modified_greedy_unit`` -- ``fault_tolerant_spanner`` on unit-weight
   G(n, p) (the BFS/LBC hot path).
@@ -17,15 +19,11 @@ successive PRs can track the backend's performance trajectory:
   bidirectional Dijkstra meeting in the middle instead of a full
   forward search (identical report; the weighted-engine satellite of
   the snapshot substrate).
-* ``modified_greedy_repack`` -- the CSR greedy with and without
-  scheduled mid-run row compaction (``repack_every``), closing the
-  ROADMAP question of whether long runs benefit from periodic
-  repacking.  Here ``seconds_dict``/``seconds_csr`` read as
-  ``seconds_no_repack``/``seconds_repack``.
 
-Every scenario drives the unified public API (``build_spanner`` /
-``SpannerSession``), so this doubles as an end-to-end check that
-registry dispatch adds no overhead and preserves backend parity.
+The CSR side of every scenario drives the unified public API
+(``build_spanner`` / ``SpannerSession``), so this doubles as an
+end-to-end check that registry dispatch adds no overhead and preserves
+parity with the reference.
 
 Run from the repository root::
 
@@ -46,12 +44,18 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
 from repro.graph import generators
 from repro.registry import build_spanner
 from repro.session import SpannerSession
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # the dict reference lives in tests/
+
+from tests import reference as ref  # noqa: E402
 
 SEED = 42
 K = 2
@@ -64,18 +68,14 @@ CLASSIC_INSTANCES = [(300, 0.06), (500, 0.04)]
 EXPONENTIAL_INSTANCES = [(24, 0.30), (30, 0.25)]
 VERIFICATION_INSTANCES = [(50, 0.15), (70, 0.10)]
 VERIFY_BIDIR_INSTANCES = [(50, 0.15), (70, 0.10)]
-REPACK_INSTANCES = [(400, 0.05)]
-REPACK_EVERY = 256
 
 QUICK_MODIFIED = [(100, 0.12)]
 QUICK_CLASSIC = [(120, 0.10)]
 QUICK_EXPONENTIAL = [(12, 0.35)]
 QUICK_VERIFICATION = [(30, 0.20)]
 QUICK_VERIFY_BIDIR = [(30, 0.20)]
-QUICK_REPACK = [(100, 0.12)]
-QUICK_REPACK_EVERY = 64
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
+DEFAULT_OUTPUT = ROOT / "BENCH_backend.json"
 
 
 def _best_of(fn, repeats: int):
@@ -113,12 +113,10 @@ def bench_modified_greedy(instances, repeats):
     for n, p in instances:
         g = generators.gnp_random_graph(n, p, seed=SEED)
         t_dict, r_dict = _best_of(
-            lambda: build_spanner(g, "greedy", k=K, f=F, backend="dict"),
-            repeats,
+            lambda: ref.fault_tolerant_spanner(g, K, F), repeats
         )
         t_csr, r_csr = _best_of(
-            lambda: build_spanner(g, "greedy", k=K, f=F, backend="csr"),
-            repeats,
+            lambda: build_spanner(g, "greedy", k=K, f=F), repeats
         )
         identical = set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
         rows.append(_row(n, p, g.num_edges, {
@@ -137,10 +135,10 @@ def bench_classic_greedy(instances, repeats):
     for n, p in instances:
         g = generators.weighted_gnp(n, p, seed=SEED)
         t_dict, r_dict = _best_of(
-            lambda: build_spanner(g, "classic", k=K, backend="dict"), repeats
+            lambda: ref.classic_greedy_spanner(g, K), repeats
         )
         t_csr, r_csr = _best_of(
-            lambda: build_spanner(g, "classic", k=K, backend="csr"), repeats
+            lambda: build_spanner(g, "classic", k=K), repeats
         )
         identical = set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
         rows.append(_row(n, p, g.num_edges, {
@@ -159,14 +157,10 @@ def bench_exponential_greedy(instances, repeats):
     for n, p in instances:
         g = generators.weighted_gnp(n, p, seed=SEED)
         t_dict, r_dict = _best_of(
-            lambda: build_spanner(g, "exact-greedy", k=K, f=f,
-                                  backend="dict"),
-            repeats,
+            lambda: ref.exponential_greedy_spanner(g, K, f), repeats
         )
         t_csr, r_csr = _best_of(
-            lambda: build_spanner(g, "exact-greedy", k=K, f=f,
-                                  backend="csr"),
-            repeats,
+            lambda: build_spanner(g, "exact-greedy", k=K, f=f), repeats
         )
         identical = (
             set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
@@ -183,58 +177,6 @@ def bench_exponential_greedy(instances, repeats):
     }
 
 
-def bench_repack(instances, repeats, repack_every):
-    """CSR greedy with vs without scheduled mid-run row compaction."""
-    rows = []
-    for n, p in instances:
-        g = generators.gnp_random_graph(n, p, seed=SEED)
-        t_plain, r_plain = _best_of(
-            lambda: build_spanner(g, "greedy", k=K, f=F, backend="csr"),
-            repeats,
-        )
-        t_repack, r_repack = _best_of(
-            lambda: build_spanner(
-                g, "greedy", k=K, f=F, backend="csr",
-                repack_every=repack_every,
-            ),
-            repeats,
-        )
-        identical = (
-            set(r_plain.spanner.edges()) == set(r_repack.spanner.edges())
-            and r_plain.certificates == r_repack.certificates
-            and r_plain.bfs_calls == r_repack.bfs_calls
-        )
-        row = {
-            "n": n,
-            "p": p,
-            "m": g.num_edges,
-            "spanner_edges": r_repack.spanner.num_edges,
-            "repack_every": repack_every,
-            "repacks": int(r_repack.extra.get("repacks", 0)),
-            "seconds_no_repack": round(t_plain, 4),
-            "seconds_repack": round(t_repack, 4),
-            "speedup": (
-                round(t_plain / t_repack, 2) if t_repack > 0 else float("inf")
-            ),
-            "identical_outputs": identical,
-        }
-        print(
-            f"  n={n:4d} m={g.num_edges:5d}  plain {t_plain:7.3f}s  "
-            f"repack {t_repack:7.3f}s  speedup {row['speedup']:5.2f}x  "
-            f"({row['repacks']} repacks)  "
-            f"parity={'ok' if identical else 'FAIL'}"
-        )
-        rows.append(row)
-    return {
-        "description": "fault_tolerant_spanner on csr, repack_every "
-                       "scheduling vs none (identical spanners; pure "
-                       "memory-layout effect)",
-        "parameters": {"k": K, "f": F, "fault_model": "vertex",
-                       "repack_every": repack_every},
-        "instances": rows,
-    }
-
-
 def bench_verification(instances, repeats):
     rows = []
     f = 1
@@ -244,15 +186,17 @@ def bench_verification(instances, repeats):
         prebuilt = build_spanner(g, "greedy", k=K, f=f)
         h = prebuilt.spanner
 
-        def run(backend):
+        def run():
             # A fresh session per run so the timing covers the CSR
             # freeze, exactly like the pre-session per-call behavior.
-            session = SpannerSession(g, k=K, f=f, backend=backend)
+            session = SpannerSession(g, k=K, f=f)
             session.adopt(prebuilt)
             return session.verify(t=t)
 
-        t_dict, r_dict = _best_of(lambda: run("dict"), repeats)
-        t_csr, r_csr = _best_of(lambda: run("csr"), repeats)
+        t_dict, r_dict = _best_of(
+            lambda: ref.verify_ft_spanner(g, h, t=t, f=f), repeats
+        )
+        t_csr, r_csr = _best_of(run, repeats)
         identical = (
             r_dict.ok == r_csr.ok
             and r_dict.exhaustive == r_csr.exhaustive
@@ -272,7 +216,7 @@ def bench_verification(instances, repeats):
 
 
 def bench_verify_bidir(instances, repeats):
-    """Exhaustive verification on integral weights, bidir vs dict."""
+    """Exhaustive verification on integral weights, bidir vs reference."""
     rows = []
     f = 1
     t = 2 * K - 1
@@ -284,17 +228,17 @@ def bench_verify_bidir(instances, repeats):
         prebuilt = build_spanner(g, "greedy", k=K, f=f)
         h = prebuilt.spanner
 
-        def run(backend, search):
+        def run():
             # A fresh session per run so the timing covers the CSR
             # freeze, exactly like the pre-session per-call behavior.
-            session = SpannerSession(
-                g, k=K, f=f, backend=backend, search=search
-            )
+            session = SpannerSession(g, k=K, f=f, search="bidir")
             session.adopt(prebuilt)
             return session.verify(t=t)
 
-        t_dict, r_dict = _best_of(lambda: run("dict", "auto"), repeats)
-        t_csr, r_csr = _best_of(lambda: run("csr", "bidir"), repeats)
+        t_dict, r_dict = _best_of(
+            lambda: ref.verify_ft_spanner(g, h, t=t, f=f), repeats
+        )
+        t_csr, r_csr = _best_of(run, repeats)
         identical = (
             r_dict.ok == r_csr.ok
             and r_dict.exhaustive == r_csr.exhaustive
@@ -325,9 +269,6 @@ def run(repeats: int = 3, quick: bool = False, only: str = None):
              QUICK_EXPONENTIAL),
             ("verification_sweep", bench_verification, QUICK_VERIFICATION),
             ("verify_bidir", bench_verify_bidir, QUICK_VERIFY_BIDIR),
-            ("modified_greedy_repack",
-             lambda inst, rep: bench_repack(inst, rep, QUICK_REPACK_EVERY),
-             QUICK_REPACK),
         ]
         repeats = 1
     else:
@@ -341,9 +282,6 @@ def run(repeats: int = 3, quick: bool = False, only: str = None):
             ("verification_sweep", bench_verification,
              VERIFICATION_INSTANCES),
             ("verify_bidir", bench_verify_bidir, VERIFY_BIDIR_INSTANCES),
-            ("modified_greedy_repack",
-             lambda inst, rep: bench_repack(inst, rep, REPACK_EVERY),
-             REPACK_INSTANCES),
         ]
     if only:
         plan = [entry for entry in plan if only in entry[0]]
@@ -385,7 +323,7 @@ def main(argv=None) -> int:
                         help=f"where to write the JSON report "
                              f"(default: {DEFAULT_OUTPUT})")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per backend (default 3)")
+                        help="timing repetitions per side (default 3)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke run: tiny instances, one repeat "
                              "(parity checks still apply)")
@@ -404,7 +342,7 @@ def main(argv=None) -> int:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.output}")
     if not _all_parity_ok(report):
-        print("ERROR: backend parity violated")
+        print("ERROR: parity with the dict reference violated")
         return 1
     return 0
 

@@ -3,8 +3,9 @@
 Every benchmark prints the table behind one EXPERIMENTS.md row.  pytest
 captures stdout, so :func:`emit` writes to the *real* stdout (visible in
 ``pytest benchmarks/ --benchmark-only`` runs and in bench_output.txt) and
-also archives the table under ``benchmarks/results/`` so EXPERIMENTS.md
-can be regenerated from disk.
+also archives the table under the gitignored ``benchmarks/out/``, so a
+test run never rewrites tracked files.  ``make results`` runs the suite
+and copies the tables over the committed ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ from pathlib import Path
 
 from repro.analysis.tables import Table
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 
 
 def emit(table: Table, experiment: str) -> None:
     """Print a table to the unredirected stdout and archive it."""
     text = table.render()
     print(f"\n{text}\n", file=sys.__stdout__, flush=True)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{experiment}.txt").write_text(text + "\n")
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / f"{experiment}.txt").write_text(text + "\n")
 
 
 def geometric_mean(values) -> float:

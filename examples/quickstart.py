@@ -2,9 +2,9 @@
 """Quickstart: build and verify a fault-tolerant spanner in ~20 lines.
 
 One `SpannerSession` carries the whole workflow: the session holds the
-graph, the parameters (k, f, fault model, backend, seed), and -- on the
-CSR backend -- one frozen snapshot per graph that the build check,
-verification sweep, and any later oracle/router all share.
+graph, the parameters (k, f, fault model, search engine, seed), and one
+frozen CSR snapshot per graph that the build check, verification sweep,
+and any later oracle/router all share.
 
 Run:  python examples/quickstart.py
 """

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
-# One-command health check: tier-1 tests + backend benchmark smoke run.
+# One-command health check: tier-1 tests + parity benchmark smoke runs.
 #
 # Usage (from the repository root):
 #   scripts/verify.sh            # or: make verify
 #
-# Fails (non-zero exit) if any test fails or if the quick benchmark
-# detects a dict/csr backend parity violation.
+# Fails (non-zero exit) if any test fails or if a quick benchmark finds
+# the CSR path diverging from the dict reference in tests/reference/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,10 +21,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== deterministic test suite =="
 "$PYTHON" -m pytest -x -q tests
 
-echo "== backend benchmark smoke run (parity-checked) =="
+echo "== construction/verification benchmark smoke run (reference parity) =="
 "$PYTHON" benchmarks/bench_backend.py --quick
 
-echo "== applications benchmark smoke run (parity-checked) =="
+echo "== applications benchmark smoke run (reference parity) =="
 "$PYTHON" benchmarks/bench_applications.py --quick
 
 echo "verify: OK"

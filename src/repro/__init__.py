@@ -34,14 +34,11 @@ True
 >>> bool(session.verify(samples=50))
 True
 
-The pre-registry per-algorithm entry points (``fault_tolerant_spanner``
-and friends) remain importable from this package but are deprecated
-shims over the same implementations; call sites should migrate to
-``build_spanner`` / ``SpannerSession``.
+The per-algorithm functions (``fault_tolerant_spanner`` and friends)
+live in their defining submodules (``repro.core``, ``repro.baselines``,
+``repro.distributed``); this package exports the registry and session
+layer in their place.
 """
-
-import functools as _functools
-import warnings as _warnings
 
 from repro.core import (
     FaultModel,
@@ -51,28 +48,11 @@ from repro.core import (
     modified_greedy_unweighted,
     modified_greedy_weighted,
 )
-from repro.core.greedy_exact import (
-    exponential_greedy_spanner as _exponential_greedy_spanner,
-)
-from repro.core.greedy_modified import (
-    fault_tolerant_spanner as _fault_tolerant_spanner,
-)
 from repro.graph import Graph, generators
 from repro.graph import io as graph_io
 from repro.lbc import lbc_edge, lbc_vertex
-from repro.baselines import (
-    baswana_sen_spanner as _baswana_sen_spanner,
-    classic_greedy_spanner as _classic_greedy_spanner,
-    clpr_fault_tolerant_spanner as _clpr_fault_tolerant_spanner,
-    dk_fault_tolerant_spanner as _dk_fault_tolerant_spanner,
-    thorup_zwick_spanner as _thorup_zwick_spanner,
-)
-from repro.distributed import (
-    congest_baswana_sen as _congest_baswana_sen,
-    congest_ft_spanner as _congest_ft_spanner,
-    local_ft_spanner as _local_ft_spanner,
-    padded_decomposition,
-)
+from repro import baselines as _baselines  # registers the baselines
+from repro.distributed import padded_decomposition
 from repro.verification import (
     is_spanner,
     max_stretch,
@@ -97,64 +77,6 @@ from repro.session import SpannerSession
 
 __version__ = "2.0.0"
 
-
-def _deprecated_entry_point(fn, replacement: str):
-    """Wrap a construction as a deprecated top-level re-export.
-
-    The wrapper forwards everything verbatim (the deprecation-shim
-    tests assert bit-identical results), warning once per call site.
-    The canonical, warning-free homes are the defining submodules and
-    the registry/session layer.
-    """
-
-    @_functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{fn.__name__} is deprecated; use {replacement} "
-            f"(see docs/architecture.md, 'Public API')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return fn(*args, **kwargs)
-
-    wrapper.__doc__ = (
-        f"Deprecated alias for :func:`{fn.__module__}.{fn.__name__}`; "
-        f"use ``{replacement}`` instead.\n\n{fn.__doc__ or ''}"
-    )
-    return wrapper
-
-
-fault_tolerant_spanner = _deprecated_entry_point(
-    _fault_tolerant_spanner, 'build_spanner(g, "greedy", ...)'
-)
-exponential_greedy_spanner = _deprecated_entry_point(
-    _exponential_greedy_spanner, 'build_spanner(g, "exact-greedy", ...)'
-)
-classic_greedy_spanner = _deprecated_entry_point(
-    _classic_greedy_spanner, 'build_spanner(g, "classic", ...)'
-)
-thorup_zwick_spanner = _deprecated_entry_point(
-    _thorup_zwick_spanner, 'build_spanner(g, "thorup-zwick", ...)'
-)
-baswana_sen_spanner = _deprecated_entry_point(
-    _baswana_sen_spanner, 'build_spanner(g, "baswana-sen", ...)'
-)
-dk_fault_tolerant_spanner = _deprecated_entry_point(
-    _dk_fault_tolerant_spanner, 'build_spanner(g, "dk", ...)'
-)
-clpr_fault_tolerant_spanner = _deprecated_entry_point(
-    _clpr_fault_tolerant_spanner, 'build_spanner(g, "clpr", ...)'
-)
-local_ft_spanner = _deprecated_entry_point(
-    _local_ft_spanner, 'build_spanner(g, "local", ...)'
-)
-congest_baswana_sen = _deprecated_entry_point(
-    _congest_baswana_sen, 'build_spanner(g, "congest-bs", ...)'
-)
-congest_ft_spanner = _deprecated_entry_point(
-    _congest_ft_spanner, 'build_spanner(g, "congest", ...)'
-)
-
 __all__ = [
     "Graph",
     "FaultModel",
@@ -178,18 +100,6 @@ __all__ = [
     "lbc_vertex",
     "lbc_edge",
     "padded_decomposition",
-    # Deprecated per-algorithm entry points (shims over the registry's
-    # builders; kept for compatibility, warn on call).
-    "fault_tolerant_spanner",
-    "exponential_greedy_spanner",
-    "classic_greedy_spanner",
-    "thorup_zwick_spanner",
-    "baswana_sen_spanner",
-    "dk_fault_tolerant_spanner",
-    "clpr_fault_tolerant_spanner",
-    "local_ft_spanner",
-    "congest_baswana_sen",
-    "congest_ft_spanner",
     # Verification and applications.
     "is_spanner",
     "max_stretch",

@@ -16,14 +16,13 @@ fault-tolerant constructions:
   analysis: how do a network and its spanner degrade under random
   failures beyond the designed fault budget f?
 
-Backends: like the construction and verification layers, every
-application runs on either execution backend (``backend=`` keyword,
-default ``csr`` via ``REPRO_BACKEND``).  The CSR path freezes the
-spanner once into a :class:`~repro.graph.snapshot.CSRSnapshot` /
+Execution: like the construction and verification layers, every
+application freezes the spanner once into a
+:class:`~repro.graph.snapshot.CSRSnapshot` /
 :class:`~repro.graph.snapshot.DualCSRSnapshot` and answers each fault
 scenario after an O(|F|) mask re-stamp on a shared
-:class:`~repro.graph.snapshot.ScenarioSweep`; the dict path stays the
-lazy-view reference.  Answers are bit-identical either way
+:class:`~repro.graph.snapshot.ScenarioSweep`.  The lazy-view dict
+reference in ``tests/reference/`` answers bit-identically
 (`tests/test_applications_parity.py`,
 `benchmarks/bench_applications.py`).
 """

@@ -14,28 +14,23 @@ to expose where the spanner's behavior falls off the guarantee cliff
 is exceeded in practice is exactly the kind of evidence a deployment
 decision needs).
 
-Execution backends (``backend=`` keyword, default resolved from
-``REPRO_BACKEND``):
+Execution: both graphs are frozen once into a
+:class:`~repro.graph.snapshot.DualCSRSnapshot` over one shared index
+space; each sampled scenario is an O(|F|) re-stamp of the shared vertex
+mask, and each distance probe is an early-exit flat-array search
+(hop-bounded BFS on unit inputs, truncated CSR Dijkstra otherwise)
+through one preallocated workspace -- the same snapshot-and-sweep
+discipline as the verification layer.  On all-unit inputs (or under
+``search="batch"`` on any integral weights) each scenario's sampled
+pairs are answered by **one** multi-source batch sweep per side instead
+of paired per-pair probes.
 
-* ``"csr"`` -- both graphs are frozen once into a
-  :class:`~repro.graph.snapshot.DualCSRSnapshot` over one shared index
-  space; each sampled scenario is an O(|F|) re-stamp of the shared
-  vertex mask, and each distance probe is an early-exit flat-array
-  search (hop-bounded BFS on unit inputs, truncated CSR Dijkstra
-  otherwise) through one preallocated workspace -- the same
-  snapshot-and-sweep discipline as the verification layer.  On
-  all-unit inputs (or under ``search="batch"`` on any integral
-  weights) each scenario's sampled pairs are answered by **one**
-  multi-source batch sweep per side instead of paired per-pair
-  probes.
-* ``"dict"`` -- the reference path: each scenario materializes lazy
-  ``VertexFaultView``s and probes with paired dict Dijkstras.
-
-Both backends draw the identical random scenario/pair sequence and
-return bit-identical reports, which
+The dict reference in ``tests/reference/`` drives the same sampling
+loop with lazy ``VertexFaultView`` probes; it draws the identical random
+scenario/pair sequence and returns bit-identical reports, which
 `tests/test_applications_parity.py` and
-`benchmarks/bench_applications.py` assert.  Cost either way is
-O(samples * pairs) distance probes after the one-off O(n + m) snapshot.
+`benchmarks/bench_applications.py` assert.  Cost is O(samples * pairs)
+distance probes after the one-off O(n + m) snapshot.
 """
 
 from __future__ import annotations
@@ -43,13 +38,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.spanner import resolve_backend
 from repro.graph.graph import Graph, Node
 from repro.graph.snapshot import (
     DualCSRSnapshot,
-    resolve_search,
     validate_search,
     weighted_pair_engine,
 )
@@ -60,9 +53,7 @@ from repro.graph.traversal import (
     csr_bounded_bfs_path,
     csr_multi_pair_distances,
     csr_weighted_distance,
-    dijkstra,
 )
-from repro.graph.views import VertexFaultView
 
 INFINITY = math.inf
 
@@ -214,18 +205,17 @@ class AvailabilityReport:
 
 
 class _AvailabilityProbes:
-    """Backend-selected s-t distance probes for the sampling loop.
+    """s-t distance probes for the sampling loop.
 
-    The dict flavor materializes one pair of lazy views per scenario;
-    the CSR flavor stamps one shared vertex mask per scenario and
-    probes both graphs through a single preallocated workspace.  Both
-    answer the identical distances, so the sampling loop itself is
-    backend-agnostic.
+    Stamps one shared vertex mask per scenario and probes both graphs
+    through a single preallocated workspace.  The sampling loop only
+    calls :meth:`set_scenario`, :meth:`prefetch`, :meth:`graph_distance`
+    and :meth:`spanner_distance`, so any object answering those four
+    (the dict reference's fault-view probes, say) can drive it.
     """
 
     __slots__ = (
-        "use_csr", "g", "h", "snap", "ws", "unit", "gv", "hv",
-        "eng_g", "eng_h", "mw_g", "mw_h", "index",
+        "snap", "ws", "unit", "eng_g", "eng_h", "mw_g", "mw_h", "index",
         "can_batch", "batch_eng_g", "batch_eng_h", "mws", "_pg", "_ph",
     )
 
@@ -233,81 +223,58 @@ class _AvailabilityProbes:
         self,
         g: Graph,
         h: Graph,
-        use_csr: bool,
         snapshot: Optional[DualCSRSnapshot] = None,
         search: Optional[str] = None,
     ) -> None:
-        self.use_csr = use_csr
-        self.g = g
-        self.h = h
-        if use_csr:
-            if snapshot is None:
-                snapshot = DualCSRSnapshot(g, h)
-            elif snapshot.g is not g or snapshot.h is not h:
-                raise ValueError(
-                    "snapshot does not freeze this (graph, spanner) pair"
-                )
-            self.snap = snapshot
-            s = validate_search(
-                search, snapshot.snap_g.profile, snapshot.snap_h.profile
+        if snapshot is None:
+            snapshot = DualCSRSnapshot(g, h)
+        elif snapshot.g is not g or snapshot.h is not h:
+            raise ValueError(
+                "snapshot does not freeze this (graph, spanner) pair"
             )
-            # The hop-BFS fast path serves auto-resolved unit inputs; an
-            # explicit engine choice replaces it so every engine cell of
-            # the parity matrix genuinely runs its engine.
-            self.unit = (
-                s == "auto"
-                and self.snap.snap_g.unit
-                and self.snap.snap_h.unit
-            )
-            self.eng_g = weighted_pair_engine(s, snapshot.snap_g.profile)
-            self.eng_h = weighted_pair_engine(s, snapshot.snap_h.profile)
-            self.mw_g = snapshot.snap_g.max_weight
-            self.mw_h = snapshot.snap_h.max_weight
-            self.index = snapshot.indexer.index
-            # Batch plane: an explicit search="batch" submits each
-            # scenario's probes as one multi-source sweep per side
-            # (BFS planes on unit sides, the shared Dial sweep on
-            # integral ones -- validate_search has already rejected
-            # float inputs for "batch").  Auto-resolved all-unit inputs
-            # batch too: the multi-BFS reads the same hop counts the
-            # bounded per-pair BFS would.  Everything else keeps the
-            # early-exit per-pair probes.
-            if s == "batch":
-                self.can_batch = True
-                self.batch_eng_g = (
-                    "bfs" if snapshot.snap_g.unit else "bucket"
-                )
-                self.batch_eng_h = (
-                    "bfs" if snapshot.snap_h.unit else "bucket"
-                )
-            else:
-                self.can_batch = self.unit
-                self.batch_eng_g = self.batch_eng_h = "bfs"
-            n = len(self.snap.indexer)
-            self.ws = BFSWorkspace(n) if self.unit else DijkstraWorkspace(n)
-            self.mws = MultiSourceWorkspace() if self.can_batch else None
+        self.snap = snapshot
+        s = validate_search(
+            search, snapshot.snap_g.profile, snapshot.snap_h.profile
+        )
+        # The hop-BFS fast path serves auto-resolved unit inputs; an
+        # explicit engine choice replaces it so every engine cell of
+        # the parity matrix genuinely runs its engine.
+        self.unit = (
+            s == "auto" and snapshot.snap_g.unit and snapshot.snap_h.unit
+        )
+        self.eng_g = weighted_pair_engine(s, snapshot.snap_g.profile)
+        self.eng_h = weighted_pair_engine(s, snapshot.snap_h.profile)
+        self.mw_g = snapshot.snap_g.max_weight
+        self.mw_h = snapshot.snap_h.max_weight
+        self.index = snapshot.indexer.index
+        # Batch plane: an explicit search="batch" submits each
+        # scenario's probes as one multi-source sweep per side (BFS
+        # planes on unit sides, the shared Dial sweep on integral ones
+        # -- validate_search has already rejected float inputs for
+        # "batch").  Auto-resolved all-unit inputs batch too: the
+        # multi-BFS reads the same hop counts the bounded per-pair BFS
+        # would.  Everything else keeps the early-exit per-pair probes.
+        if s == "batch":
+            self.can_batch = True
+            self.batch_eng_g = "bfs" if snapshot.snap_g.unit else "bucket"
+            self.batch_eng_h = "bfs" if snapshot.snap_h.unit else "bucket"
         else:
-            if snapshot is not None:
-                raise ValueError("snapshot= requires the csr backend")
-            resolve_search(search)  # validate the name on the dict path
-            self.can_batch = False
-        self.gv = g
-        self.hv = h
+            self.can_batch = self.unit
+            self.batch_eng_g = self.batch_eng_h = "bfs"
+        n = len(snapshot.indexer)
+        self.ws = BFSWorkspace(n) if self.unit else DijkstraWorkspace(n)
+        self.mws = MultiSourceWorkspace() if self.can_batch else None
         self._pg: Dict[Tuple[Node, Node], float] = {}
         self._ph: Dict[Tuple[Node, Node], float] = {}
 
     def set_scenario(self, faults: set) -> None:
-        """Move to the next sampled fault set (O(|F|) on CSR)."""
-        if self.use_csr:
-            self.snap.set_vertex_faults(faults)
-        else:
-            self.gv = VertexFaultView(self.g, faults) if faults else self.g
-            self.hv = VertexFaultView(self.h, faults) if faults else self.h
+        """Move to the next sampled fault set (an O(|F|) re-stamp)."""
+        self.snap.set_vertex_faults(faults)
 
     def prefetch(self, pairs: Sequence[Tuple[Node, Node]]) -> None:
         """Answer a scenario's pair probes in one batched pass per side.
 
-        No-op unless the CSR batch plane applies; otherwise the graph
+        No-op unless the batch plane applies; otherwise the graph
         side sweeps every sampled pair grouped by source, and the
         spanner side sweeps only the pairs the sampling loop will
         actually re-ask (finite, nonzero graph distance) -- exactly
@@ -347,21 +314,13 @@ class _AvailabilityProbes:
         hit = self._pg.get((u, v))
         if hit is not None:
             return hit
-        if self.use_csr:
-            return self._probe(
-                self.snap.csr_g, u, v, self.eng_g, self.mw_g
-            )
-        return dijkstra(self.gv, u, target=v).get(v, INFINITY)
+        return self._probe(self.snap.csr_g, u, v, self.eng_g, self.mw_g)
 
     def spanner_distance(self, u: Node, v: Node) -> float:
         hit = self._ph.get((u, v))
         if hit is not None:
             return hit
-        if self.use_csr:
-            return self._probe(
-                self.snap.csr_h, u, v, self.eng_h, self.mw_h
-            )
-        return dijkstra(self.hv, u, target=v).get(v, INFINITY)
+        return self._probe(self.snap.csr_h, u, v, self.eng_h, self.mw_h)
 
     def _probe(self, csr, u: Node, v: Node, engine: str, mw: int) -> float:
         index = self.index
@@ -386,7 +345,6 @@ def availability_analysis(
     scenarios: int = 50,
     pairs_per_scenario: int = 30,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
     search: Optional[str] = None,
     fault_process: str = "independent",
@@ -396,8 +354,7 @@ def availability_analysis(
     For each scenario, sample surviving pairs that are connected in
     ``g \\ F`` and measure their stretch in ``spanner \\ F``.
     ``guarantee`` is the design stretch (2k-1) used to count violations.
-    ``backend`` selects the probe engine (identical report either way).
-    On the CSR backend, ``snapshot`` may supply an already-frozen
+    ``snapshot`` may supply an already-frozen
     :class:`~repro.graph.snapshot.DualCSRSnapshot` of (g, spanner) --
     e.g. from :func:`degradation_profile` or a
     :class:`repro.session.SpannerSession` -- so the probes re-stamp it
@@ -406,6 +363,34 @@ def availability_analysis(
     ``fault_process`` selects the scenario generator (see
     :func:`sample_fault_scenario`); the default ``"independent"``
     reproduces the historical uniform draw bit-for-bit.
+    """
+    return _sample_availability(
+        g, failures, guarantee, scenarios, pairs_per_scenario, seed,
+        fault_process,
+        lambda: _AvailabilityProbes(
+            g, spanner, snapshot=snapshot, search=search
+        ),
+    )
+
+
+def _sample_availability(
+    g: Graph,
+    failures: int,
+    guarantee: float,
+    scenarios: int,
+    pairs_per_scenario: int,
+    seed: Optional[int],
+    fault_process: str,
+    make_probes: Callable[[], "_AvailabilityProbes"],
+) -> AvailabilityReport:
+    """The sampling loop behind :func:`availability_analysis`.
+
+    ``make_probes`` builds the distance-probe object once the arguments
+    have been validated; the loop only calls its ``set_scenario``,
+    ``prefetch``, ``graph_distance`` and ``spanner_distance`` methods,
+    and consumes randomness only for the scenario and pair draws -- so
+    any probe object answering the same distances yields the identical
+    report.
     """
     if failures < 0:
         raise ValueError(f"failures must be >= 0, got {failures}")
@@ -420,17 +405,14 @@ def availability_analysis(
     nodes = sorted(g.nodes(), key=repr)
     if len(nodes) < failures + 2:
         raise ValueError("graph too small for that many failures")
-    probes = _AvailabilityProbes(
-        g, spanner, use_csr=resolve_backend(backend) == "csr",
-        snapshot=snapshot, search=search,
-    )
+    probes = make_probes()
     stretches: List[float] = []
     connected = 0
     checked = 0
     violations = 0
     for _ in range(scenarios):
-        # The scenario draw runs on the reference dict graph regardless
-        # of probe backend, so both backends see the identical fault
+        # The scenario draw runs on the dict graph regardless of the
+        # probes, so every probe object sees the identical fault
         # stream (for "independent" this is the historical
         # ``set(rng.sample(nodes, failures))`` draw, unchanged).
         faults = sample_fault_scenario(
@@ -440,7 +422,7 @@ def availability_analysis(
         survivors = [x for x in nodes if x not in faults]
         # Draw the whole scenario's pairs up front (the probes consume
         # no randomness, so the stream is unchanged), then let the
-        # batch-capable backends answer them in one sweep per side.
+        # batch plane answer them in one sweep per side.
         pair_list = [
             tuple(rng.sample(survivors, 2))
             for _ in range(pairs_per_scenario)
@@ -483,7 +465,6 @@ def degradation_profile(
     scenarios: int = 30,
     pairs_per_scenario: int = 20,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
     search: Optional[str] = None,
     fault_process: str = "independent",
@@ -494,7 +475,7 @@ def degradation_profile(
     curve.  Within the design budget f the guarantee holds by theorem;
     beyond it this shows the empirical grace.
 
-    On the CSR backend the whole sweep shares **one**
+    The whole sweep shares **one**
     :class:`~repro.graph.snapshot.DualCSRSnapshot` (supplied via
     ``snapshot`` or frozen here once), so each per-failure-count
     :func:`availability_analysis` call is pure mask re-stamping -- the
@@ -509,7 +490,7 @@ def degradation_profile(
         )
     if max_failures < 0:
         raise ValueError(f"max_failures must be >= 0, got {max_failures}")
-    if snapshot is None and resolve_backend(backend) == "csr":
+    if snapshot is None:
         snapshot = DualCSRSnapshot(g, spanner)
     out: List[Tuple[int, AvailabilityReport]] = []
     for j in range(max_failures + 1):
@@ -521,7 +502,6 @@ def degradation_profile(
             scenarios=scenarios,
             pairs_per_scenario=pairs_per_scenario,
             seed=None if seed is None else seed + j,
-            backend=backend,
             snapshot=snapshot,
             search=search,
             fault_process=fault_process,

@@ -19,20 +19,14 @@ batch entry points (:meth:`FaultTolerantDistanceOracle.distances`,
 :meth:`FaultTolerantDistanceOracle.distance_matrix`) make that pattern
 first-class.
 
-Execution backends (``backend=`` keyword, default resolved from
-``REPRO_BACKEND``):
-
-* ``"csr"`` -- the spanner is frozen once into a
-  :class:`~repro.graph.snapshot.CSRSnapshot` and every cache miss runs
-  on a shared :class:`~repro.graph.snapshot.ScenarioSweep`: switching
-  fault scenarios is an O(|F|) mask re-stamp, each single-source run is
-  flat-array BFS (unit weights) or CSR Dijkstra (weighted) through one
-  preallocated workspace, and no ``G \\ F`` view is ever materialized.
-* ``"dict"`` -- the reference path: one lazy fault view plus one dict
-  Dijkstra per cache miss, O(m' + n log n) for a spanner with m' edges.
-
-Both backends return bit-identical answers (the CSR substrate preserves
-the dict backend's neighbor order and tie-breaking), which
+Execution: the spanner is frozen once into a
+:class:`~repro.graph.snapshot.CSRSnapshot` and every cache miss runs on
+a shared :class:`~repro.graph.snapshot.ScenarioSweep`: switching fault
+scenarios is an O(|F|) mask re-stamp, each single-source run is
+flat-array BFS (unit weights) or CSR Dijkstra (weighted) through one
+preallocated workspace, and no ``G \\ F`` view is ever materialized.
+The dict reference in ``tests/reference/`` (one lazy fault view plus one
+dict Dijkstra per cache miss) returns bit-identical answers, which
 `tests/test_applications_parity.py` and
 `benchmarks/bench_applications.py` assert.
 """
@@ -44,11 +38,9 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.core.greedy_modified import fault_tolerant_spanner
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
-from repro.graph.graph import Edge, Graph, Node, edge_key
+from repro.core.spanner import FaultModel, SpannerResult
+from repro.graph.graph import Graph, Node, edge_key
 from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, resolve_search
-from repro.graph.traversal import dijkstra
-from repro.graph.views import EdgeFaultView, VertexFaultView
 
 INFINITY = math.inf
 
@@ -72,11 +64,8 @@ class FaultTolerantDistanceOracle:
         Number of (fault set, source) single-source distance runs kept.
         May be reassigned later; shrinking evicts the oldest entries
         immediately.
-    backend:
-        ``'csr'`` (shared-snapshot flat-array path, the default) or
-        ``'dict'`` (lazy views); answers are identical either way.
     snapshot:
-        On the CSR backend, an already-frozen
+        An already-frozen
         :class:`~repro.graph.snapshot.CSRSnapshot` of the spanner (e.g.
         from a :class:`repro.session.SpannerSession`); the oracle's
         sweep then re-stamps it instead of freezing its own.
@@ -87,8 +76,7 @@ class FaultTolerantDistanceOracle:
         from the spanner snapshot's weight profile -- integral-weight
         spanners answer single-source runs with the Dial bucket queue --
         and routes batch queries through the multi-source kernels, as
-        does ``'batch'``.  Answers are identical on every legal engine;
-        ignored by the dict backend.
+        does ``'batch'``.  Answers are identical on every legal engine.
 
     Examples
     --------
@@ -108,14 +96,12 @@ class FaultTolerantDistanceOracle:
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
         cache_size: int = 128,
         prebuilt: Optional[SpannerResult] = None,
-        backend: Optional[str] = None,
         snapshot: Optional[CSRSnapshot] = None,
         search: Optional[str] = None,
     ) -> None:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.backend = resolve_backend(backend)
         self.search = resolve_search(search)
         if prebuilt is not None:
             if prebuilt.k != k or prebuilt.f < f:
@@ -125,7 +111,7 @@ class FaultTolerantDistanceOracle:
             result = prebuilt
         else:
             result = fault_tolerant_spanner(
-                g, k, f, fault_model=self.fault_model, backend=self.backend
+                g, k, f, fault_model=self.fault_model
             )
         self.spanner: Graph = result.spanner
         self.construction: SpannerResult = result
@@ -137,12 +123,10 @@ class FaultTolerantDistanceOracle:
         # Churn stamp: cached single-source runs are only valid for the
         # spanner state they were computed at; the dict graph's
         # monotonic ``mutations`` counter (bumped by streaming updates
-        # on both backends -- overlay mutations mirror into the dict)
-        # tells the cache when that state moved.
+        # -- overlay mutations mirror into the dict) tells the cache
+        # when that state moved.
         self._version = self.spanner.mutations
         if snapshot is not None:
-            if self.backend != "csr":
-                raise ValueError("snapshot= requires the csr backend")
             if snapshot.g is not self.spanner:
                 raise ValueError(
                     "snapshot does not freeze this oracle's spanner"
@@ -223,8 +207,8 @@ class FaultTolerantDistanceOracle:
         set once, groups the pairs by source, and runs one single-source
         search per *distinct* cache-missing source regardless of LRU
         pressure or pair order -- the "one scenario, many pairs"
-        monitoring pattern.  On the CSR backend every cache miss of the
-        batch goes through one multi-source kernel pass
+        monitoring pattern.  Every cache miss of the batch goes through
+        one multi-source kernel pass
         (:meth:`~repro.graph.snapshot.ScenarioSweep.distances_multi`),
         and the runs populate the same ``(fault set, source)`` LRU
         entries the single-query path uses.
@@ -270,9 +254,9 @@ class FaultTolerantDistanceOracle:
 
         Returns ``{source: {node: distance}}`` (duplicate sources
         collapse -- and cost one run, not one per occurrence); each row
-        equals :meth:`distances_from` for that source.  On the CSR
-        backend one shared snapshot serves the whole matrix and every
-        cache-missed row rides one multi-source batch pass.
+        equals :meth:`distances_from` for that source.  One shared
+        snapshot serves the whole matrix and every cache-missed row
+        rides one multi-source batch pass.
         """
         fault_key = self._normalize(faults)
         src_list = list(sources)
@@ -293,12 +277,7 @@ class FaultTolerantDistanceOracle:
         fault_key = self._normalize(faults)
         self._check_alive(u, fault_key)
         self._check_alive(v, fault_key)
-        if self.backend == "csr":
-            return self._stamped_sweep(fault_key).path(u, v)
-        from repro.graph.traversal import shortest_path
-
-        view = self._view(fault_key)
-        return shortest_path(view, u, v)
+        return self._stamped_sweep(fault_key).path(u, v)
 
     # ------------------------------------------------------------- #
     # Internals
@@ -331,21 +310,14 @@ class FaultTolerantDistanceOracle:
         if self.fault_model is FaultModel.VERTEX and u in fault_key:
             raise ValueError(f"query endpoint {u!r} is in the fault set")
 
-    def _view(self, fault_key: FrozenSet):
-        if not fault_key:
-            return self.spanner
-        if self.fault_model is FaultModel.VERTEX:
-            return VertexFaultView(self.spanner, fault_key)
-        return EdgeFaultView(self.spanner, fault_key)
-
     def _flush_if_stale(self) -> None:
         """Drop cached runs computed before the last streaming update.
 
-        On the CSR backend the sweep's masks/workspaces refresh
-        themselves through the overlay's version stamp; this extends
-        the same discipline to the oracle's (fault set, source) LRU on
-        *both* backends, which would otherwise serve pre-churn
-        distances verbatim.  Must run before any cache lookup.
+        The sweep's masks/workspaces refresh themselves through the
+        overlay's version stamp; this extends the same discipline to
+        the oracle's (fault set, source) LRU, which would otherwise
+        serve pre-churn distances verbatim.  Must run before any cache
+        lookup.
         """
         v = self.spanner.mutations
         if v != self._version:
@@ -370,18 +342,13 @@ class FaultTolerantDistanceOracle:
         # the (empty) cache, so there is nothing stale to reuse and
         # nothing to evict.
         if self._cache_size == 0:
-            if self.backend == "csr":
-                return self._stamped_sweep(fault_key).distances_from(source)
-            return dijkstra(self._view(fault_key), source)
+            return self._stamped_sweep(fault_key).distances_from(source)
         cache_key = (fault_key, source)
         hit = self._cache.get(cache_key)
         if hit is not None:
             self._cache.move_to_end(cache_key)
             return hit
-        if self.backend == "csr":
-            dist = self._stamped_sweep(fault_key).distances_from(source)
-        else:
-            dist = dijkstra(self._view(fault_key), source)
+        dist = self._stamped_sweep(fault_key).distances_from(source)
         self._cache[cache_key] = dist
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -394,8 +361,8 @@ class FaultTolerantDistanceOracle:
 
         Callers have already validated the sources.  Cache hits are
         served (and refreshed) from the LRU; the misses run as one
-        multi-source batch on the CSR backend and are stored under the
-        same ``(fault set, source)`` keys :meth:`_sssp` uses, so batched
+        multi-source batch and are stored under the same
+        ``(fault set, source)`` keys :meth:`_sssp` uses, so batched
         and single-query paths share cache entries.  With the cache
         disabled every distinct source still computes exactly once per
         batch.
@@ -416,11 +383,7 @@ class FaultTolerantDistanceOracle:
                     missing.append(s)
         if not missing:
             return out
-        if self.backend == "csr":
-            runs = self._stamped_sweep(fault_key).distances_multi(missing)
-        else:
-            view = self._view(fault_key)
-            runs = [dijkstra(view, s) for s in missing]
+        runs = self._stamped_sweep(fault_key).distances_multi(missing)
         for s, dist in zip(missing, runs):
             out[s] = dist
             if self._cache_size:

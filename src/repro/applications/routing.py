@@ -15,24 +15,17 @@ Routes are loop-free by construction (next hops follow a shortest-path
 tree for the current fault set), which the tests check by walking every
 route to termination.
 
-Execution backends (``backend=`` keyword, default resolved from
-``REPRO_BACKEND``):
-
-* ``"csr"`` -- the spanner is frozen once into a
-  :class:`~repro.graph.snapshot.CSRSnapshot` and every table build runs
-  on a shared :class:`~repro.graph.snapshot.ScenarioSweep`: a reported
-  fault set is an O(|F|) mask re-stamp, and each destination-rooted
-  tree comes from the CSR parent arrays (flat-array BFS on unit
-  spanners, CSR Dijkstra on weighted ones) -- no lazy view, no per-node
-  dict churn.
-* ``"dict"`` -- the reference path: one destination-rooted dict
-  Dijkstra per (fault set, destination) on a lazy fault view,
-  O(n (m' + n log n)) for full tables on a spanner with m' edges.
-
-Both backends build identical tables entry for entry (the CSR substrate
-preserves the dict backend's discovery order and strict-improvement
-predecessor rule), which `tests/test_applications_parity.py` asserts.
-Next-hop lookups themselves stay O(1) table reads either way.
+Execution: the spanner is frozen once into a
+:class:`~repro.graph.snapshot.CSRSnapshot` and every table build runs
+on a shared :class:`~repro.graph.snapshot.ScenarioSweep`: a reported
+fault set is an O(|F|) mask re-stamp, and each destination-rooted tree
+comes from the CSR parent arrays (flat-array BFS on unit spanners, CSR
+Dijkstra on weighted ones) -- no lazy view, no per-node dict churn.
+The dict reference in ``tests/reference/`` (one destination-rooted dict
+Dijkstra per (fault set, destination) on a lazy fault view) builds
+identical tables entry for entry, which
+`tests/test_applications_parity.py` asserts.  Next-hop lookups
+themselves are O(1) table reads.
 """
 
 from __future__ import annotations
@@ -41,12 +34,10 @@ import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.core.greedy_modified import fault_tolerant_spanner
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.flow.dinitz import DisjointPathNetwork, FlowWorkspace
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Edge, Graph, Node, edge_key
+from repro.graph.graph import Graph, Node, edge_key
 from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, resolve_search
-from repro.graph.views import EdgeFaultView, VertexFaultView
 
 INFINITY = math.inf
 
@@ -60,9 +51,8 @@ class SpannerRouter:
 
     Parameters mirror :func:`repro.core.greedy_modified.
     fault_tolerant_spanner`; a prebuilt :class:`SpannerResult` may be
-    supplied instead of rebuilding, and ``backend`` selects the table
-    construction engine (identical tables either way).  On the CSR
-    backend, ``snapshot`` may supply an already-frozen
+    supplied instead of rebuilding, and ``snapshot`` may supply an
+    already-frozen
     :class:`~repro.graph.snapshot.CSRSnapshot` of the spanner (e.g.
     from a :class:`repro.session.SpannerSession`) for the router's
     sweep to re-stamp instead of freezing its own, and ``search`` picks
@@ -87,20 +77,18 @@ class SpannerRouter:
         f: int,
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
         prebuilt: Optional[SpannerResult] = None,
-        backend: Optional[str] = None,
         snapshot: Optional[CSRSnapshot] = None,
         search: Optional[str] = None,
     ) -> None:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.backend = resolve_backend(backend)
         self.search = resolve_search(search)
         if prebuilt is not None:
             result = prebuilt
         else:
             result = fault_tolerant_spanner(
-                g, k, f, fault_model=self.fault_model, backend=self.backend
+                g, k, f, fault_model=self.fault_model
             )
         self.spanner = result.spanner
         self.construction = result
@@ -111,14 +99,12 @@ class SpannerRouter:
         # DisjointPathNetwork, FlowWorkspace), built on first use.
         self._flow: Optional[Tuple] = None
         # Churn stamp: the spanner dict's monotonic ``mutations``
-        # counter bumps per streaming update (on both backends --
-        # overlay mutations mirror into the dict); tables and the flow
+        # counter bumps per streaming update (overlay mutations mirror
+        # into the dict); tables and the flow
         # network built before the bump describe the pre-churn topology
         # and are dropped wholesale.
         self._version = self.spanner.mutations
         if snapshot is not None:
-            if self.backend != "csr":
-                raise ValueError("snapshot= requires the csr backend")
             if snapshot.g is not self.spanner:
                 raise ValueError(
                     "snapshot does not freeze this router's spanner"
@@ -269,8 +255,8 @@ class SpannerRouter:
         Returns ``{dest: table}`` with each table identical to
         :meth:`table` for that destination; ``dests=None`` builds every
         destination in the spanner.  Destinations already cached for
-        this fault set are served from the cache; on the CSR backend all
-        remaining destination-rooted trees ride one multi-source batch
+        this fault set are served from the cache; all remaining
+        destination-rooted trees ride one multi-source batch
         pass (:meth:`~repro.graph.snapshot.ScenarioSweep.parents_multi`)
         instead of one sweep per destination, and the results land in
         the same per-``(fault set, dest)`` cache the single-destination
@@ -297,11 +283,7 @@ class SpannerRouter:
                 )
             missing.append(dest)
         if missing:
-            if self.backend == "csr":
-                built = self._stamped_sweep(fault_key).parents_multi(missing)
-            else:
-                view = self._view(fault_key)
-                built = [_dijkstra_parents(view, d) for d in missing]
+            built = self._stamped_sweep(fault_key).parents_multi(missing)
             for dest, parent in zip(missing, built):
                 per_dest[dest] = parent
         return {dest: per_dest[dest] for dest in dest_list}
@@ -330,13 +312,6 @@ class SpannerRouter:
             )
         return out
 
-    def _view(self, fault_key: FrozenSet):
-        if not fault_key:
-            return self.spanner
-        if self.fault_model is FaultModel.VERTEX:
-            return VertexFaultView(self.spanner, fault_key)
-        return EdgeFaultView(self.spanner, fault_key)
-
     def _flush_if_stale(self) -> None:
         """Drop tables and the flow network built before the last update.
 
@@ -344,7 +319,7 @@ class SpannerRouter:
         stamp; the router additionally owns next-hop tables and a Dinic
         network whose arcs bake in the pre-churn edge list, so both are
         rebuilt from scratch at the next query after the spanner's
-        ``mutations`` stamp moves (either backend).  Must run before
+        ``mutations`` stamp moves.  Must run before
         any ``_tables`` / ``_flow`` read.
         """
         v = self.spanner.mutations
@@ -356,23 +331,18 @@ class SpannerRouter:
     def _flow_engine(self) -> Tuple:
         """The cached (csr, indexer, network, workspace) flow substrate.
 
-        On the CSR backend the substrate shares the sweep's snapshot;
-        the dict backend freezes its own CSR copy of the spanner on
-        first use.  One build serves until :meth:`_flush_if_stale`
-        sees a streaming update, which resets it.
+        Shares the sweep's snapshot.  One build serves until
+        :meth:`_flush_if_stale` sees a streaming update, which resets
+        it.
         """
         if self._flow is None:
-            if self.backend == "csr":
-                sweep = self._sweep
-                if sweep is None:
-                    sweep = self._sweep = ScenarioSweep(
-                        self.spanner, search=self.search
-                    )
-                csr = sweep.snap.csr
-                indexer = sweep.snap.indexer
-            else:
-                csr = CSRGraph.from_graph(self.spanner)
-                indexer = csr.indexer
+            sweep = self._sweep
+            if sweep is None:
+                sweep = self._sweep = ScenarioSweep(
+                    self.spanner, search=self.search
+                )
+            csr = sweep.snap.csr
+            indexer = sweep.snap.indexer
             self._flow = (
                 csr,
                 indexer,
@@ -398,8 +368,7 @@ class SpannerRouter:
 
         Built from one destination-rooted single-source tree: each
         reached node's next hop is its parent toward ``dest`` (reversed
-        tree).  On the CSR backend the tree comes straight from the
-        shared sweep's parent arrays.
+        tree), straight from the shared sweep's parent arrays.
         """
         if not self.spanner.has_node(dest):
             raise KeyError(f"destination {dest!r} not in graph")
@@ -413,37 +382,9 @@ class SpannerRouter:
         cached = per_dest.get(dest)
         if cached is not None:
             return cached
-        if self.backend == "csr":
-            parent = self._stamped_sweep(fault_key).parents_toward(dest)
-        else:
-            parent = _dijkstra_parents(self._view(fault_key), dest)
+        parent = self._stamped_sweep(fault_key).parents_toward(dest)
         # parent[x] is x's predecessor on the dest-rooted tree, i.e. the
         # next hop on x's shortest route TOWARD dest.
         per_dest[dest] = parent
         return parent
 
-
-def _dijkstra_parents(view, root: Node) -> Dict[Node, Node]:
-    """Map each reachable node to its parent toward ``root``."""
-    import heapq
-
-    parent: Dict[Node, Node] = {}
-    best: Dict[Node, float] = {root: 0.0}
-    done = set()
-    heap: List = [(0.0, 0, root)]
-    counter = 1
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in view.neighbor_items(u):
-            if v in done:
-                continue
-            nd = d + w
-            if v not in best or nd < best[v]:
-                best[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return parent

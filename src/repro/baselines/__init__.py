@@ -14,10 +14,11 @@
   -- the [DK11] black-box sampling reduction (Theorem 13), substrate of
   the paper's CONGEST construction.
 
-Backends: ``classic_greedy_spanner`` runs on the CSR substrate by
-default (``backend=`` keyword, same parity guarantee as the greedy
-family) so cross-algorithm benchmark timings are apples-to-apples; the
-randomized/clustering constructions are dict-only -- they make no
+Execution: ``classic_greedy_spanner`` runs on the CSR substrate (same
+parity guarantee against ``tests/reference/`` as the greedy family) so
+cross-algorithm benchmark timings are apples-to-apples;
+``baswana_sen_spanner`` keeps its clustering state over CSR node
+indices; the other randomized constructions are dict-only -- they make no
 repeated fault-set distance probes, which is the pattern the CSR
 workspace/mask machinery accelerates.  Each module's docstring states
 its own complexity.

@@ -16,29 +16,28 @@ adjacent cluster of the final clustering.
 
 Expected size O(k n^(1+1/k)); stretch 2k - 1 for weighted graphs.
 
-Execution backends (``backend=`` keyword, default resolved from
-``REPRO_BACKEND``): the k - 1 clustering rounds touch every edge a
-constant number of times each -- O(k m) total, no shortest-path probes
--- so the fold onto the CSR substrate is about the *clustering state*,
-not traversal kernels.  The ``"csr"`` path runs the identical logic
-over integer node indices: center assignments live in a flat list,
-per-vertex live-edge sets are built from the frozen CSR rows (which
-preserve dict neighbor order), and the dict path's ``repr``-based
-tie-breaks and center-sampling order are reproduced through one
-precomputed repr-rank permutation -- so both backends consume the
-identical RNG stream and emit the identical spanner, edge for edge, in
-the identical insertion order (asserted by the parity suite).
+Execution: the k - 1 clustering rounds touch every edge a constant
+number of times each -- O(k m) total, no shortest-path probes -- so the
+fold onto the CSR substrate is about the *clustering state*, not
+traversal kernels.  The logic runs over integer node indices: center
+assignments live in a flat list, per-vertex live-edge sets are built
+from the frozen CSR rows (which preserve dict neighbor order), and the
+label-keyed formulation's ``repr``-based tie-breaks and center-sampling
+order are reproduced through one precomputed repr-rank permutation.
+The label-keyed dict reference in ``tests/reference/`` therefore
+consumes the identical RNG stream and emits the identical spanner, edge
+for edge, in the identical insertion order (asserted by the parity
+suite).
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
 from repro.registry import register_algorithm
 
@@ -51,104 +50,22 @@ RngLike = Union[int, random.Random, None]
     guarantee="stretch 2k-1, expected O(k n^(1+1/k)) edges; no fault "
               "tolerance",
     seedable=True,
-    backend_aware=True,
 )
 def baswana_sen_spanner(
-    g: Graph, k: int, seed: RngLike = None, backend: Optional[str] = None
+    g: Graph, k: int, seed: RngLike = None
 ) -> SpannerResult:
     """Build a (2k-1)-spanner of (possibly weighted) ``g`` per [BS07].
 
-    ``backend`` selects the clustering-state engine (see the module
-    docstring); the output is identical either way.
+    Runs over integer node indices: every structure lives in a flat
+    list keyed by CSR node index; the one non-trivial bridge is
+    ``rank``, the permutation sorting indices by their labels' ``repr``
+    -- comparing ``(w, rank[u])`` is the ``(w, repr(u))`` tie-break, and
+    sorting centers by rank fixes the center-sampling order, so the RNG
+    stream matches the label-keyed formulation draw for draw.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    if resolve_backend(backend) == "csr":
-        return _baswana_sen_csr(g, k, rng)
-    n = g.num_nodes
-    h = g.spanning_skeleton()
-    if n == 0:
-        return _result(h, g, k)
-
-    # center[v]: the center of v's cluster, or None once v has left.
-    center: Dict[Node, Optional[Node]] = {v: v for v in g.nodes()}
-    # live[v]: edges of v not yet "resolved" (intra-cluster or discarded).
-    live: Dict[Node, Dict[Node, float]] = {
-        v: dict(g.neighbor_items(v)) for v in g.nodes()
-    }
-    p = n ** (-1.0 / k)
-
-    for _ in range(k - 1):
-        survivors = _sample_centers(center, p, rng)
-        new_center: Dict[Node, Optional[Node]] = {}
-        for v in g.nodes():
-            c = center[v]
-            if c is None:
-                new_center[v] = None
-                continue
-            if c in survivors:
-                # v's own cluster survived; stay put.
-                new_center[v] = c
-                continue
-            best = _lightest_edge_per_cluster(v, live[v], center)
-            surviving_best: Optional[Tuple[float, Node, Node]] = None
-            for cluster, (w, u) in best.items():
-                if cluster in survivors:
-                    cand = (w, repr(u), u, cluster)
-                    if surviving_best is None or cand[:2] < surviving_best[:2]:
-                        surviving_best = cand
-            if surviving_best is not None:
-                # Join the surviving cluster with the lightest edge.
-                join_weight, _, u, cluster = surviving_best
-                h.add_edge(v, u, weight=live[v][u])
-                new_center[v] = cluster
-                # [BS07] join rule: also connect to every adjacent cluster
-                # whose lightest edge is strictly lighter than the joining
-                # edge (these clusters would otherwise offer shortcuts the
-                # stretch argument needs), then drop edges into the joined
-                # and the connected clusters.
-                resolved = {cluster}
-                for other, (w, x) in best.items():
-                    if other != cluster and w < join_weight:
-                        h.add_edge(v, x, weight=live[v][x])
-                        resolved.add(other)
-                live[v] = {
-                    x: w
-                    for x, w in live[v].items()
-                    if center.get(x) not in resolved
-                }
-            else:
-                # No adjacent surviving cluster: connect to every adjacent
-                # old cluster with its lightest edge, then leave.
-                for cluster, (w, u) in best.items():
-                    h.add_edge(v, u, weight=live[v][u])
-                new_center[v] = None
-                live[v] = {}
-        center = new_center
-
-    # Phase 2: lightest edge to each adjacent final cluster.
-    for v in g.nodes():
-        if center[v] is None:
-            continue
-        best = _lightest_edge_per_cluster(v, dict(g.neighbor_items(v)), center)
-        for cluster, (w, u) in best.items():
-            if cluster == center[v]:
-                continue
-            h.add_edge(v, u, weight=g.weight(v, u))
-    return _result(h, g, k)
-
-
-def _baswana_sen_csr(g: Graph, k: int, rng: random.Random) -> SpannerResult:
-    """The index-space mirror of the dict clustering (identical output).
-
-    Every structure the dict path keeps keyed by node label lives here
-    in a flat list keyed by CSR node index; the one non-trivial bridge
-    is ``rank``, the permutation sorting indices by their labels'
-    ``repr`` -- comparing ``(w, rank[u])`` reproduces the dict path's
-    ``(w, repr(u))`` tie-break, and sorting centers by rank reproduces
-    its center-sampling order, so the RNG stream matches draw for draw.
-    """
     n = g.num_nodes
     h = g.spanning_skeleton()
     if n == 0:
@@ -164,7 +81,7 @@ def _baswana_sen_csr(g: Graph, k: int, rng: random.Random) -> SpannerResult:
     NONE = -1  # a vertex that has left the clustering
     center = list(range(n))
     # live[v]: unresolved incident edges, in CSR row order -- which is
-    # the dict path's neighbor insertion order, so the per-cluster
+    # the graph's neighbor insertion order, so the per-cluster
     # "first encountered" bookkeeping below matches it exactly.
     live = [
         dict(zip(csr.neighbors[v], csr.weight_rows[v])) for v in range(n)
@@ -189,9 +106,15 @@ def _baswana_sen_csr(g: Graph, k: int, rng: random.Random) -> SpannerResult:
                     if surviving_best is None or (w, ru) < surviving_best[:2]:
                         surviving_best = (w, ru, u, cluster)
             if surviving_best is not None:
+                # Join the surviving cluster with the lightest edge.
                 join_weight, _, u, cluster = surviving_best
                 h.add_edge(node_of(v), node_of(u), weight=live[v][u])
                 new_center[v] = cluster
+                # [BS07] join rule: also connect to every adjacent cluster
+                # whose lightest edge is strictly lighter than the joining
+                # edge (these clusters would otherwise offer shortcuts the
+                # stretch argument needs), then drop edges into the joined
+                # and the connected clusters.
                 resolved = {cluster}
                 for other, (w, rx, x) in best.items():
                     if other != cluster and w < join_weight:
@@ -203,11 +126,14 @@ def _baswana_sen_csr(g: Graph, k: int, rng: random.Random) -> SpannerResult:
                     if center[x] not in resolved
                 }
             else:
+                # No adjacent surviving cluster: connect to every adjacent
+                # old cluster with its lightest edge, then leave.
                 for cluster, (w, ru, u) in best.items():
                     h.add_edge(node_of(v), node_of(u), weight=live[v][u])
                 live[v] = {}
         center = new_center
 
+    # Phase 2: lightest edge to each adjacent final cluster.
     for v in range(n):
         if center[v] == NONE:
             continue
@@ -223,7 +149,8 @@ def _baswana_sen_csr(g: Graph, k: int, rng: random.Random) -> SpannerResult:
 def _lightest_by_index(
     incident: Dict[int, float], center, rank
 ) -> Dict[int, Tuple[float, int, int]]:
-    """Index-space `_lightest_edge_per_cluster`: cluster -> (w, rank, u)."""
+    """For each adjacent cluster: (weight, rank, endpoint) of the lightest
+    incident edge, ties broken by endpoint rank (``repr`` order)."""
     best: Dict[int, Tuple[float, int, int]] = {}
     for u, w in incident.items():
         c = center[u]
@@ -232,36 +159,6 @@ def _lightest_by_index(
         cur = best.get(c)
         if cur is None or (w, rank[u]) < cur[:2]:
             best[c] = (w, rank[u], u)
-    return best
-
-
-def _sample_centers(
-    center: Dict[Node, Optional[Node]], p: float, rng: random.Random
-) -> Set[Node]:
-    """Each current cluster center survives independently w.p. ``p``."""
-    centers = sorted(
-        {c for c in center.values() if c is not None}, key=repr
-    )
-    return {c for c in centers if rng.random() < p}
-
-
-def _lightest_edge_per_cluster(
-    v: Node,
-    incident: Dict[Node, float],
-    center: Dict[Node, Optional[Node]],
-) -> Dict[Node, Tuple[float, Node]]:
-    """For each adjacent cluster: (weight, endpoint) of v's lightest edge.
-
-    Ties broken by endpoint repr for determinism.
-    """
-    best: Dict[Node, Tuple[float, Node]] = {}
-    for u, w in incident.items():
-        c = center.get(u)
-        if c is None:
-            continue
-        cur = best.get(c)
-        if cur is None or (w, repr(u)) < (cur[0], repr(cur[1])):
-            best[c] = (w, u)
     return best
 
 

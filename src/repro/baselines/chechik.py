@@ -21,9 +21,9 @@ This baseline exists to make the experiment E12 comparison three-way
 (CLPR10 vs DK11 vs modified greedy); its exact polylog factors are not
 load-bearing for any theorem.
 
-Backend: dict only.  One pass of O(k f) Dijkstra sweeps over the full
+Execution: dict only.  One pass of O(k f) Dijkstra sweeps over the full
 graph -- O(k f (m + n log n)) -- with no per-fault-set inner loop, so
-there is no mask-reuse pattern for the CSR backend to exploit.
+there is no mask-reuse pattern for the CSR substrate to exploit.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ with A = distributed Baswana-Sen; this centralized version (default
 A = classic greedy) is the baseline of experiment E12 and the oracle the
 distributed implementation is tested against.
 
-Backend: the reduction itself is backend-agnostic glue (it only samples
-vertex sets and unions edge sets); the inner algorithm A runs on its own
-backend -- the default A, :func:`classic_greedy_spanner`, uses the CSR
-Dijkstra substrate.  Cost: O(f^3 log n) invocations of A on subgraphs
-of expected size n/f.
+Execution: the reduction itself is representation-agnostic glue (it
+only samples vertex sets and unions edge sets); the inner algorithm A
+runs on its own substrate -- the default A,
+:func:`classic_greedy_spanner`, uses CSR Dijkstra.  Cost: O(f^3 log n)
+invocations of A on subgraphs of expected size n/f.
 """
 
 from __future__ import annotations

@@ -12,73 +12,54 @@ This is simultaneously:
   short path?"), and
 * the optimal-size non-fault-tolerant baseline for the experiments.
 
-Execution backends: with ``backend="csr"`` (the default) the growing
-spanner is mirrored into a :class:`~repro.graph.csr.CSRBuilder` and the
-per-edge "already short enough?" probe is a truncated CSR Dijkstra
-through one shared :class:`~repro.graph.traversal.DijkstraWorkspace` --
-the same substrate the fault-tolerant greedy family runs on, which makes
-cross-algorithm benchmark timings comparable.  ``backend="dict"`` keeps
-the original dict-based Dijkstra.  Both produce identical spanners.
+Execution: the growing spanner is mirrored into a
+:class:`~repro.graph.csr.CSRBuilder` and the per-edge "already short
+enough?" probe is a truncated CSR Dijkstra through one shared
+:class:`~repro.graph.traversal.DijkstraWorkspace` -- the same substrate
+the fault-tolerant greedy family runs on, which makes cross-algorithm
+benchmark timings comparable.  The dict-Dijkstra reference in
+``tests/reference/`` produces the identical spanner.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRBuilder
 from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
 from repro.registry import register_algorithm
-from repro.graph.traversal import (
-    DijkstraWorkspace,
-    csr_weighted_distance,
-    dijkstra,
-)
+from repro.graph.traversal import DijkstraWorkspace, csr_weighted_distance
 
 
 @register_algorithm(
     "classic",
     summary="The [ADD+93] greedy: the f=0 ancestor of the whole line",
     guarantee="stretch 2k-1, O(n^(1+1/k)) edges; no fault tolerance",
-    backend_aware=True,
 )
-def classic_greedy_spanner(
-    g: Graph, k: int, backend: Optional[str] = None
-) -> SpannerResult:
+def classic_greedy_spanner(g: Graph, k: int) -> SpannerResult:
     """Build the [ADD+93] greedy (2k-1)-spanner of ``g``.
 
     Works for weighted and unweighted graphs; runs in O(m * (m' + n log n))
     where m' is the spanner size (one truncated Dijkstra per edge).
-    ``backend`` selects the execution engine (see the module docstring);
-    the output is identical either way.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     t = 2 * k - 1
     h = g.spanning_skeleton()
     considered = 0
-    use_csr = resolve_backend(backend) == "csr"
-    if use_csr:
-        indexer = NodeIndexer.from_graph(g)
-        index = indexer.index
-        builder = CSRBuilder(len(indexer))
-        workspace = DijkstraWorkspace(len(indexer))
+    indexer = NodeIndexer.from_graph(g)
+    index = indexer.index
+    builder = CSRBuilder(len(indexer))
+    workspace = DijkstraWorkspace(len(indexer))
     for u, v, w in sorted(g.weighted_edges(), key=lambda item: item[2]):
         considered += 1
         budget = t * w
-        if use_csr:
-            d = csr_weighted_distance(
-                builder, index(u), index(v), max_dist=budget,
-                workspace=workspace,
-            )
-            if d > budget:
-                h.add_edge(u, v, weight=w)
-                builder.add_edge(index(u), index(v), w)
-        else:
-            dist = dijkstra(h, u, target=v, max_dist=budget)
-            if dist.get(v, float("inf")) > budget:
-                h.add_edge(u, v, weight=w)
+        d = csr_weighted_distance(
+            builder, index(u), index(v), max_dist=budget, workspace=workspace,
+        )
+        if d > budget:
+            h.add_edge(u, v, weight=w)
+            builder.add_edge(index(u), index(v), w)
     return SpannerResult(
         spanner=h,
         k=k,

@@ -15,7 +15,7 @@ Expected size O(k n^(1+1/k)); stretch 2k - 1.  [CLPR10]'s fault-tolerant
 construction is this object with fattened samples and bunches
 (:mod:`repro.baselines.chechik`).
 
-Backend: dict only.  The construction is k single-source Dijkstra
+Execution: dict only.  The construction is k single-source Dijkstra
 sweeps plus bunch assembly -- O(k m + k n log n) with no repeated
 fault-set probes to amortize, so the CSR workspace/mask machinery has
 nothing to win here (contrast :mod:`repro.baselines.greedy_classic`,

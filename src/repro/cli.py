@@ -14,7 +14,7 @@ Subcommands
 ``churn``       Stream seeded edge insert/delete updates through a built
                 spanner session (delta overlays + compaction policy),
                 probing distances during churn and checking them against
-                the reference engine.
+                dict Dijkstra on the mutated spanner.
 ``distributed`` Run one of the LOCAL/CONGEST constructions end to end on
                 the message-passing simulator, optionally across
                 ``--workers`` partition processes (bit-identical to
@@ -33,11 +33,11 @@ freezes the graphs into the CSR substrate once and shares the snapshot
 between construction check and verification sweep.
 
 Capability validation replaces the old silent-drop behavior: requesting
-``--backend`` for a single-engine construction or ``-f`` below an
-algorithm's minimum is a clean usage error, and options that merely do
-nothing for the chosen algorithm (``-f`` on a non-fault-tolerant
-baseline, ``--seed`` with a deterministic construction and a file
-input) produce an explicit note instead of silence.
+``-f`` below an algorithm's minimum is a clean usage error, and options
+that merely do nothing for the chosen algorithm (``-f`` on a
+non-fault-tolerant baseline, ``--seed`` with a deterministic
+construction and a file input) produce an explicit note instead of
+silence.
 
 Graph files use the library's text edge-list format
 (:mod:`repro.graph.io`).
@@ -50,7 +50,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core import resolve_backend
 from repro.graph import generators
 from repro.graph import io as graph_io
 from repro.graph.snapshot import (
@@ -101,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="greedy",
                        help="a registered construction (see: ftspanner "
                             "algorithms)")
-    build.add_argument("--backend", choices=["dict", "csr"], default=None,
-                       help="execution backend for backend-aware "
-                            "constructions: 'csr' (flat-array hot path) or "
-                            "'dict' (reference dict-of-dict path); both "
-                            "produce identical spanners (default: csr, or "
-                            "the REPRO_BACKEND environment variable when "
-                            "set).  Rejected for single-engine algorithms.")
     build.add_argument("--search", choices=SEARCH_MODES, default=None,
                        help="weighted search engine for the CSR sweeps "
                             "(--verify): 'auto' picks per weight profile "
@@ -145,10 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "algorithms)")
     verify.add_argument("--samples", type=int, default=300)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--backend", choices=["dict", "csr"], default=None,
-                        help="execution backend for the verification sweep "
-                             "(default: csr, or REPRO_BACKEND when set); "
-                             "the report is identical either way")
     verify.add_argument("--search", choices=SEARCH_MODES, default=None,
                         help="weighted search engine for the CSR sweep "
                              "('bucket'/'bidir'/'batch' need integral "
@@ -177,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cache-size", type=int, default=256,
                         help="single-source runs kept in the oracle LRU "
                              "(default 256)")
-    oracle.add_argument("--backend", choices=["dict", "csr"], default=None,
-                        help="query engine: 'csr' (one shared snapshot, "
-                             "O(|F|) scenario re-stamp) or 'dict' (lazy "
-                             "views); answers are identical (default: csr, "
-                             "or REPRO_BACKEND when set)")
     oracle.add_argument("--search", choices=SEARCH_MODES, default=None,
                         help="weighted search engine for the CSR query "
                              "sweep: 'auto' resolves from the spanner's "
@@ -249,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="raise ServingUnavailable instead of "
                             "degrading to in-process execution when the "
                             "pool is unusable")
-    serve.add_argument("--backend", choices=["dict", "csr"], default=None,
-                       help="session backend for the build (serving "
-                            "always executes on the CSR substrate; "
-                            "answers are identical)")
     serve.add_argument("--search", choices=SEARCH_MODES, default=None,
                        help="weighted search engine for the workers' "
                             "sweeps (identical answers on every legal "
@@ -298,10 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--probes", type=int, default=5,
                        help="distance probes checked per batch "
                             "(default 5)")
-    churn.add_argument("--backend", choices=["dict", "csr"], default=None,
-                       help="session backend (the overlay engine serves "
-                            "the csr backend; dict mutates in place; "
-                            "answers are identical)")
     churn.add_argument("--search", choices=SEARCH_MODES, default=None,
                        help="weighted search engine for the probes")
     churn.add_argument("--seed", type=int, default=0,
@@ -377,18 +352,8 @@ def _load_or_generate(args, seed: int = 0) -> "Graph":
     raise SystemExit("need --input FILE or --random N")
 
 
-def _resolve_backend_or_exit(args, command: str) -> str:
-    # Resolve here so a bad REPRO_BACKEND value fails like a bad
-    # --backend flag (clean usage error), not a traceback mid-build.
-    try:
-        return resolve_backend(args.backend)
-    except ValueError as exc:
-        raise SystemExit(f"ftspanner {command}: error: {exc}")
-
-
 def _cmd_build(args) -> int:
     spec = get_algorithm(args.algorithm)
-    backend = _resolve_backend_or_exit(args, "build")
     f = args.f
     if f and not spec.fault_tolerant:
         print(f"note: '{spec.name}' is not fault-tolerant; building with "
@@ -403,13 +368,11 @@ def _cmd_build(args) -> int:
     # capability error fails before the graph is loaded or generated.
     # Mirrors session.build's routing: the fault model travels only to
     # fault-tolerant constructions (with the note above when an
-    # explicit choice is dropped); an explicit --backend flag must
-    # error on single-engine ones (an omitted flag validates nothing).
+    # explicit choice is dropped).
     try:
         spec.validate_request(
             f=f,
             fault_model=fault_model if spec.fault_tolerant else None,
-            backend=args.backend,
         )
     except UnsupportedOption as exc:
         raise SystemExit(f"ftspanner build: error: {exc}")
@@ -424,7 +387,7 @@ def _cmd_build(args) -> int:
     g = _load_or_generate(args, seed=seed)
     session = SpannerSession(
         g, k=args.k, f=f, fault_model=fault_model,
-        backend=backend, seed=seed, search=args.search,
+        seed=seed, search=args.search,
     )
     start = time.perf_counter()
     try:
@@ -462,10 +425,9 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     g = graph_io.load(args.graph)
     h = graph_io.load(args.spanner)
-    backend = _resolve_backend_or_exit(args, "verify")
     session = SpannerSession(
         g, f=args.f, fault_model=args.fault_model,
-        backend=backend, seed=args.seed, search=args.search,
+        seed=args.seed, search=args.search,
     )
     session.adopt(h)
     try:
@@ -492,11 +454,10 @@ def _cmd_oracle(args) -> int:
     import math
     import random
 
-    backend = _resolve_backend_or_exit(args, "oracle")
     g = _load_or_generate(args, seed=args.seed)
     session = SpannerSession(
         g, k=args.k, f=args.f, fault_model=args.fault_model,
-        backend=backend, seed=args.seed, search=args.search,
+        seed=args.seed, search=args.search,
     )
     start = time.perf_counter()
     session.build("greedy")
@@ -506,8 +467,8 @@ def _cmd_oracle(args) -> int:
         raise SystemExit(f"ftspanner oracle: error: {exc}")
     build = time.perf_counter() - start
     print(f"oracle over {oracle.size} spanner edges "
-          f"(stretch guarantee {oracle.stretch}, f={args.f}, "
-          f"backend {backend}): built in {build:.3f}s")
+          f"(stretch guarantee {oracle.stretch}, f={args.f}): "
+          f"built in {build:.3f}s")
     rng = random.Random(args.seed)
     nodes = sorted(g.nodes(), key=repr)
     # Vertex faults remove nodes from the survivor pool; edge faults
@@ -548,11 +509,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serving import ChaosPolicy, ServingConfig, run_load
 
-    backend = _resolve_backend_or_exit(args, "serve")
     g = _load_or_generate(args, seed=args.seed)
     session = SpannerSession(
         g, k=args.k, f=args.f, fault_model=args.fault_model,
-        backend=backend, seed=args.seed, search=args.search,
+        seed=args.seed, search=args.search,
     )
     start = time.perf_counter()
     session.build("greedy")
@@ -621,11 +581,9 @@ def _cmd_churn(args) -> int:
 
     from repro.graph.traversal import dijkstra
 
-    backend = _resolve_backend_or_exit(args, "churn")
     g = _load_or_generate(args, seed=args.seed)
     session = SpannerSession(
-        g, k=args.k, f=args.f, backend=backend, seed=args.seed,
-        search=args.search,
+        g, k=args.k, f=args.f, seed=args.seed, search=args.search,
     )
     start = time.perf_counter()
     session.build("greedy")
@@ -674,10 +632,7 @@ def _cmd_churn(args) -> int:
                   f"overlay depth {s['overlay_depth']:.0f}, "
                   f"density {s['density']:.3f}, "
                   f"{s['live_edges']:.0f} live edges")
-    else:
-        print(f"  dict backend: graphs mutated in place "
-              f"({g.num_edges} graph edges, {h.num_edges} spanner edges)")
-    print(f"probe parity vs reference engine: "
+    print(f"probe parity vs dict Dijkstra: "
           f"{checked - mismatches}/{checked} identical "
           f"({'OK' if mismatches == 0 else 'FAILED'})")
     return 0 if mismatches == 0 else 1
@@ -767,7 +722,7 @@ def _cmd_algorithms(args) -> int:
             print(f"{'':<{width}}  {spec.summary}")
         print(f"{'':<{width}}  {spec.capabilities()}")
     print()
-    print("search engines (--search; CSR backend execution policy):")
+    print("search engines (--search; CSR execution policy):")
     sw = max(len(name) for name in SEARCH_CAPABILITIES)
     for name, constraint in SEARCH_CAPABILITIES.items():
         print(f"  {name:<{sw}}  {constraint}")

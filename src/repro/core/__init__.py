@@ -17,13 +17,7 @@ Public entry points
     Closed-form size/time bounds from Theorems 2, 8, 9, 10, 12, 13, 15.
 """
 
-from repro.core.spanner import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    FaultModel,
-    SpannerResult,
-    resolve_backend,
-)
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.core.greedy_modified import (
     fault_tolerant_spanner,
     modified_greedy_unweighted,
@@ -40,11 +34,8 @@ from repro.core.blocking import (
 from repro.core import bounds
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "FaultModel",
     "SpannerResult",
-    "resolve_backend",
     "fault_tolerant_spanner",
     "modified_greedy_unweighted",
     "modified_greedy_weighted",

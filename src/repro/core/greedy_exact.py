@@ -18,32 +18,32 @@ Implementation notes
   ``(2k - 1) w(u, v)``.  We enumerate fault sets with the same
   branch-on-a-violating-path strategy, but paths are weighted shortest
   paths truncated at the stretch budget.
+
+The cut search runs over a growing flat-array spanner: unit-weighted
+inputs use hop-bounded BFS with a shared :class:`BFSWorkspace` (exactly
+like the modified greedy), weighted inputs use truncated Dijkstra with a
+shared :class:`DijkstraWorkspace` and generation-stamped fault masks in
+place of per-candidate fault views.  The dict reference construction in
+``tests/reference/`` (fault views plus dict Dijkstra) yields identical
+spanners and certificates.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Union
+from typing import FrozenSet, List, Optional, Union
 
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRBuilder
-from repro.graph.graph import Edge, Graph, Node, edge_key
+from repro.graph.graph import Graph, edge_key
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import (
     BFSWorkspace,
     DijkstraWorkspace,
     csr_bounded_dijkstra_path,
     csr_bounded_dijkstra_path_edges,
-    dijkstra,
-    shortest_path,
 )
-from repro.graph.views import EdgeFaultView, GraphView, VertexFaultView
 from repro.registry import register_algorithm
-from repro.lbc.exact import (
-    exact_edge_lbc,
-    exact_edge_lbc_csr,
-    exact_vertex_lbc,
-    exact_vertex_lbc_csr,
-)
+from repro.lbc.exact import exact_edge_lbc_csr, exact_vertex_lbc_csr
 
 
 @register_algorithm(
@@ -51,14 +51,12 @@ from repro.lbc.exact import (
     summary="Algorithm 1: the size-optimal exponential-time greedy",
     guarantee="stretch 2k-1, optimal size [BDPW18, BP19]; exp time in f",
     fault_models=("vertex", "edge"),
-    backend_aware=True,
 )
 def exponential_greedy_spanner(
     g: Graph,
     k: int,
     f: int,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-    backend: Optional[str] = None,
 ) -> SpannerResult:
     """Run Algorithm 1 and return the (size-optimal) greedy FT spanner.
 
@@ -66,14 +64,6 @@ def exponential_greedy_spanner(
     dozen and f up to ~3.  Use
     :func:`repro.core.greedy_modified.fault_tolerant_spanner` for anything
     larger.
-
-    With ``backend="csr"`` (the default) the branch-and-bound cut search
-    runs over a growing flat-array spanner: unit-weighted inputs use
-    hop-bounded BFS with a shared :class:`BFSWorkspace` (exactly like the
-    modified greedy's fast path), weighted inputs use truncated Dijkstra
-    with a shared :class:`DijkstraWorkspace` and generation-stamped fault
-    masks in place of per-candidate fault views.  Either way the output
-    is identical to ``backend="dict"``.
     """
     model = FaultModel.coerce(fault_model)
     if k < 1:
@@ -85,34 +75,29 @@ def exponential_greedy_spanner(
     certificates = {}
     considered = 0
     unit = g.is_unit_weighted()
-    use_csr = resolve_backend(backend) == "csr"
-    if use_csr:
-        indexer = NodeIndexer.from_graph(g)
-        index = indexer.index
-        builder = CSRBuilder(len(indexer))
-        if unit:
-            workspace = BFSWorkspace(len(indexer))
-        else:
-            dworkspace = DijkstraWorkspace(len(indexer))
+    indexer = NodeIndexer.from_graph(g)
+    index = indexer.index
+    builder = CSRBuilder(len(indexer))
+    if unit:
+        workspace = BFSWorkspace(len(indexer))
+    else:
+        dworkspace = DijkstraWorkspace(len(indexer))
 
     edges = sorted(g.weighted_edges(), key=lambda e: e[2])
     for u, v, w in edges:
         considered += 1
-        if use_csr and unit:
+        if unit:
             cut = _csr_violating_fault_set(
                 builder, index(u), index(v), t, f, model, workspace, indexer
             )
-        elif use_csr:
+        else:
             cut = _csr_weighted_violating_fault_set(
                 builder, index(u), index(v), t * w, f, model, dworkspace,
                 indexer,
             )
-        else:
-            cut = _find_violating_fault_set(h, u, v, t, f, w, model, unit)
         if cut is not None:
             h.add_edge(u, v, weight=w)
-            if use_csr:
-                builder.add_edge(index(u), index(v), w)
+            builder.add_edge(index(u), index(v), w)
             certificates[edge_key(u, v)] = cut
     return SpannerResult(
         spanner=h,
@@ -135,11 +120,13 @@ def _csr_violating_fault_set(
     workspace: BFSWorkspace,
     indexer: NodeIndexer,
 ) -> Optional[FrozenSet]:
-    """CSR twin of :func:`_find_violating_fault_set` (unit weights only).
+    """A fault set F, |F| <= f, with hop distance > t in H, or None.
 
-    Runs the exact LBC search on indices, then translates the cut back to
-    node objects / canonical edge tuples so certificates match the dict
-    backend's exactly.
+    Unit weights only: Lemma 3 reduces the condition to a length-bounded
+    cut.  Runs the exact LBC search on indices, then translates the cut
+    back to node objects / canonical edge tuples.  The empty set counts:
+    if u and v are already too far apart in H (e.g. disconnected), the
+    edge must be added.
     """
     if model is FaultModel.VERTEX:
         cut = exact_vertex_lbc_csr(
@@ -170,16 +157,17 @@ def _csr_weighted_violating_fault_set(
     workspace: DijkstraWorkspace,
     indexer: NodeIndexer,
 ) -> Optional[FrozenSet]:
-    """CSR twin of the weighted branch of :func:`_find_violating_fault_set`.
+    """Branch-and-bound: find F (|F| <= f) with weighted d > budget.
 
-    Same branch-and-bound as :func:`_weighted_vertex_search` /
-    :func:`_weighted_edge_search`, but the "remove F and re-probe" step
-    is a mask re-stamp (O(|F|), |F| <= f) plus a truncated CSR Dijkstra
-    instead of a fresh fault view and a dict-based shortest-path run.
-    The fault stack and both masks live in ``workspace``, so the whole
-    exponential search allocates nothing but the heaps and found paths.
-    Cuts are translated back to node objects / canonical edge tuples so
-    certificates match the dict backend's exactly.
+    Branches on the interior vertices (vertex model) or edges (edge
+    model) of a currently-too-short path; any violating F must hit
+    every path of weight <= budget, in particular the one found, so the
+    search is complete for the same reason as the LBC exact solver.
+    The "remove F and re-probe" step is a mask re-stamp (O(|F|),
+    |F| <= f) plus a truncated CSR Dijkstra.  The fault stack and both
+    masks live in ``workspace``, so the whole exponential search
+    allocates nothing but the heaps and found paths.  Cuts are
+    translated back to node objects / canonical edge tuples.
     """
     faults: List[int] = []
     found: List[Optional[FrozenSet]] = [None]
@@ -248,106 +236,3 @@ def _csr_weighted_violating_fault_set(
     search_edges(f)
     return found[0]
 
-
-def _find_violating_fault_set(
-    h: Graph,
-    u: Node,
-    v: Node,
-    t: int,
-    f: int,
-    weight: float,
-    model: FaultModel,
-    unit: bool,
-) -> Optional[FrozenSet]:
-    """A fault set F, |F| <= f, with d_{H\\F}(u, v) > (2k-1) w(u,v), or None.
-
-    The empty set counts: if u and v are already too far apart in H (e.g.
-    disconnected), the edge must be added.
-    """
-    if unit:
-        # Lemma 3 reduces the condition to hop distance > t = 2k - 1.
-        if model is FaultModel.VERTEX:
-            return exact_vertex_lbc(h, u, v, t, max_size=f)
-        return exact_edge_lbc(h, u, v, t, max_size=f)
-    budget = t * weight
-    if model is FaultModel.VERTEX:
-        return _weighted_vertex_search(h, u, v, budget, f)
-    return _weighted_edge_search(h, u, v, budget, f)
-
-
-def _weighted_vertex_search(
-    h: Graph, u: Node, v: Node, budget: float, f: int
-) -> Optional[FrozenSet[Node]]:
-    """Branch-and-bound: find F (|F| <= f) with weighted d > budget.
-
-    Branches on the interior vertices of a currently-too-short path; any
-    violating F must hit every path of weight <= budget, in particular the
-    one found.  Complete for the same reason as the LBC exact solver.
-    """
-    found: List[Optional[FrozenSet[Node]]] = [None]
-
-    def search(faults: Set[Node], remaining: int) -> None:
-        if found[0] is not None:
-            return
-        view = VertexFaultView(h, faults) if faults else h
-        path = _short_weighted_path(view, u, v, budget)
-        if path is None:
-            found[0] = frozenset(faults)
-            return
-        interior = path[1:-1]
-        if not interior or remaining == 0:
-            return
-        for x in interior:
-            faults.add(x)
-            search(faults, remaining - 1)
-            faults.remove(x)
-            if found[0] is not None:
-                return
-
-    search(set(), f)
-    return found[0]
-
-
-def _weighted_edge_search(
-    h: Graph, u: Node, v: Node, budget: float, f: int
-) -> Optional[FrozenSet[Edge]]:
-    """Edge-fault analogue of :func:`_weighted_vertex_search`."""
-    found: List[Optional[FrozenSet[Edge]]] = [None]
-
-    def search(faults: Set[Edge], remaining: int) -> None:
-        if found[0] is not None:
-            return
-        view = EdgeFaultView(h, faults) if faults else h
-        path = _short_weighted_path(view, u, v, budget)
-        if path is None:
-            found[0] = frozenset(faults)
-            return
-        if remaining == 0:
-            return
-        for i in range(len(path) - 1):
-            e = edge_key(path[i], path[i + 1])
-            faults.add(e)
-            search(faults, remaining - 1)
-            faults.remove(e)
-            if found[0] is not None:
-                return
-
-    search(set(), f)
-    return found[0]
-
-
-def _short_weighted_path(
-    view, u: Node, v: Node, budget: float
-) -> Optional[List[Node]]:
-    """A u-v path of weight <= budget in ``view``, or None.
-
-    A shortest path suffices: if even it exceeds the budget, no path is
-    within budget.
-    """
-    path = shortest_path(view, u, v)
-    if path is None:
-        return None
-    total = sum(
-        view.weight(path[i], path[i + 1]) for i in range(len(path) - 1)
-    )
-    return path if total <= budget else None

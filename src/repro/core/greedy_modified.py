@@ -20,42 +20,30 @@ decision (Algorithm 2) with ``t = 2k - 1`` and ``alpha = f``:
 Both fault models (vertex / edge) are supported through the corresponding
 LBC variant -- the "trivial change" the paper describes.
 
-Execution backends
-------------------
-The greedy loop runs on one of two engines (``backend=`` keyword,
-resolvable from the ``REPRO_BACKEND`` environment variable, default
-``"csr"``):
-
-* ``"csr"`` -- the spanner under construction is mirrored into a growing
-  :class:`~repro.graph.csr.CSRBuilder`; all LBC tests run on flat arrays
-  with one shared :class:`~repro.graph.traversal.BFSWorkspace` and fault
-  masks, so the m-edge loop makes zero per-BFS allocations.
-* ``"dict"`` -- the original path over the dict ``Graph`` with lazy fault
-  views; kept as the reference for differential testing.
-
-Both backends examine identical candidate orders and find identical BFS
-paths, so they produce identical spanners, certificates, and BFS counts
-(`tests/test_backend_parity.py` asserts this).
+Execution
+---------
+The spanner under construction is mirrored into a growing
+:class:`~repro.graph.csr.CSRBuilder`; all LBC tests run on flat arrays
+with one shared :class:`~repro.graph.traversal.BFSWorkspace` and fault
+masks, so the m-edge loop makes zero per-BFS allocations.  The dict
+reference construction in ``tests/reference/`` examines the identical
+candidate order and finds identical BFS paths, so the parity suite
+(`tests/test_backend_parity.py`) asserts identical spanners,
+certificates, and BFS counts.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRBuilder
-from repro.graph.graph import Edge, Graph, Node, edge_key
+from repro.graph.graph import Graph, Node, edge_key
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import BFSWorkspace
 from repro.registry import register_algorithm
-from repro.lbc.approx import (
-    LBCAnswer,
-    lbc_edge,
-    lbc_edge_csr,
-    lbc_vertex,
-    lbc_vertex_csr,
-)
+from repro.lbc.approx import LBCAnswer, lbc_edge_csr, lbc_vertex_csr
 
 EdgeOrder = Union[str, Sequence[Tuple[Node, Node]]]
 
@@ -67,7 +55,6 @@ _ORDERINGS = ("weight", "arbitrary", "random", "degree")
     summary="The paper's modified greedy (Algorithms 3/4, Theorem 2)",
     guarantee="stretch 2k-1, O(k f^(1-1/k) n^(1+1/k)) edges, poly time",
     fault_models=("vertex", "edge"),
-    backend_aware=True,
 )
 def fault_tolerant_spanner(
     g: Graph,
@@ -75,8 +62,6 @@ def fault_tolerant_spanner(
     f: int,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
-    repack_every: Optional[int] = None,
 ) -> SpannerResult:
     """Build an f-fault-tolerant (2k-1)-spanner of ``g`` in polynomial time.
 
@@ -99,18 +84,6 @@ def fault_tolerant_spanner(
     seed:
         Unused by the deterministic weight ordering; accepted for API
         uniformity with the randomized constructions.
-    backend:
-        ``'csr'`` (flat-array hot path, the default) or ``'dict'`` (the
-        original view-based path); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable.  The output is identical
-        either way.
-    repack_every:
-        On the CSR backend, compact the growing
-        :class:`~repro.graph.csr.CSRBuilder`'s adjacency rows after
-        every this-many kept edges (``None`` disables scheduling).
-        Purely a memory-layout operation -- the spanner is identical
-        with or without it; ``bench_backend.py``'s
-        ``modified_greedy_repack`` scenario records the measured effect.
 
     Returns
     -------
@@ -118,14 +91,8 @@ def fault_tolerant_spanner(
         With per-edge cut certificates (Lemma 6) and BFS-call counts.
     """
     if g.is_unit_weighted():
-        return modified_greedy_unweighted(
-            g, k, f, fault_model=fault_model, backend=backend,
-            repack_every=repack_every,
-        )
-    return modified_greedy_weighted(
-        g, k, f, fault_model=fault_model, backend=backend,
-        repack_every=repack_every,
-    )
+        return modified_greedy_unweighted(g, k, f, fault_model=fault_model)
+    return modified_greedy_weighted(g, k, f, fault_model=fault_model)
 
 
 def modified_greedy_unweighted(
@@ -136,8 +103,6 @@ def modified_greedy_unweighted(
     order: EdgeOrder = "arbitrary",
     seed: Optional[int] = None,
     degree_shortcut: bool = False,
-    backend: Optional[str] = None,
-    repack_every: Optional[int] = None,
 ) -> SpannerResult:
     """Algorithm 3 on an unweighted graph, with a pluggable edge order.
 
@@ -154,8 +119,7 @@ def modified_greedy_unweighted(
     edges = _ordered_edges(g, order, seed)
     return _greedy_loop(
         g, edges, k, f, model, algorithm="modified-greedy",
-        degree_shortcut=degree_shortcut, backend=backend,
-        repack_every=repack_every,
+        degree_shortcut=degree_shortcut,
     )
 
 
@@ -165,8 +129,6 @@ def modified_greedy_weighted(
     f: int,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
     degree_shortcut: bool = False,
-    backend: Optional[str] = None,
-    repack_every: Optional[int] = None,
 ) -> SpannerResult:
     """Algorithm 4: nondecreasing-weight order, unweighted LBC test."""
     _validate_params(k, f)
@@ -174,8 +136,7 @@ def modified_greedy_weighted(
     edges = _ordered_edges(g, "weight", seed=None)
     return _greedy_loop(
         g, edges, k, f, model, algorithm="modified-greedy-weighted",
-        degree_shortcut=degree_shortcut, backend=backend,
-        repack_every=repack_every,
+        degree_shortcut=degree_shortcut,
     )
 
 
@@ -187,8 +148,6 @@ def _greedy_loop(
     model: FaultModel,
     algorithm: str,
     degree_shortcut: bool = False,
-    backend: Optional[str] = None,
-    repack_every: Optional[int] = None,
 ) -> SpannerResult:
     """The shared greedy loop of Algorithms 3 and 4.
 
@@ -198,13 +157,12 @@ def _greedy_loop(
     set.  NO means every fault set of size <= f leaves a short path, so
     the edge is redundant.
 
-    With ``backend="csr"`` the growing H is mirrored into a
-    :class:`~repro.graph.csr.CSRBuilder` built once for the whole run:
-    the node indexer, adjacency chunks, BFS workspace, and fault masks
-    are all shared across the ``m * (f + 1)`` BFS invocations, which is
-    where the backend's speedup comes from.  The dict ``Graph`` H is
-    still maintained (cheaply -- it only mutates on kept edges) so the
-    returned :class:`SpannerResult` is identical across backends.
+    The growing H is mirrored into a :class:`~repro.graph.csr.CSRBuilder`
+    built once for the whole run: the node indexer, adjacency chunks, BFS
+    workspace, and fault masks are all shared across the ``m * (f + 1)``
+    BFS invocations.  The dict ``Graph`` H is still maintained (cheaply
+    -- it only mutates on kept edges): it is the returned spanner and
+    the degree shortcut's neighborhood source.
 
     ``degree_shortcut`` enables an exact fast path: when an endpoint u of
     the candidate edge has fewer than f+1 neighbors in H (vertex model)
@@ -213,55 +171,24 @@ def _greedy_loop(
     is *guaranteed* to answer YES -- the edge can be added without
     running it.  The produced spanner is identical with or without the
     shortcut; only the BFS count changes.
-
-    ``repack_every`` (CSR only) schedules
-    :meth:`~repro.graph.csr.CSRBuilder.compact` after every that many
-    kept edges -- a pure memory-layout consolidation, so the produced
-    spanner is identical; the repack count lands in
-    ``result.extra["repacks"]``.
     """
-    if repack_every is not None and repack_every <= 0:
-        raise ValueError(f"need repack_every >= 1, got {repack_every}")
     t = 2 * k - 1
     h = g.spanning_skeleton()
     certificates = {}
     bfs_calls = 0
     considered = 0
     shortcuts = 0
-    repacks = 0
-    if resolve_backend(backend) == "csr":
-        indexer = NodeIndexer.from_graph(g)
-        index = indexer.index
-        builder = CSRBuilder(len(indexer))
-        workspace = BFSWorkspace(len(indexer))
-        csr_decide = (
-            lbc_vertex_csr if model is FaultModel.VERTEX else lbc_edge_csr
-        )
-        kept_since_repack = 0
+    indexer = NodeIndexer.from_graph(g)
+    index = indexer.index
+    builder = CSRBuilder(len(indexer))
+    workspace = BFSWorkspace(len(indexer))
+    decide = lbc_vertex_csr if model is FaultModel.VERTEX else lbc_edge_csr
 
-        def decide(u: Node, v: Node):
-            return csr_decide(
-                builder, index(u), index(v), t, f, workspace, indexer
-            )
-
-        def record_kept(u: Node, v: Node, w: float) -> None:
-            nonlocal kept_since_repack, repacks
-            builder.add_edge(index(u), index(v), w)
-            if repack_every:
-                kept_since_repack += 1
-                if kept_since_repack >= repack_every:
-                    builder.compact()
-                    kept_since_repack = 0
-                    repacks += 1
-
-    else:
-        dict_decide = lbc_vertex if model is FaultModel.VERTEX else lbc_edge
-
-        def decide(u: Node, v: Node):
-            return dict_decide(h, u, v, t, f)
-
-        def record_kept(u: Node, v: Node, w: float) -> None:
-            pass
+    def keep(u: Node, v: Node, cut: frozenset) -> None:
+        w = g.weight(u, v)
+        h.add_edge(u, v, weight=w)
+        builder.add_edge(index(u), index(v), w)
+        certificates[edge_key(u, v)] = cut
 
     for u, v in edges:
         considered += 1
@@ -269,23 +196,15 @@ def _greedy_loop(
             cut = _isolating_cut(h, u, v, f, model)
             if cut is not None:
                 shortcuts += 1
-                w = g.weight(u, v)
-                h.add_edge(u, v, weight=w)
-                record_kept(u, v, w)
-                certificates[edge_key(u, v)] = cut
+                keep(u, v, cut)
                 continue
-        result = decide(u, v)
+        result = decide(builder, index(u), index(v), t, f, workspace, indexer)
         bfs_calls += result.iterations
         if result.answer is LBCAnswer.YES:
-            w = g.weight(u, v)
-            h.add_edge(u, v, weight=w)
-            record_kept(u, v, w)
-            certificates[edge_key(u, v)] = result.cut
+            keep(u, v, result.cut)
     extra: Dict[str, float] = {}
     if degree_shortcut:
         extra["degree_shortcuts"] = float(shortcuts)
-    if repacks:
-        extra["repacks"] = float(repacks)
     return SpannerResult(
         spanner=h,
         k=k,

@@ -25,21 +25,14 @@ measures its per-insertion latency against periodic batch rebuilds.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Union
 
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRBuilder
 from repro.graph.graph import Edge, Graph, Node, edge_key
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import BFSWorkspace
-from repro.lbc.approx import (
-    LBCAnswer,
-    LBCResult,
-    lbc_edge,
-    lbc_edge_csr,
-    lbc_vertex,
-    lbc_vertex_csr,
-)
+from repro.lbc.approx import LBCAnswer, LBCResult, lbc_edge_csr, lbc_vertex_csr
 from repro.registry import register_algorithm
 
 
@@ -51,14 +44,12 @@ from repro.registry import register_algorithm
               "insertions; unit weights only",
     weighted=False,
     fault_models=("vertex", "edge"),
-    backend_aware=True,
 )
 def incremental_spanner(
     g: Graph,
     k: int,
     f: int = 0,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-    backend: Optional[str] = None,
 ) -> SpannerResult:
     """One-shot registry form of :class:`IncrementalSpanner`.
 
@@ -73,8 +64,7 @@ def incremental_spanner(
     with a weighted graph raises ``ValueError`` from
     :meth:`IncrementalSpanner.insert`.
     """
-    inc = IncrementalSpanner(k=k, f=f, fault_model=fault_model,
-                             backend=backend)
+    inc = IncrementalSpanner(k=k, f=f, fault_model=fault_model)
     for u in g.nodes():
         inc.add_node(u)
     for u, v, w in g.weighted_edges():
@@ -101,7 +91,6 @@ class IncrementalSpanner:
         k: int,
         f: int,
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-        backend: Optional[str] = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
@@ -110,19 +99,15 @@ class IncrementalSpanner:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.backend = resolve_backend(backend)
         self._decide = (
-            lbc_vertex if self.fault_model is FaultModel.VERTEX else lbc_edge
-        )
-        self._decide_csr = (
             lbc_vertex_csr
             if self.fault_model is FaultModel.VERTEX
             else lbc_edge_csr
         )
         self.graph = Graph()  # everything ever inserted
         self.spanner = Graph()  # the maintained subgraph
-        # CSR mirror of the maintained spanner (backend == "csr"): the
-        # indexer/builder/workspace persist across all insertions, so the
+        # CSR mirror of the maintained spanner: the indexer, builder,
+        # and workspace persist across all insertions, so the
         # steady-state per-insert cost is the LBC BFS work alone.
         self._indexer = NodeIndexer()
         self._builder = CSRBuilder()
@@ -141,9 +126,8 @@ class IncrementalSpanner:
         """Declare a node before any of its edges arrive (optional)."""
         self.graph.add_node(u)
         self.spanner.add_node(u)
-        if self.backend == "csr":
-            self._indexer.add(u)
-            self._builder.ensure_nodes(len(self._indexer))
+        self._indexer.add(u)
+        self._builder.ensure_nodes(len(self._indexer))
 
     def insert(self, u: Node, v: Node, weight: float = 1.0) -> bool:
         """Process an arriving edge; returns True iff it was kept.
@@ -167,23 +151,20 @@ class IncrementalSpanner:
         self.bfs_calls += result.iterations
         if result.answer is LBCAnswer.YES:
             self.spanner.add_edge(u, v)
-            if self.backend == "csr":
-                self._builder.add_edge(
-                    self._indexer.index(u), self._indexer.index(v)
-                )
+            self._builder.add_edge(
+                self._indexer.index(u), self._indexer.index(v)
+            )
             self.certificates[edge_key(u, v)] = result.cut
             self.kept += 1
             return True
         return False
 
     def _run_lbc(self, u: Node, v: Node) -> LBCResult:
-        """LBC(2k-1, f) for the arriving edge, on the selected backend."""
-        if self.backend != "csr":
-            return self._decide(self.spanner, u, v, self.stretch, self.f)
+        """LBC(2k-1, f) for the arriving edge on the CSR mirror."""
         ui = self._indexer.add(u)
         vi = self._indexer.add(v)
         self._builder.ensure_nodes(len(self._indexer))
-        return self._decide_csr(
+        return self._decide(
             self._builder, ui, vi, self.stretch, self.f,
             self._workspace, self._indexer,
         )

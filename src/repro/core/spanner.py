@@ -11,41 +11,10 @@ and verify Definition 2 directly.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.graph.graph import Edge, Graph, Node
-
-#: The execution backends the greedy family supports.  "csr" runs the
-#: BFS/LBC hot path on flat arrays (:mod:`repro.graph.csr`); "dict" is
-#: the original dict-of-dict path, kept for differential testing and for
-#: arbitrary GraphView inputs.  Both produce identical spanners.
-BACKENDS = ("dict", "csr")
-
-DEFAULT_BACKEND = "csr"
-
-#: Environment variable overriding the default backend (the explicit
-#: ``backend=`` keyword always wins over the environment).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a ``backend`` argument to ``"dict"`` or ``"csr"``.
-
-    ``None`` means "use the default", which is :data:`DEFAULT_BACKEND`
-    unless the :data:`BACKEND_ENV_VAR` environment variable names another
-    backend.  Anything outside :data:`BACKENDS` raises ``ValueError``.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND)
-    if isinstance(backend, str):
-        backend = backend.lower()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 class FaultModel(enum.Enum):

@@ -19,7 +19,7 @@ frozen :class:`~repro.graph.csr.CSRGraph` with *copy-on-write rows*:
   :class:`~repro.graph.csr.FaultMask` buffers and the traversal
   workspaces already rely on.
 
-Mutations mirror the dict backend's :class:`~repro.graph.graph.Graph`
+Mutations mirror the dict path's :class:`~repro.graph.graph.Graph`
 semantics positionally, not just set-wise: an insert appends to both
 endpoint rows (u's row first), a delete removes in place preserving the
 order of the remaining entries, and a delete-then-reinsert lands at the

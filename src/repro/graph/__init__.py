@@ -8,7 +8,7 @@ algorithms are phrased on:
 - :class:`~repro.graph.views.VertexFaultView` /
   :class:`~repro.graph.views.EdgeFaultView` -- lazy ``G \\ F`` views used by
   every fault-tolerance routine (O(1) to construct, no copying).
-- The CSR execution backend (:mod:`~repro.graph.index`,
+- The CSR execution substrate (:mod:`~repro.graph.index`,
   :mod:`~repro.graph.csr`): :class:`~repro.graph.index.NodeIndexer`,
   :class:`~repro.graph.csr.CSRGraph`, :class:`~repro.graph.csr.CSRBuilder`,
   and :class:`~repro.graph.csr.FaultMask` -- the flat-array twin of the
@@ -21,9 +21,9 @@ algorithms are phrased on:
   behind the verification sweeps and the applications layer).
 - Traversal primitives (:mod:`~repro.graph.traversal`): BFS distances,
   hop-bounded BFS path extraction (the inner loop of the paper's Algorithm 2),
-  and Dijkstra for weighted distances -- each with a dict-backend and a
-  CSR-backend (``csr_*`` + :class:`~repro.graph.traversal.BFSWorkspace`)
-  implementation.
+  and Dijkstra for weighted distances -- each with a dict implementation
+  (over a ``Graph`` or a lazy fault view) and a CSR one (``csr_*`` +
+  :class:`~repro.graph.traversal.BFSWorkspace`).
 - Girth computation (:mod:`~repro.graph.girth`), used to validate the
   Moore-bound argument behind the size analysis (Lemma 7 / Theorem 8).
 - Workload generators (:mod:`~repro.graph.generators`) for every experiment

@@ -1,4 +1,4 @@
-"""Flat-array (CSR) graph backend for the BFS/LBC hot path.
+"""Flat-array (CSR) graph substrate for the BFS/LBC hot path.
 
 The dict-of-dict :class:`~repro.graph.graph.Graph` is convenient and keeps
 ``G \\ F`` trivial, but the paper's Algorithm 2 spends its whole life in
@@ -28,9 +28,10 @@ for ``from_graph``); ``edge_u[eid]`` / ``edge_v[eid]`` give the canonical
 (low-index, high-index) endpoints and ``weights[eid]`` the weight.
 
 Neighbor rows preserve the insertion order of the source ``Graph``, so a
-BFS over these arrays visits nodes in exactly the order the dict backend
-does -- the property that makes ``backend="csr"`` and ``backend="dict"``
-produce identical spanners, not merely equally good ones.
+BFS over these arrays visits nodes in exactly the order a dict BFS over
+the ``Graph`` does -- the property that makes the constructions produce
+the identical spanners of the dict reference in ``tests/reference/``,
+not merely equally good ones.
 """
 
 from __future__ import annotations
@@ -395,26 +396,6 @@ class CSRBuilder:
         """Dense edge id of ``{i, j}``; raises ``KeyError`` if absent."""
         key = (i, j) if i < j else (j, i)
         return self._eid_of[key]
-
-    def compact(self) -> None:
-        """Re-allocate every adjacency row at exact size (in-place repack).
-
-        The mid-run twin of :meth:`repack` for long greedy runs: the
-        frozen :class:`CSRGraph` that ``repack()`` returns cannot accept
-        further edges, so periodic repacking inside a still-growing run
-        compacts the builder's own rows instead -- fresh exact-length
-        list copies drop the over-allocation slack accumulated by
-        repeated appends and lay each row's pointer array out anew.
-        Edge ids, weights, and per-row order are unchanged, so masks and
-        workspaces built against this builder remain valid.
-
-        Scheduled by the greedy loop's ``repack_every`` knob; the
-        ``modified_greedy_repack`` scenario of
-        ``benchmarks/bench_backend.py`` records the measured effect.
-        """
-        self.neighbors = [list(row) for row in self.neighbors]
-        self.edge_id_rows = [list(row) for row in self.edge_id_rows]
-        self.weight_rows = [list(row) for row in self.weight_rows]
 
     def repack(self, indexer: Optional[NodeIndexer] = None) -> CSRGraph:
         """Consolidate the chunked rows into a frozen :class:`CSRGraph`.

@@ -1,4 +1,4 @@
-"""Core undirected graph data structure (the dict backend).
+"""Core undirected graph data structure (dict-of-dict adjacency).
 
 The algorithms in this library spend nearly all of their time running
 hop-bounded BFS over subgraphs with a handful of vertices or edges removed
@@ -11,13 +11,13 @@ weight (1.0 for unweighted graphs).  Self-loops are rejected -- spanners are
 defined on simple graphs -- and parallel edges are impossible by
 construction (re-adding an edge overwrites its weight).
 
-Two execution backends share this public API:
+Two representations share this public API:
 
 * **dict** (this module + :mod:`repro.graph.views`): ``Graph`` holds
   dict-of-dict adjacency over arbitrary hashable nodes, and ``G \\ F`` is
   a lazy :class:`~repro.graph.views.GraphView` that filters neighbors on
   the fly.  Flexible, easy to reason about, and the reference semantics
-  for everything else.
+  for everything else (``tests/reference/`` builds its oracle on it).
 * **csr** (:mod:`repro.graph.index` + :mod:`repro.graph.csr`): nodes are
   mapped to dense integers by a :class:`~repro.graph.index.NodeIndexer`
   and adjacency lives in contiguous stdlib ``array`` buffers
@@ -25,15 +25,15 @@ Two execution backends share this public API:
   :class:`~repro.graph.csr.CSRBuilder` for the greedy's growing spanner).
   Fault sets become O(1)-clear :class:`~repro.graph.csr.FaultMask` stamps
   and BFS scratch is preallocated in a
-  :class:`~repro.graph.traversal.BFSWorkspace`.  This is the hot path the
-  spanner constructions run on by default (``backend="csr"``); results
-  are translated back to node objects, so callers only ever see this
+  :class:`~repro.graph.traversal.BFSWorkspace`.  This is the hot path
+  every spanner construction, sweep, and query runs on; results are
+  translated back to node objects, so callers only ever see this
   module's types.
 
 ``Graph`` remains the canonical in-memory representation: CSR structures
-are *derived* from it (``CSRGraph.from_graph``), and both backends order
-each node's neighbors identically (insertion order), which is what lets
-the two backends produce bit-identical spanners.
+are *derived* from it (``CSRGraph.from_graph``), and both representations
+order each node's neighbors identically (insertion order), which is what
+lets the CSR constructions reproduce the dict reference bit for bit.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Stable node <-> integer index mapping for the flat-array backend.
+"""Stable node <-> integer index mapping for the flat-array substrate.
 
-The CSR execution backend (:mod:`repro.graph.csr`) works on dense integer
+The CSR execution substrate (:mod:`repro.graph.csr`) works on dense integer
 node ids so that adjacency, visited stamps, and fault masks can live in
 contiguous ``array``/``bytearray`` buffers.  :class:`NodeIndexer` is the
 bridge: it assigns each node object a small integer the first time it is
@@ -10,9 +10,10 @@ whole lifetime.
 
 Indices are assigned densely in first-seen order, which for
 ``NodeIndexer.from_graph`` means the graph's node insertion order.  That
-property matters for backend parity: a BFS over the CSR arrays visits
-neighbors in exactly the order the dict-of-dict :class:`~repro.graph.graph.Graph`
-yields them, so both backends find the *same* shortest paths.
+property matters for parity with the dict reference: a BFS over the CSR
+arrays visits neighbors in exactly the order the dict-of-dict
+:class:`~repro.graph.graph.Graph` yields them, so both find the *same*
+shortest paths.
 """
 
 from __future__ import annotations

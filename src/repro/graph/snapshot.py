@@ -1,7 +1,7 @@
 """Reusable CSR query-engine substrate: snapshot once, sweep many scenarios.
 
 Every batched workload in the library follows the same shape on the CSR
-backend: freeze a :class:`~repro.graph.graph.Graph` into flat arrays
+substrate: freeze a :class:`~repro.graph.graph.Graph` into flat arrays
 *once*, then drive many fault scenarios through generation-stamped
 :class:`~repro.graph.csr.FaultMask` buffers and one preallocated
 workspace -- moving to the next scenario is an O(|F|) mask re-stamp
@@ -18,7 +18,7 @@ substrate:
   :class:`~repro.graph.traversal.BFSWorkspace` /
   :class:`~repro.graph.traversal.DijkstraWorkspace`, exposes
   object-level queries (``distances_from`` / ``distance`` / ``path`` /
-  ``parents_toward``) that match the dict backend's answers exactly.
+  ``parents_toward``) that match the dict path's answers exactly.
   Unit-weighted snapshots answer distance queries with the (much
   faster) hop-bounded BFS primitives; weighted ones with the CSR
   Dijkstra engine the ``search=`` keyword resolves to -- binary heap,
@@ -35,7 +35,7 @@ Cost model: construction is one (or two) O(n + m) snapshots; a scenario
 switch is an O(|F|) re-stamp; each query allocates nothing beyond its
 returned value.
 
-Parity: every query visits neighbors in the dict backend's insertion
+Parity: every query visits neighbors in the dict path's insertion
 order and breaks ties identically (see ``docs/architecture.md``), so
 the answers are bit-identical to the lazy-view reference path -- the
 applications parity suite (`tests/test_applications_parity.py`) and
@@ -84,13 +84,12 @@ INFINITY = math.inf
 #: heap.  ``"batch"`` routes multi-root queries through the multi-source
 #: frontier kernels (integral weights only; single queries fall back to
 #: the matching sequential engine).  Every engine is bit-identical to
-#: the dict backend wherever it is legal, so the choice is pure
+#: the dict path wherever it is legal, so the choice is pure
 #: execution policy.
 SEARCH_MODES = ("auto", "heap", "bucket", "bidir", "batch")
 
 #: Environment variable overriding the default search mode (the explicit
-#: ``search=`` keyword always wins over the environment), mirroring
-#: ``REPRO_BACKEND`` for the backend choice.
+#: ``search=`` keyword always wins over the environment).
 SEARCH_ENV_VAR = "REPRO_SEARCH"
 
 #: How many roots one multi-source batch advances per shared sweep.  The
@@ -210,10 +209,10 @@ def weighted_pair_engine(search: str, profile: str) -> str:
 def path_engine(search: str, profile: str) -> str:
     """The path-reconstruction engine (``"heap"`` or ``"bucket"``).
 
-    Paths need the dict backend's tie-breaking, which the heap and
+    Paths need the dict path's tie-breaking, which the heap and
     bucket engines reproduce (bidir does not reconstruct paths; unit
     snapshots also use a weighted engine here, exactly like the dict
-    backend's path queries).  ``"batch"`` resolves like ``"auto"``.
+    path's path queries).  ``"batch"`` resolves like ``"auto"``.
     """
     if search == "heap":
         return "heap"
@@ -523,7 +522,7 @@ class ScenarioSweep:
     scenario with zero further allocation.
 
     Queries take and return *node objects* (translated through the
-    snapshot's indexer) and replicate the dict backend's lazy-view
+    snapshot's indexer) and replicate the dict path's lazy-view
     semantics exactly: a source that is unknown or faulted raises
     ``KeyError`` (as ``dijkstra`` does on a view that lacks the node),
     while an unknown or faulted *target* is merely unreachable.
@@ -732,7 +731,7 @@ class ScenarioSweep:
         """A minimum-weight surviving u-v path, or ``None``.
 
         Node-for-node identical to ``shortest_path(view, u, v)`` (the
-        Dijkstra path variants reproduce the dict backend's
+        Dijkstra path variants reproduce the dict path's
         tie-breaking), so it is used for paths even on unit snapshots.
         """
         self._refresh_if_stale()
@@ -758,7 +757,7 @@ class ScenarioSweep:
 
         Maps each reachable surviving node to its predecessor on the
         tree -- i.e. its next hop *toward* ``root`` -- matching the dict
-        backend's destination-rooted Dijkstra (strict-improvement
+        path's destination-rooted Dijkstra (strict-improvement
         predecessor updates, push-order tie-breaks).  Unit snapshots use
         BFS parents, which coincide exactly: with equal weights the
         first discoverer wins under both disciplines.
@@ -960,7 +959,7 @@ class ScenarioSweep:
     # ------------------------------------------------------------- #
 
     def _source_index(self, u: Node, role: str = "source") -> int:
-        """Translate a query source, raising like the dict backend."""
+        """Translate a query source, raising like the dict path."""
         iu = self.snap.indexer.get(u)
         if iu is None or (self._use_vmask and iu in self.vmask):
             raise KeyError(f"{role} {u!r} not in graph")

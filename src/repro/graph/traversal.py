@@ -7,14 +7,14 @@ as early as possible (stop at the hop budget, stop when the target is
 reached) and to work directly on the lazy fault views from
 :mod:`repro.graph.views` without materializing subgraphs.
 
-Two execution backends live here:
+Two implementations live here:
 
-* The dict backend: every function below the "Dict backend" marker accepts
+* The dict path: every function without the ``csr_`` prefix accepts
   a :class:`~repro.graph.graph.Graph` or any object satisfying the
   :class:`~repro.graph.views.GraphView` protocol, and works node-object by
   node-object.  It handles arbitrary views and stays the reference
-  implementation.
-* The CSR backend: :func:`csr_bfs_distances` / :func:`csr_bounded_bfs_path`
+  implementation (``tests/reference/`` builds on it).
+* The CSR path: :func:`csr_bfs_distances` / :func:`csr_bounded_bfs_path`
   run the same searches over a :class:`~repro.graph.csr.CSRGraph` (or
   growing :class:`~repro.graph.csr.CSRBuilder`) using integer node ids,
   generation-stamped visited bytes, and preallocated parent/depth/queue
@@ -28,7 +28,7 @@ Two execution backends live here:
   distance/predecessor arrays, generation-stamped labels, fault-mask
   pre-stamping, early exit on the target, ``max_dist`` pruning).
 
-Both backends visit neighbors in identical order (CSR rows preserve dict
+Both paths visit neighbors in identical order (CSR rows preserve dict
 insertion order) and break distance ties identically (heap entries carry
 an insertion counter), so they return the *same* paths, not just paths of
 the same length.
@@ -99,7 +99,7 @@ from repro.graph.csr import CSRLike, FaultMask
 from repro.graph.graph import Graph, Node
 from repro.graph.views import GraphView
 
-#: Anything the dict-backend traversals accept: a concrete ``Graph`` or a
+#: Anything the dict traversals accept: a concrete ``Graph`` or a
 #: read-only fault view.  CSR graphs do NOT satisfy this protocol -- they
 #: use the dedicated ``csr_*`` entry points below.
 GraphLike = Union[Graph, GraphView]
@@ -126,7 +126,7 @@ def weight_profile(weights: Iterable[float]) -> Tuple[str, int]:
       :data:`BUCKET_MAX_WEIGHT` (the bucket and bidirectional engines
       are exact: integer path sums cannot depend on association order);
     * ``"float"`` -- anything else (only the heap engine reproduces the
-      dict backend bit for bit).
+      dict path bit for bit).
 
     ``max_weight`` is the largest weight as an ``int`` for the first two
     profiles (1 for ``"unit"``) and 0 for ``"float"``.
@@ -258,7 +258,7 @@ def hop_distance(g: GraphLike, source: Node, target: Node) -> float:
 
 
 # --------------------------------------------------------------------- #
-# CSR backend: array-based BFS with a reusable workspace
+# CSR path: array-based BFS with a reusable workspace
 # --------------------------------------------------------------------- #
 
 
@@ -328,7 +328,7 @@ def _csr_search(
     Level-synchronized: the two preallocated buffers ``ws.queue`` /
     ``ws.frontier`` ping-pong as current/next frontier, which keeps the
     inner loop free of per-node depth bookkeeping.  Visit order is
-    identical to FIFO BFS, so paths match the dict backend node for node.
+    identical to FIFO BFS, so paths match the dict path node for node.
 
     Two structural savings relative to a naive queue BFS:
 
@@ -460,7 +460,7 @@ def _csr_search(
 def _csr_check_terminal(
     csr: CSRLike, i: int, vertex_mask: Optional[FaultMask], role: str
 ) -> None:
-    """Mirror the dict backend's KeyErrors for bad/faulted terminals."""
+    """Mirror the dict path's KeyErrors for bad/faulted terminals."""
     if not 0 <= i < csr.num_nodes:
         raise KeyError(f"{role} index {i} not in graph")
     if vertex_mask is not None and i in vertex_mask:
@@ -543,7 +543,7 @@ def csr_bfs_parents(
     Returns ``{node_index: parent_index}`` for every reachable
     (unmasked) node other than the source itself -- each node's parent
     is its *first discoverer* in FIFO order.  On unit-weighted graphs
-    this is exactly the shortest-path tree the dict backend's
+    this is exactly the shortest-path tree the dict path's
     destination-rooted Dijkstra produces (strict-improvement updates
     mean the first discoverer wins there too), which is what lets the
     routing layer build next-hop tables from BFS on unit spanners.
@@ -680,7 +680,7 @@ def _csr_path_edges(
 
 
 # --------------------------------------------------------------------- #
-# CSR backend: binary-heap Dijkstra with a reusable workspace
+# CSR path: binary-heap Dijkstra with a reusable workspace
 # --------------------------------------------------------------------- #
 
 
@@ -773,9 +773,9 @@ def _csr_dijkstra(
 ) -> List[int]:
     """Core Dijkstra over CSR adjacency; returns settled nodes in order.
 
-    The relaxation mirrors the dict backend's :func:`shortest_path`
+    The relaxation mirrors the dict path's :func:`shortest_path`
     (update the predecessor only on a *strict* improvement, heap ties
-    broken by push order), so reconstructed paths match the dict backend
+    broken by push order), so reconstructed paths match the dict path
     node for node.  Distances in ``ws.dist`` are valid exactly for the
     returned nodes; ``ws.pred`` (and, when ``need_edge_ids``,
     ``ws.pred_eid``) hold the shortest-path tree (``-1`` at the source).
@@ -902,7 +902,7 @@ def _csr_probe(
     # (dist, node) pairs suffice here: both elements are always
     # comparable, and tie order cannot change the minimum distance the
     # probe returns (unlike the path variants, which carry a push
-    # counter to reproduce the dict backend's tie-breaking).
+    # counter to reproduce the dict path's tie-breaking).
     heap: List[Tuple[float, int]] = [(0.0, source)]
     push = heapq.heappush
     pop = heapq.heappop
@@ -948,7 +948,7 @@ def _csr_probe(
 
 
 # --------------------------------------------------------------------- #
-# CSR backend: Dial bucket-queue and bidirectional Dijkstra engines
+# CSR path: Dial bucket-queue and bidirectional Dijkstra engines
 # --------------------------------------------------------------------- #
 
 
@@ -1002,7 +1002,7 @@ def _csr_dijkstra_bucket(
       element.
     * Predecessors update under the same strict-improvement rule, so
       ``ws.pred`` / ``ws.pred_eid`` (and every path reconstructed from
-      them) match the heap engine and therefore the dict backend.
+      them) match the heap engine and therefore the dict path.
     * Integer distance sums are exact floats, so ``ws.dist`` is
       bit-identical as well.
 
@@ -1210,7 +1210,7 @@ def _csr_probe_bidir(
     Exactness: restricted (by the snapshot weight profile) to integral
     weights, where every path sum is exact no matter how it is
     associated -- so the returned distance is bit-identical to the
-    unidirectional engines and the dict backend.  Both sides prune
+    unidirectional engines and the dict path.  Both sides prune
     relaxations past ``max_dist``; any s-t distance within the budget
     survives pruning on each side separately, and the probe returns
     ``inf`` for anything beyond it (the same contract as
@@ -1391,7 +1391,7 @@ def csr_dijkstra_parents(
     :func:`csr_bfs_parents` and the CSR twin of the routing layer's
     destination-rooted dict Dijkstra: predecessors update only on a
     *strict* improvement and ties break by push order (on either
-    engine), so the tree matches the dict backend's node for node.
+    engine), so the tree matches the dict path's node for node.
     """
     _csr_check_terminal(csr, source, vertex_mask, "source")
     ws = workspace if workspace is not None else DijkstraWorkspace()
@@ -1470,7 +1470,7 @@ def csr_bounded_dijkstra_path(
 ) -> Optional[List[int]]:
     """A minimum-weight path of total weight <= ``max_dist``, or ``None``.
 
-    CSR twin of the dict backend's :func:`shortest_path` (with
+    CSR twin of the dict path's :func:`shortest_path` (with
     ``max_dist=None``) and of the truncated "path within budget" probe
     the weighted exact greedy branches on.  Returns the node-index
     sequence of a minimum-weight ``source -> target`` path avoiding
@@ -1560,7 +1560,7 @@ def csr_bounded_dijkstra_path_edges(
 
 
 # --------------------------------------------------------------------- #
-# CSR backend: multi-source batch kernels (the "batch" engine)
+# CSR path: multi-source batch kernels (the "batch" engine)
 # --------------------------------------------------------------------- #
 
 HAVE_NUMPY = _np is not None

@@ -9,12 +9,12 @@ construction whose ``neighbors`` iteration filters on the fly.
 
 All views expose the same read-only protocol (:class:`GraphView`):
 ``has_node``, ``neighbors``, ``neighbor_items``, ``weight``, ``nodes``,
-``num_nodes`` -- which is exactly what the dict-backend traversal
+``num_nodes`` -- which is exactly what the dict traversal
 primitives consume.
 
 These views are the *general* mechanism: they work for any fault set on
 any ``Graph`` and remain the reference semantics.  The CSR execution
-backend replaces them on the hot path with O(1)-clear
+substrate replaces them on the hot path with O(1)-clear
 :class:`~repro.graph.csr.FaultMask` stamp arrays over integer node/edge
 ids (see ``CSRGraph.vertex_mask`` / ``CSRGraph.edge_mask`` for the
 equivalent of :func:`fault_view`); property tests assert the two give

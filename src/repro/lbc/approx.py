@@ -26,7 +26,7 @@ set in Lemma 6, so the greedy algorithms keep it).
 
 Two execution paths implement the identical loop:
 
-* :func:`lbc_vertex` / :func:`lbc_edge` -- the dict backend, working on a
+* :func:`lbc_vertex` / :func:`lbc_edge` -- the dict path, working on a
   ``Graph`` (or any ``GraphView``) with per-iteration fault views.
 * :func:`lbc_vertex_csr` / :func:`lbc_edge_csr` -- the CSR fast path,
   taking a :class:`~repro.graph.csr.CSRGraph`/``CSRBuilder``, a reusable
@@ -34,8 +34,8 @@ Two execution paths implement the identical loop:
   the workspace's :class:`~repro.graph.csr.FaultMask` instead of building
   views.  Results are translated back through a
   :class:`~repro.graph.index.NodeIndexer`, so the returned
-  :class:`LBCResult` is indistinguishable from the dict backend's (both
-  backends find the same BFS paths, hence the same cuts and answers).
+  :class:`LBCResult` is indistinguishable from the dict path's (both
+  find the same BFS paths, hence the same cuts and answers).
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ def exact_edge_lbc(
 
 
 # --------------------------------------------------------------------- #
-# CSR fast paths (index-level; used by the exponential greedy's backend)
+# CSR fast paths (index-level; used by the exponential greedy)
 # --------------------------------------------------------------------- #
 
 
@@ -169,7 +169,7 @@ def exact_vertex_lbc_csr(
 
     Same branch-on-an-uncovered-path search; the candidate fault set is a
     plain set of indices re-stamped into the workspace's vertex mask
-    before each BFS (O(|F|) <= O(f) per call).  Both backends find paths
+    before each BFS (O(|F|) <= O(f) per call).  Both versions find paths
     in identical order, so they return the same minimum cut.
     """
     if source == target:

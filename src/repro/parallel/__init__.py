@@ -23,7 +23,7 @@ Pieces
 * :mod:`repro.parallel.chaos` -- deterministic fault injection
   (seeded :class:`ChaosPolicy`, scripted :class:`ScriptedChaos`).
 * :mod:`repro.parallel.errors` -- the typed failure surface
-  (re-exported by :mod:`repro.serving.errors` for compatibility).
+  (re-exported by :mod:`repro.serving`).
 """
 
 from repro.parallel.chaos import (

@@ -6,8 +6,8 @@ a wrong answer and never a hang (``tests/test_serving_chaos.py`` drives
 that contract under seeded worker kills, stalls, and spawn failures).
 
 These classes were born in the serving layer and keep their names --
-``repro.serving.errors`` re-exports them, so code and tests that catch
-``repro.serving.errors.DeadlineExceeded`` keep working unchanged.  The
+:mod:`repro.serving` re-exports them, so code that catches
+``repro.serving.DeadlineExceeded`` matches the identical class.  The
 distributed runtime raises the same families when its round workers
 die or its pools cannot spawn.
 

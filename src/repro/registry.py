@@ -1,20 +1,19 @@
 """Unified algorithm registry: one dispatcher over every construction.
 
 The library implements ~10 spanner constructions with heterogeneous
-signatures -- the modified greedy takes ``(g, k, f, fault_model, seed,
-backend)``, the classic greedy only ``(g, k, backend)``, the randomized
-baselines ``(g, k, [f,] seed)``, the distributed ones their own extras.
+signatures -- the modified greedy takes ``(g, k, f, fault_model,
+seed)``, the classic greedy only ``(g, k)``, the randomized baselines
+``(g, k, [f,] seed)``, the distributed ones their own extras.
 Historically every consumer (the CLI's lambda table, the benchmarks, the
 analysis sweeps) hand-adapted those signatures and *silently dropped*
 whatever a construction did not understand: ``--seed`` on the
-deterministic greedy, ``--backend`` on the randomized baselines, ``-f``
-on non-fault-tolerant algorithms.
+deterministic greedy, ``-f`` on non-fault-tolerant algorithms.
 
 This module replaces that with one declarative surface:
 
 * :class:`AlgorithmSpec` -- a construction plus its *capabilities*:
   which fault models it supports, whether it is seedable,
-  backend-aware, distributed, weighted-input-capable, and its
+  distributed, weighted-input-capable, and its
   stretch/size guarantee (for discovery: ``ftspanner algorithms``).
 * :func:`register_algorithm` -- a decorator applied to the public entry
   points across :mod:`repro.core`, :mod:`repro.baselines`, and
@@ -25,7 +24,7 @@ This module replaces that with one declarative surface:
   (:class:`UnknownAlgorithm`, :class:`UnsupportedOption`) instead of
   being ignored, and dispatch is *bit-identical* to calling the
   registered function directly (``tests/test_registry.py`` asserts this
-  for the full algorithm x fault-model x backend parity matrix).
+  for the full algorithm x fault-model parity matrix).
 
 For build->verify->query workflows that should share one frozen CSR
 snapshot, use :class:`repro.session.SpannerSession`, which drives its
@@ -51,12 +50,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
 
-from repro.core.spanner import (
-    BACKENDS,
-    FaultModel,
-    SpannerResult,
-    resolve_backend,
-)
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.traversal import HAVE_NUMPY
 
 __all__ = [
@@ -84,16 +78,17 @@ class UnsupportedOption(RegistryError, ValueError):
     """Raised when a requested option is outside an algorithm's spec.
 
     This is the registry's replacement for the old silent-drop behavior:
-    asking the deterministic greedy for a ``seed``, a dict-only baseline
-    for a ``backend``, or a non-fault-tolerant construction for ``f > 0``
-    is an error, never a no-op.
+    asking the deterministic greedy for a ``seed``, any construction for
+    an option its builder does not take (a leftover ``backend=``, say),
+    or a non-fault-tolerant construction for ``f > 0`` is an error,
+    never a no-op.
     """
 
 
 #: Parameters owned by :func:`build_spanner` itself; anything else a
-#: builder accepts is an algorithm-specific extra (``repack_every``,
+#: builder accepts is an algorithm-specific extra (``workers``,
 #: ``iterations``, ...) and may be passed through ``**options``.
-_RESERVED = frozenset({"g", "k", "f", "fault_model", "seed", "backend"})
+_RESERVED = frozenset({"g", "k", "f", "fault_model", "seed"})
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,6 @@ class AlgorithmSpec:
     seedable:
         Whether a random seed influences the output.  Deterministic
         constructions reject an explicit ``seed=``.
-    backend_aware:
-        Whether the construction runs on the dict/CSR execution
-        backends.  Single-engine constructions reject ``backend=``.
     distributed:
         Whether the construction runs on the message-passing simulator
         (its result carries a ``rounds`` count).
@@ -151,7 +143,6 @@ class AlgorithmSpec:
     fault_models: Tuple[FaultModel, ...] = ()
     min_f: int = 0
     seedable: bool = False
-    backend_aware: bool = False
     distributed: bool = False
     requires_numpy: bool = False
     accepts: FrozenSet[str] = field(default_factory=frozenset)
@@ -175,7 +166,6 @@ class AlgorithmSpec:
         f: int = 0,
         fault_model: "Optional[FaultModel | str]" = None,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
         options: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
         """Validate one build request against this spec.
@@ -240,20 +230,6 @@ class AlgorithmSpec:
                 )
             kwargs["seed"] = seed
 
-        if backend is not None:
-            if not self.backend_aware:
-                raise UnsupportedOption(
-                    f"{self.name!r} runs on a single engine; it does not "
-                    f"take an execution backend"
-                )
-            try:
-                kwargs["backend"] = resolve_backend(backend)
-            except ValueError as exc:
-                # Keep the typed-error contract: a bad backend *value*
-                # fails at the validation layer like any other
-                # unsupported option, not deep inside the builder.
-                raise UnsupportedOption(str(exc)) from None
-
         options = options or {}
         unknown = set(options) - self.extra_options
         if unknown:
@@ -277,11 +253,6 @@ class AlgorithmSpec:
         if not self.weighted:
             parts.append("unit weights only")
         parts.append("seeded" if self.seedable else "deterministic")
-        parts.append(
-            "backends: " + "/".join(BACKENDS)
-            if self.backend_aware
-            else "single-engine"
-        )
         if self.distributed:
             parts.append("distributed")
         if "deterministic" in self.extra_options:
@@ -308,7 +279,6 @@ def register_algorithm(
     fault_models: Tuple[str, ...] = (),
     min_f: int = 0,
     seedable: bool = False,
-    backend_aware: bool = False,
     distributed: bool = False,
     requires_numpy: bool = False,
 ) -> Callable[[Callable[..., SpannerResult]], Callable[..., SpannerResult]]:
@@ -338,7 +308,6 @@ def register_algorithm(
             fault_models=tuple(FaultModel.coerce(m) for m in fault_models),
             min_f=min_f,
             seedable=seedable,
-            backend_aware=backend_aware,
             distributed=distributed,
             requires_numpy=requires_numpy,
             accepts=frozenset(inspect.signature(fn).parameters),
@@ -378,7 +347,6 @@ def build_spanner(
     f: int = 0,
     fault_model: "Optional[FaultModel | str]" = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     **options,
 ) -> SpannerResult:
     """Build a spanner of ``g`` with a registered construction.
@@ -407,14 +375,9 @@ def build_spanner(
         spec's ``fault_models``.
     seed:
         Random seed.  Only seedable constructions accept one.
-    backend:
-        ``'dict'`` / ``'csr'``.  Only backend-aware constructions accept
-        one; ``None`` defers to ``REPRO_BACKEND`` / the default.  An
-        explicit value always wins over the environment variable.
     **options:
         Algorithm-specific extras (validated against the builder's
-        signature), e.g. ``repack_every=`` for the greedy or
-        ``iterations=`` for the sampling reductions.
+        signature), e.g. ``iterations=`` for the sampling reductions.
 
     Returns
     -------
@@ -430,8 +393,7 @@ def build_spanner(
             f"algorithm: ftspanner algorithms)"
         )
     kwargs = spec.validate_request(
-        f=f, fault_model=fault_model, seed=seed, backend=backend,
-        options=options,
+        f=f, fault_model=fault_model, seed=seed, options=options,
     )
     if not spec.weighted and not g.is_unit_weighted():
         # Enforced, not advisory: a hop-based (BFS/LBC) construction

@@ -18,21 +18,32 @@ Entry points
 * :func:`run_load` -- open-loop load generation with parity auditing.
 * :class:`DeadlineExceeded` / :class:`ServingUnavailable` -- the typed
   failure surface.
+
+The chaos policies and the typed errors live in the shared
+parallel-execution substrate (:mod:`repro.parallel`), whose distributed
+round engine uses the same directives and raises the same families;
+they are re-exported here as the serving layer's documented surface, so
+``except`` clauses match the identical class objects.
 """
 
-from repro.serving.chaos import KILL, ChaosPolicy, ScriptedChaos
-from repro.serving.dispatcher import (
-    ServingConfig,
-    ServingStats,
-    SpannerServer,
+from repro.parallel.chaos import (
+    KILL,
+    ChaosPolicy,
+    ScriptedChaos,
+    validate_directive,
 )
-from repro.serving.errors import (
+from repro.parallel.errors import (
     ChaosSpawnFailure,
     DeadlineExceeded,
     ServingError,
     ServingUnavailable,
     SnapshotStale,
     WorkerCrashed,
+)
+from repro.serving.dispatcher import (
+    ServingConfig,
+    ServingStats,
+    SpannerServer,
 )
 from repro.serving.loadgen import LoadReport, run_load
 from repro.serving.pool import REQUEST_KINDS, WorkerPool, execute_request
@@ -55,4 +66,5 @@ __all__ = [
     "WorkerPool",
     "execute_request",
     "run_load",
+    "validate_directive",
 ]

@@ -36,12 +36,12 @@ Failure semantics (the contract the chaos suite pins):
   ``max_retries`` resends the shard goes to the degradation path;
 * deadline expiry -> outstanding workers are SIGKILLed (a stalled
   worker holds no cancellable state; the snapshot is shared so killing
-  is cheap) and :class:`~repro.serving.errors.DeadlineExceeded` is
+  is cheap) and :class:`~repro.serving.DeadlineExceeded` is
   raised carrying every already-completed item;
 * pool unusable (nothing alive, spawns exhausted) -> in-process
   execution through the *same* ``execute_request`` the workers run --
   bit-identical by construction -- or, with ``degrade=False``,
-  :class:`~repro.serving.errors.ServingUnavailable`;
+  :class:`~repro.serving.ServingUnavailable`;
 * an application error (e.g. ``KeyError`` for a faulted query source)
   is deterministic, so it is *not* retried: it re-raises in the caller
   exactly as the in-process sweep would.
@@ -63,7 +63,7 @@ from repro.graph.snapshot import (
     validate_search,
 )
 from repro.parallel.dispatch import DispatchStats, Dispatcher, Job as _Job
-from repro.serving.errors import DeadlineExceeded, ServingUnavailable
+from repro.parallel.errors import DeadlineExceeded, ServingUnavailable
 from repro.serving.pool import WorkerPool, execute_request
 
 
@@ -89,7 +89,7 @@ class ServingConfig:
     degrade:
         Whether an unusable pool falls back to in-process execution
         (bit-identical answers) instead of raising
-        :class:`~repro.serving.errors.ServingUnavailable`.
+        :class:`~repro.serving.ServingUnavailable`.
     start_method:
         ``multiprocessing`` start method (default: ``fork`` where
         available, else the platform default).
@@ -228,7 +228,7 @@ class SpannerServer:
         bit-identical to
         :meth:`~repro.graph.snapshot.ScenarioSweep.distance` per pair.
         On deadline expiry raises
-        :class:`~repro.serving.errors.DeadlineExceeded` whose
+        :class:`~repro.serving.DeadlineExceeded` whose
         ``partial`` aligns with ``pairs`` (``None`` holes).
         """
         pairs = list(pairs)
@@ -334,7 +334,7 @@ class SpannerServer:
         The session's streaming-update guard reads this: a server still
         open holds the pre-update snapshot in shared memory, so
         ``apply_updates()`` raises
-        :class:`~repro.serving.errors.SnapshotStale` until every server
+        :class:`~repro.serving.SnapshotStale` until every server
         built from the session is closed.
         """
         return self._closed

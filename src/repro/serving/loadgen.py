@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.applications.availability import sample_fault_scenario
 from repro.graph.snapshot import ScenarioSweep
-from repro.serving.errors import DeadlineExceeded, ServingUnavailable
+from repro.parallel.errors import DeadlineExceeded, ServingUnavailable
 
 __all__ = ["LoadReport", "run_load"]
 

@@ -10,7 +10,7 @@ workflow that only ever looks at two graphs.
 
 :class:`SpannerSession` is the facade that makes snapshot sharing the
 default.  Construct it once from a graph with the session-wide
-configuration (``k``, ``f``, fault model, execution backend, seed);
+configuration (``k``, ``f``, fault model, search engine, seed);
 ``build()`` dispatches through the :mod:`algorithm registry
 <repro.registry>`; every subsequent consumer -- :meth:`verify`,
 :meth:`oracle`, :meth:`router`, :meth:`availability`,
@@ -22,10 +22,8 @@ shared node-index space:
 
 no matter how many verifications, oracles, routers, or availability
 sweeps the session serves (``tests/test_session.py`` asserts this with
-the substrate's :func:`~repro.graph.snapshot.csr_freeze_count`).  On
-the dict backend there is nothing to freeze and the facade simply
-forwards; answers are bit-identical either way, exactly as for the free
-functions.
+the substrate's :func:`~repro.graph.snapshot.csr_freeze_count`).
+Answers are bit-identical to the free functions'.
 
 This is the same "build one reusable structure, then answer many
 queries against it" discipline the derandomization literature turned
@@ -57,7 +55,7 @@ from repro.applications.availability import (
 )
 from repro.applications.oracle import FaultTolerantDistanceOracle
 from repro.applications.routing import SpannerRouter
-from repro.core.spanner import FaultModel, SpannerResult, resolve_backend
+from repro.core.spanner import FaultModel, SpannerResult
 from repro.dynamic.log import EdgeDelete, EdgeInsert, classify_op, coerce_op
 from repro.dynamic.snapshot import CompactionPolicy, DynamicSnapshot
 from repro.graph.graph import Graph
@@ -88,10 +86,6 @@ class SpannerSession:
         :class:`~repro.registry.UnsupportedOption`.
     fault_model:
         ``'vertex'`` (default) or ``'edge'``.
-    backend:
-        Execution backend for every construction, sweep, and query the
-        session runs.  Resolved **once**, eagerly, with the standard
-        precedence: this keyword > ``REPRO_BACKEND`` > the default.
     seed:
         Session seed.  Forwarded to seedable constructions, and to the
         sampled verification / availability sweeps.  Deterministic
@@ -115,8 +109,7 @@ class SpannerSession:
         environment variable before falling back to ``'auto'``.
         Validated eagerly by name; the integral-only engines raise
         :class:`~repro.graph.snapshot.UnsupportedSearch` when a
-        float-weighted snapshot is first probed.  The dict backend
-        ignores the engine (it is CSR execution policy).
+        float-weighted snapshot is first probed.
     serving:
         Optional session-wide default
         :class:`~repro.serving.ServingConfig` for :meth:`serve`
@@ -138,7 +131,6 @@ class SpannerSession:
         k: int = 2,
         f: int = 1,
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-        backend: Optional[str] = None,
         seed: Optional[int] = None,
         search: Optional[str] = None,
         serving=None,
@@ -151,7 +143,6 @@ class SpannerSession:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.backend = resolve_backend(backend)
         self.seed = seed
         self.search = resolve_search(search)
         self.serving = serving
@@ -160,7 +151,6 @@ class SpannerSession:
         self._snap_g: Optional[CSRSnapshot] = None
         self._snap_h: Optional[CSRSnapshot] = None
         self._dual: Optional[DualCSRSnapshot] = None
-        self._serve_snap: Optional[CSRSnapshot] = None
         # Streaming-update state: the dynamic (overlay) views of G and H
         # once apply_updates() has run, and every server handed out by
         # serve() (their snapshots are immutable, so updates are refused
@@ -198,7 +188,7 @@ class SpannerSession:
 
         Dispatches through :func:`repro.registry.build_spanner` with the
         session configuration; ``**options`` are the algorithm-specific
-        extras (``repack_every=``, ``iterations=``, ...).  Replaces any
+        extras (``iterations=``, ``workers=``, ...).  Replaces any
         previously built/adopted spanner and invalidates its snapshot
         (the input graph's freeze survives -- it is still the same
         graph).
@@ -211,7 +201,6 @@ class SpannerSession:
             f=self.f,
             fault_model=self.fault_model if spec.fault_models else None,
             seed=self.seed if spec.seedable else None,
-            backend=self.backend if spec.backend_aware else None,
             **options,
         )
         self._set_result(result)
@@ -278,8 +267,8 @@ class SpannerSession:
         """Verify the session spanner's fault-tolerance guarantee.
 
         ``t`` defaults to the session guarantee ``2k - 1``; fault budget,
-        model, backend, and sampling seed come from the session.  On the
-        CSR backend the sweep re-stamps the session's shared snapshot.
+        model, search engine, and sampling seed come from the session.
+        The sweep re-stamps the session's shared snapshot.
 
         ``mode="witness"`` verifies via per-pair disjoint-path
         certificates from the Dinic engine instead of the fault-set
@@ -298,7 +287,6 @@ class SpannerSession:
             exhaustive_budget=exhaustive_budget,
             samples=samples,
             seed=self.seed,
-            backend=self.backend,
             snapshot=self._dual_snapshot(),
             search=self.search,
             mode=mode,
@@ -309,7 +297,7 @@ class SpannerSession:
         """A distance oracle over the session spanner (shared snapshot).
 
         Each call returns a fresh oracle (they keep independent LRU
-        caches), but on the CSR backend every oracle re-stamps the same
+        caches), but every oracle re-stamps the same
         frozen spanner snapshot (with the session's search engine).
         """
         return FaultTolerantDistanceOracle(
@@ -319,7 +307,6 @@ class SpannerSession:
             fault_model=self.fault_model,
             cache_size=cache_size,
             prebuilt=self._require_result(),
-            backend=self.backend,
             snapshot=self._spanner_snapshot(),
             search=self.search,
         )
@@ -332,7 +319,6 @@ class SpannerSession:
             f=self.f,
             fault_model=self.fault_model,
             prebuilt=self._require_result(),
-            backend=self.backend,
             snapshot=self._spanner_snapshot(),
             search=self.search,
         )
@@ -350,7 +336,7 @@ class SpannerSession:
 
         ``failures`` defaults to the session fault budget ``f``;
         ``guarantee`` to the session stretch.  The probes re-stamp the
-        session's shared dual snapshot on the CSR backend.
+        session's shared dual snapshot.
         ``fault_process`` selects the scenario generator (see
         :func:`~repro.applications.availability.sample_fault_scenario`).
         """
@@ -363,7 +349,6 @@ class SpannerSession:
             scenarios=scenarios,
             pairs_per_scenario=pairs_per_scenario,
             seed=self.seed,
-            backend=self.backend,
             snapshot=self._dual_snapshot(),
             search=self.search,
             fault_process=fault_process,
@@ -388,7 +373,6 @@ class SpannerSession:
             scenarios=scenarios,
             pairs_per_scenario=pairs_per_scenario,
             seed=self.seed,
-            backend=self.backend,
             snapshot=self._dual_snapshot(),
             search=self.search,
             fault_process=fault_process,
@@ -407,13 +391,9 @@ class SpannerSession:
 
         ``config`` (a :class:`~repro.serving.ServingConfig`) overrides
         the session's ``serving=`` default; ``chaos`` injects a
-        deterministic fault schedule (:mod:`repro.serving.chaos`).  The
-        caller owns the server: close it (or use it as a context
+        deterministic fault schedule (:class:`~repro.serving.ChaosPolicy`).
+        The caller owns the server: close it (or use it as a context
         manager) to release the workers and the shared segment.
-
-        On the dict backend the spanner is frozen here once (serving
-        workers execute on the CSR substrate; answers are bit-identical
-        to the dict path, as everywhere).
         """
         from repro.serving import SpannerServer
 
@@ -425,16 +405,6 @@ class SpannerSession:
             snap = self._dyn_h.refreeze()
         else:
             snap = self._spanner_snapshot()
-        if snap is None:
-            # Dict-backend session: freeze once, cache privately so the
-            # session's "no CSR state on the dict backend" invariant
-            # (and the one-freeze discipline) both hold.
-            if self._serve_snap is None:
-                self._serve_snap = CSRSnapshot(
-                    self._require_result().spanner,
-                    indexer=self._shared_indexer(),
-                )
-            snap = self._serve_snap
         server = SpannerServer(
             snap,
             config=config if config is not None else self.serving,
@@ -473,7 +443,7 @@ class SpannerSession:
         :meth:`verify` (which follows the updates) re-certifies the
         current state.
 
-        On the CSR backend the graphs keep serving through
+        The graphs keep serving through
         :class:`~repro.dynamic.snapshot.DynamicSnapshot` delta overlays
         -- no refreeze per batch; the overlays fold into a refreeze per
         the compaction policy (``compact_every`` / ``max_density``,
@@ -482,10 +452,9 @@ class SpannerSession:
         routers, and sweeps already handed out by this session follow
         the updates automatically (their caches flush on the overlay's
         version stamp) and stay bit-identical to a from-scratch freeze
-        of the mutated graphs.  On the dict backend the updates mutate
-        the dicts directly -- same answers, as everywhere.
+        of the mutated graphs.
 
-        Raises :class:`~repro.serving.errors.SnapshotStale` while a
+        Raises :class:`~repro.serving.SnapshotStale` while a
         server from :meth:`serve` is still open (its workers hold the
         pre-update snapshot; close it, apply, then serve again), and
         :class:`~repro.dynamic.log.UpdateConflict` on invalid ops
@@ -495,7 +464,7 @@ class SpannerSession:
         h = self._require_result().spanner
         self._servers = [s for s in self._servers if not s.closed]
         if self._servers:
-            from repro.serving.errors import SnapshotStale
+            from repro.parallel.errors import SnapshotStale
 
             raise SnapshotStale(
                 f"{len(self._servers)} server(s) from this session are "
@@ -504,38 +473,20 @@ class SpannerSession:
                 f"apply the updates, then serve() again"
             )
         op_list = [coerce_op(op) for op in ops]
-        if self._use_csr():
-            dyn_g, dyn_h = self._dynamic_pair(compact_every, max_density)
-            applied = 0
-            for op in op_list:
-                fate = classify_op(self.g, op)
-                if fate != "noop":
-                    applied += 1
-                dyn_g.apply([op])
-                mirror = self._mirror_op(op, h)
-                if mirror is not None:
-                    dyn_h.apply([mirror])
-            self._sync_profiles()
-        else:
-            applied = 0
-            for op in op_list:
-                fate = classify_op(self.g, op)
-                mirror = self._mirror_op(op, h)
-                if isinstance(op, EdgeInsert):
-                    self.g.add_edge(op.u, op.v, op.weight)
-                else:
-                    self.g.remove_edge(op.u, op.v)
-                if mirror is not None:
-                    if isinstance(mirror, EdgeInsert):
-                        h.add_edge(mirror.u, mirror.v, mirror.weight)
-                    else:
-                        h.remove_edge(mirror.u, mirror.v)
-                if fate != "noop":
-                    applied += 1
-        # The assembled dual and any dict-backend serving freeze hold
-        # pre-update state; both rebuild lazily from the current state.
+        dyn_g, dyn_h = self._dynamic_pair(compact_every, max_density)
+        applied = 0
+        for op in op_list:
+            fate = classify_op(self.g, op)
+            if fate != "noop":
+                applied += 1
+            dyn_g.apply([op])
+            mirror = self._mirror_op(op, h)
+            if mirror is not None:
+                dyn_h.apply([mirror])
+        self._sync_profiles()
+        # The assembled dual holds pre-update state; it rebuilds lazily
+        # from the current state.
         self._dual = None
-        self._serve_snap = None
         return applied
 
     @staticmethod
@@ -596,11 +547,11 @@ class SpannerSession:
             snap.unit = snap.profile == "unit"
 
     def churn_stats(self) -> Optional[dict]:
-        """Overlay counters after :meth:`apply_updates` (CSR backend).
+        """Overlay counters after :meth:`apply_updates`.
 
         ``{"g": ..., "h": ...}`` per-graph stats dicts (ops, effective
         updates, overlay depth, compactions, version, density), or
-        ``None`` before any update / on the dict backend.
+        ``None`` before any update.
         """
         if self._dyn_g is None or self._dyn_h is None:
             return None
@@ -626,9 +577,6 @@ class SpannerSession:
         self._dual = None
         self._dyn_h = None
 
-    def _use_csr(self) -> bool:
-        return self.backend == "csr"
-
     def _shared_indexer(self) -> NodeIndexer:
         """The session's one node<->index bijection, built from G.
 
@@ -640,29 +588,25 @@ class SpannerSession:
             self._indexer = NodeIndexer.from_graph(self.g)
         return self._indexer
 
-    def _graph_snapshot(self) -> Optional[CSRSnapshot]:
-        """G frozen at most once per session (None on the dict backend).
+    def _graph_snapshot(self) -> CSRSnapshot:
+        """G frozen at most once per session.
 
         After :meth:`apply_updates` this is the *dynamic* view of G --
         a live :class:`~repro.graph.snapshot.CSRSnapshot` window onto
         the delta overlay -- so every later consumer follows churn.
         """
-        if not self._use_csr():
-            return None
         if self._dyn_g is not None:
             return self._dyn_g.view
         if self._snap_g is None:
             self._snap_g = CSRSnapshot(self.g, indexer=self._shared_indexer())
         return self._snap_g
 
-    def _spanner_snapshot(self) -> Optional[CSRSnapshot]:
-        """H frozen at most once per build (None on the dict backend).
+    def _spanner_snapshot(self) -> CSRSnapshot:
+        """H frozen at most once per build.
 
         The dynamic view of H once :meth:`apply_updates` has run,
         exactly like :meth:`_graph_snapshot`.
         """
-        if not self._use_csr():
-            return None
         if self._dyn_h is not None:
             return self._dyn_h.view
         if self._snap_h is None:
@@ -671,10 +615,8 @@ class SpannerSession:
             )
         return self._snap_h
 
-    def _dual_snapshot(self) -> Optional[DualCSRSnapshot]:
-        """(G, H) assembled from the per-graph freezes (None on dict)."""
-        if not self._use_csr():
-            return None
+    def _dual_snapshot(self) -> DualCSRSnapshot:
+        """(G, H) assembled from the per-graph freezes."""
         if self._dual is None:
             self._dual = DualCSRSnapshot(
                 self.g,
@@ -689,6 +631,6 @@ class SpannerSession:
         return (
             f"SpannerSession(n={self.g.num_nodes}, m={self.g.num_edges}, "
             f"k={self.k}, f={self.f}, "
-            f"model={self.fault_model.value}, backend={self.backend}, "
+            f"model={self.fault_model.value}, search={self.search}, "
             f"spanner={built})"
         )

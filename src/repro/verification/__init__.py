@@ -15,9 +15,9 @@ Fault-tolerant spanner verification is itself expensive -- there are
   and produce/audit Menger disjoint-path certificates (the polynomial
   YES-side witnesses behind ``verify_ft_spanner(mode="witness")``).
 
-Backends: the spanner check and the stretch sweeps run on the CSR
-backend by default (``backend=`` keyword / ``REPRO_BACKEND``; identical
-reports either way): graphs are snapshotted once per call and each
+Execution: the spanner check and the stretch sweeps run on the CSR
+substrate (identical reports to the dict reference in
+``tests/reference/``): graphs are snapshotted once per call and each
 fault set is an O(|F|) mask re-stamp instead of a fresh view pair.
 Sweep complexity is O(|fault sets| * m) hop-bounded BFS runs on
 unit-weighted inputs, or truncated Dijkstras on weighted ones.  The

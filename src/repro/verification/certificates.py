@@ -13,7 +13,7 @@ what these checks verify, is:
 2. F_e has size at most (2k - 1) * f (Theorem 4's NO-side bound) and
    avoids the edge's endpoints -- the structural facts Lemma 6 needs.
 
-Backend: dict only, deliberately.  These checks are the independent
+Execution: dict only, deliberately.  These checks are the independent
 auditor of the (CSR-produced) certificates, so they stay on the
 reference path: one hop-bounded BFS per certificate over a lazy fault
 view, O(|certificates| * (m' + n)) for a replay over a spanner with m'

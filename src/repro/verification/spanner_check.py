@@ -44,28 +44,24 @@ therefore always agrees with ``mode="sweep"``; witness mode is the
 same decision computed with polynomial effort on every pair the flow
 engine can certify.
 
-Execution backends
-------------------
+Execution
+---------
 The sweep is the library's most repetitive workload -- one distance
 probe per surviving edge per fault set, ``O(|F-sets| * m)`` probes in
-total -- so it runs on either backend (``backend=`` keyword, default
-resolved from ``REPRO_BACKEND``):
+total.  :class:`_CSRSweep` snapshots G and H into
+:class:`~repro.graph.csr.CSRGraph` form *once per verification call*
+(sharing one :class:`~repro.graph.index.NodeIndexer` so node indices
+agree), and reuses one workspace plus generation-stamped
+:class:`~repro.graph.csr.FaultMask` buffers across every fault set:
+moving to the next fault set is an O(|F|) mask re-stamp instead of
+re-materializing ``G \\ F`` / ``H \\ F`` views.  Unit-weighted inputs
+probe with hop-bounded CSR BFS, weighted inputs with truncated CSR
+Dijkstra.
 
-* ``"csr"`` -- :class:`_CSRSweep` snapshots G and H into
-  :class:`~repro.graph.csr.CSRGraph` form *once per verification call*
-  (sharing one :class:`~repro.graph.index.NodeIndexer` so node indices
-  agree), and reuses one workspace plus generation-stamped
-  :class:`~repro.graph.csr.FaultMask` buffers across every fault set:
-  moving to the next fault set is an O(|F|) mask re-stamp instead of
-  re-materializing ``G \\ F`` / ``H \\ F`` views.  Unit-weighted inputs
-  probe with hop-bounded CSR BFS, weighted inputs with truncated CSR
-  Dijkstra.
-* ``"dict"`` -- the reference path over lazy fault views, one fresh
-  view pair per fault set.
-
-Both backends check the same fault sets in the same order against the
-same edges, so they return identical reports (including the
-counterexample, when one exists).
+The dict reference in ``tests/reference/`` (one fresh pair of lazy
+fault views per fault set) checks the same fault sets in the same order
+against the same edges, and the parity suite asserts identical reports,
+counterexample included.
 """
 
 from __future__ import annotations
@@ -76,25 +72,20 @@ import random
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.spanner import resolve_backend
 from repro.flow.dinitz import DisjointPathNetwork, FlowWorkspace
 from repro.graph.csr import FaultMask
 from repro.graph.graph import Edge, Graph, Node, edge_key
 from repro.graph.traversal import (
     BFSWorkspace,
     DijkstraWorkspace,
-    bounded_bfs_path,
     csr_bfs_distances,
     csr_bounded_bfs_path,
     csr_dijkstra,
     csr_weighted_distance,
-    dijkstra,
 )
-from repro.graph.views import EdgeFaultView, VertexFaultView
 from repro.lbc.approx import lbc_edge, lbc_vertex
 from repro.graph.snapshot import (
     DualCSRSnapshot,
-    resolve_search,
     validate_search,
     weighted_pair_engine,
 )
@@ -206,7 +197,6 @@ def is_spanner(
     g: Graph,
     h: Graph,
     t: float,
-    backend: Optional[str] = None,
     search: Optional[str] = None,
 ) -> bool:
     """Fault-free check: is H a t-spanner of G?
@@ -217,12 +207,9 @@ def is_spanner(
     verdict on every legal engine).
     """
     unit = g.is_unit_weighted()
-    if resolve_backend(backend) == "csr":
-        return _CSRSweep(g, h, t, "vertex", unit, search=search).check(
-            None
-        ) is None
-    resolve_search(search)  # validate the name even on the dict path
-    return _check_fault_set(g, h, t, None, "vertex", unit) is None
+    return _CSRSweep(g, h, t, "vertex", unit, search=search).check(
+        None
+    ) is None
 
 
 def verify_ft_spanner(
@@ -234,7 +221,6 @@ def verify_ft_spanner(
     exhaustive_budget: int = 50_000,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
     search: Optional[str] = None,
     mode: str = "sweep",
@@ -260,9 +246,8 @@ def verify_ft_spanner(
     ``N`` sampled pairs instead of every edge of G (the report is then
     non-exhaustive).
 
-    ``backend`` selects the sweep engine (see the module docstring); the
-    report is identical either way.  On the CSR backend, ``snapshot``
-    may supply an already-frozen :class:`DualCSRSnapshot` of (G, H) --
+    ``snapshot`` may supply an already-frozen :class:`DualCSRSnapshot`
+    of (G, H) --
     e.g. from a :class:`repro.session.SpannerSession` -- so the sweep
     re-stamps it instead of freezing its own, and ``search`` picks the
     weighted probe engine (``'auto'`` resolves from the snapshots'
@@ -281,24 +266,16 @@ def verify_ft_spanner(
         raise ValueError("witness_pairs= requires mode='witness'")
     universe = _fault_universe(g, fault_model)
     unit = g.is_unit_weighted()
-    backend_name = resolve_backend(backend)
-    if backend_name != "csr" and snapshot is not None:
-        raise ValueError("snapshot= requires the csr backend")
     total = sum(_comb(len(universe), size) for size in range(f + 1))
     if mode == "witness":
         return _verify_witness(
             g, h, t, f, fault_model, unit, universe, total,
-            exhaustive_budget, samples, seed, backend_name, snapshot,
-            search, witness_pairs,
+            exhaustive_budget, samples, seed, snapshot, search,
+            witness_pairs,
         )
-    if backend_name == "csr":
-        check = _CSRSweep(
-            g, h, t, fault_model, unit, snapshot=snapshot, search=search
-        ).check
-    else:
-        resolve_search(search)  # validate the name even on the dict path
-        def check(faults):
-            return _check_fault_set(g, h, t, faults, fault_model, unit)
+    check = _CSRSweep(
+        g, h, t, fault_model, unit, snapshot=snapshot, search=search
+    ).check
     checked = 0
     if total <= exhaustive_budget:
         for faults in _all_fault_sets(universe, f):
@@ -358,68 +335,6 @@ def _all_fault_sets(universe: List, f: int) -> Iterator[Tuple]:
         yield from itertools.combinations(universe, size)
 
 
-def _check_fault_set(
-    g: Graph,
-    h: Graph,
-    t: float,
-    faults: Optional[Iterable],
-    fault_model: str,
-    unit: bool = False,
-    edges: Optional[List[Edge]] = None,
-) -> Optional[Counterexample]:
-    """Check the Lemma 3 condition for one fault set; None when it holds.
-
-    ``unit`` marks a unit-weighted input, enabling two fast paths: the
-    surviving edge itself always realizes d_{G\\F}(u, v) = 1 (no Dijkstra
-    needed on the G side), and the H side can use hop-bounded BFS.
-    ``edges`` restricts the check to those edges of G (the witness
-    mode's per-pair fallback); default is every edge.
-    """
-    fault_list = list(faults) if faults is not None else []
-    candidates = list(g.edges()) if edges is None else edges
-    if fault_model == "vertex":
-        fault_set = set(fault_list)
-        gv = VertexFaultView(g, fault_set) if fault_set else g
-        hv = VertexFaultView(h, fault_set) if fault_set else h
-        surviving = [
-            (u, v)
-            for u, v in candidates
-            if u not in fault_set and v not in fault_set
-        ]
-    else:
-        fault_set = {edge_key(u, v) for u, v in fault_list}
-        gv = EdgeFaultView(g, fault_set) if fault_set else g
-        hv = EdgeFaultView(h, fault_set) if fault_set else h
-        surviving = [
-            (u, v) for u, v in candidates
-            if edge_key(u, v) not in fault_set
-        ]
-    frozen = frozenset(fault_set)
-    for u, v in surviving:
-        w = g.weight(u, v)
-        if unit:
-            # Unit weights: the surviving edge realizes the distance and
-            # the spanner condition is a hop-bounded reachability query.
-            if bounded_bfs_path(hv, u, v, max_hops=int(t)) is not None:
-                continue
-            dh = INFINITY
-        else:
-            # Lemma 3: only pairs realizing d_{G\F}(u, v) = w(u, v) matter.
-            dg = dijkstra(gv, u, target=v, max_dist=w).get(v, INFINITY)
-            if dg < w:
-                continue  # a strictly shorter surviving route exists
-            dh = dijkstra(hv, u, target=v, max_dist=t * w).get(v, INFINITY)
-        if dh > t * w:
-            dh_full = dijkstra(hv, u, target=v).get(v, INFINITY)
-            return Counterexample(
-                faults=frozen,
-                pair=(u, v),
-                graph_distance=w,
-                spanner_distance=dh_full,
-            )
-    return None
-
-
 class _CSRSweep:
     """Reusable flat-array state for one verification call.
 
@@ -430,8 +345,8 @@ class _CSRSweep:
     to ``(u, v, iu, iv, w, gid)`` rows, and one workspace plus the
     snapshot's three fault masks serve every subsequent probe.
     ``check(faults)`` therefore allocates nothing per fault set beyond
-    the surviving-edge filter -- the mask-clear loop the dict backend's
-    per-fault-set view construction is replaced by.
+    the surviving-edge filter -- a mask re-stamp instead of a fresh pair
+    of fault views.
 
     Cost per fault set: O(|F|) re-stamping plus one hop-bounded BFS
     (unit weights) or up to two truncated Dijkstras (weighted) per
@@ -513,8 +428,12 @@ class _CSRSweep:
         faults: Optional[Iterable],
         edges: Optional[List] = None,
     ) -> Optional[Counterexample]:
-        """CSR twin of :func:`_check_fault_set`; None when Lemma 3 holds.
+        """Check the Lemma 3 condition for one fault set; None when it holds.
 
+        For every surviving edge {u, v} of G realizing
+        d_{G\\F}(u, v) = w(u, v), require d_{H\\F}(u, v) <= t * w(u, v).
+        On the unit fast path the surviving edge always realizes the
+        distance (no G-side probe) and the H side is a hop-bounded BFS.
         ``edges`` restricts the check to those pre-resolved rows (the
         witness mode's per-pair fallback); default is every edge of G.
         """
@@ -533,8 +452,8 @@ class _CSRSweep:
                     vertex_mask=vmask, edge_mask=emask_h,
                 ) is not None:
                     continue
-                # The dict backend reports the *weighted* H-distance in
-                # the counterexample even on the unit fast path (H may
+                # The counterexample reports the *weighted* H-distance
+                # even on the unit fast path (H may
                 # carry non-unit weights when verifying arbitrary
                 # files).  This path is terminal, so a one-off Dijkstra
                 # workspace is fine.
@@ -589,7 +508,6 @@ def _verify_witness(
     exhaustive_budget: int,
     samples: Optional[int],
     seed: Optional[int],
-    backend_name: str,
     snapshot: Optional[DualCSRSnapshot],
     search: Optional[str],
     witness_pairs: Optional[int],
@@ -618,35 +536,14 @@ def _verify_witness(
        sampling is a per-pair last resort rather than the whole
        verification).
 
-    The flow engine and distance probes always run on the CSR substrate
-    (that is the point of the subsystem); ``backend_name`` selects the
-    engine for the fallback sweep, and the dict backend's report stays
-    bit-identical to the CSR one because both fall back on exactly the
-    same pairs against the same fault sets.
+    The flow engine, the distance probes, and the fallback sweep all
+    run on the one shared snapshot.
     """
-    if backend_name == "csr":
-        sweep = _CSRSweep(
-            g, h, t, fault_model, unit, snapshot=snapshot, search=search
-        )
-        snap = sweep.snap
-        rows: List = sweep.edges
-
-        def check_rows(faults, subset):
-            return sweep.check(faults, edges=subset)
-    else:
-        resolve_search(search)  # validate the name even on the dict path
-        snap = DualCSRSnapshot(g, h)
-        index = snap.indexer.index
-        rows = [
-            (u, v, index(u), index(v), g.weight(u, v))
-            for u, v in g.edges()
-        ]
-
-        def check_rows(faults, subset):
-            return _check_fault_set(
-                g, h, t, faults, fault_model, unit,
-                edges=[(r[0], r[1]) for r in subset],
-            )
+    sweep = _CSRSweep(
+        g, h, t, fault_model, unit, snapshot=snapshot, search=search
+    )
+    snap = sweep.snap
+    rows: List = sweep.edges
     rng = random.Random(seed)
     full_coverage = True
     if witness_pairs is not None and witness_pairs < len(rows):
@@ -726,7 +623,7 @@ def _verify_witness(
             sampled_fallback = True
         for faults in fault_iter:
             checked += 1
-            bad = check_rows(faults, [row])
+            bad = sweep.check(faults, edges=[row])
             if bad is not None:
                 return VerificationReport(
                     ok=False,

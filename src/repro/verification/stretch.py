@@ -7,21 +7,20 @@ whose weight is realized as the post-fault distance; we expose both the
 edge-restricted measure (fast, what the proofs bound) and the full
 all-pairs measure (what a user of the spanner experiences).
 
-Execution backends
-------------------
+Execution
+---------
 Measuring stretch is two Dijkstras per pair, so for concrete
-:class:`~repro.graph.graph.Graph` inputs the sweep runs on the CSR
-backend by default (``backend=`` keyword / ``REPRO_BACKEND``): both
-graphs are snapshotted once over a shared
-:class:`~repro.graph.index.NodeIndexer` and every pair is probed with
-early-exit CSR Dijkstra through one reusable
+:class:`~repro.graph.graph.Graph` inputs both graphs are snapshotted
+once over a shared :class:`~repro.graph.index.NodeIndexer` and every
+pair is probed with early-exit CSR Dijkstra through one reusable
 :class:`~repro.graph.traversal.DijkstraWorkspace`;
-:func:`max_stretch_under_faults` replaces the ``G \\ F`` / ``H \\ F``
-views with generation-stamped fault masks.  Lazy
-:class:`~repro.graph.views.GraphView` inputs always take the dict
-reference path.  Both paths compute identical ratios.  Complexity:
-O(|pairs|) Dijkstras either way; the CSR path just makes each one a
-flat-array heap scan with zero per-pair allocation.
+:func:`max_stretch_under_faults` stamps the fault set into
+generation-stamped masks instead of building ``G \\ F`` / ``H \\ F``
+views.  Lazy :class:`~repro.graph.views.GraphView` inputs have no
+snapshot and are probed with dict Dijkstra (:func:`stretch_of_pair`).
+The dict reference in ``tests/reference/`` computes identical ratios.
+Complexity: O(|pairs|) Dijkstras, each a flat-array heap scan with zero
+per-pair allocation.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from repro.core.spanner import resolve_backend
 from repro.graph.graph import Edge, Graph, Node
 from repro.graph.traversal import (
     DijkstraWorkspace,
     csr_weighted_distance,
     dijkstra,
 )
-from repro.graph.views import GraphView, fault_view
+from repro.graph.views import GraphView
 from repro.graph.snapshot import (
     DualCSRSnapshot,
     resolve_search,
@@ -119,9 +117,9 @@ class _CSRStretchSweep:
     def stretch(self, u: Node, v: Node) -> float:
         """Stretch of one pair under the currently-stamped faults.
 
-        Mirrors the dict path's semantics for odd pairs: a source
-        missing from either graph raises ``KeyError`` (as the dict
-        Dijkstras do), while an unknown *target* is merely unreachable
+        Odd pairs follow :func:`stretch_of_pair`'s semantics: a source
+        missing from either graph raises ``KeyError`` (as dict
+        Dijkstra does), while an unknown *target* is merely unreachable
         and falls into the usual ratio conventions.
         """
         snap = self.snap
@@ -135,8 +133,8 @@ class _CSRStretchSweep:
             return _ratio(INFINITY, INFINITY)  # unreachable in both
         vmask = snap.vmask if self.use_vmask else None
         if iv >= snap.csr_g.num_nodes:
-            # v exists only in H (indexed after csr_g was frozen): the
-            # dict path treats it as unreachable in G.
+            # v exists only in H (indexed after csr_g was frozen): it
+            # is unreachable in G.
             dg = INFINITY
         else:
             dg = csr_weighted_distance(
@@ -156,7 +154,6 @@ def pairwise_stretch(
     g: GraphLike,
     h: GraphLike,
     pairs: Optional[Iterable[Tuple[Node, Node]]] = None,
-    backend: Optional[str] = None,
     search: Optional[str] = None,
 ) -> Dict[Tuple[Node, Node], float]:
     """Stretch for each pair (default: every edge of ``g``).
@@ -167,18 +164,14 @@ def pairwise_stretch(
     """
     if pairs is None:
         pairs = _edge_pairs(g)
-    if _use_csr(g, h, backend):
-        sweep = _CSRStretchSweep(g, h, search=search)
-        return {(u, v): sweep.stretch(u, v) for u, v in pairs}
-    resolve_search(search)  # validate the name even on the dict path
-    return {(u, v): stretch_of_pair(g, h, u, v) for u, v in pairs}
+    probe = _probe(g, h, search)
+    return {(u, v): probe(u, v) for u, v in pairs}
 
 
 def max_stretch(
     g: GraphLike,
     h: GraphLike,
     pairs: Optional[Iterable[Tuple[Node, Node]]] = None,
-    backend: Optional[str] = None,
     search: Optional[str] = None,
 ) -> float:
     """Worst-case stretch of H over the given pairs (default: edges of G).
@@ -189,13 +182,19 @@ def max_stretch(
     """
     if pairs is None:
         pairs = _edge_pairs(g)
-    if _use_csr(g, h, backend):
-        probe = _CSRStretchSweep(g, h, search=search).stretch
-    else:
-        resolve_search(search)  # validate the name even on the dict path
-        def probe(u, v):
-            return stretch_of_pair(g, h, u, v)
-    return _worst_ratio(probe, pairs)
+    return _worst_ratio(_probe(g, h, search), pairs)
+
+
+def _probe(g: GraphLike, h: GraphLike, search: Optional[str]):
+    """The per-pair stretch probe: CSR for Graphs, dict for views."""
+    if isinstance(g, Graph) and isinstance(h, Graph):
+        return _CSRStretchSweep(g, h, search=search).stretch
+    resolve_search(search)  # validate the name for view inputs too
+
+    def probe(u: Node, v: Node) -> float:
+        return stretch_of_pair(g, h, u, v)
+
+    return probe
 
 
 def _worst_ratio(probe, pairs) -> float:
@@ -213,59 +212,36 @@ def max_stretch_under_faults(
     h: Graph,
     faults: Iterable,
     fault_model: str = "vertex",
-    backend: Optional[str] = None,
     search: Optional[str] = None,
 ) -> float:
     """Worst-case stretch of ``H \\ F`` w.r.t. ``G \\ F``.
 
     ``faults`` is a vertex set or edge set per ``fault_model``.  Pairs
-    range over the edges of ``G \\ F`` (sufficient by Lemma 3).  On the
-    CSR backend the fault set is a mask re-stamp instead of a pair of
-    lazy views, and ``search`` picks the probe engine.
+    range over the edges of ``G \\ F`` (sufficient by Lemma 3).  The
+    fault set is a mask re-stamp on the shared snapshot, and ``search``
+    picks the probe engine.
     """
     faults = list(faults)
     if fault_model not in ("vertex", "edge"):
         raise ValueError(f"unknown fault model {fault_model!r}")
-    use_csr = _use_csr(g, h, backend)
-    if not use_csr:
-        resolve_search(search)  # validate the name even on the dict path
-    if use_csr:
-        sweep = _CSRStretchSweep(g, h, search=search)
-        snap = sweep.snap
-        index = snap.indexer.index
-        if fault_model == "vertex":
-            sweep.set_vertex_faults(faults)
-            vstamp, vgen = snap.vmask.stamp, snap.vmask.gen
-            pairs = [
-                (u, v) for u, v in g.edges()
-                if vstamp[index(u)] != vgen and vstamp[index(v)] != vgen
-            ]
-        else:
-            sweep.set_edge_faults(faults)
-            estamp, egen = snap.emask_g.stamp, snap.emask_g.gen
-            pairs = [
-                (u, v) for u, v in g.edges()
-                if estamp[snap.csr_g.edge_id(index(u), index(v))] != egen
-            ]
-        return _worst_ratio(sweep.stretch, pairs)
+    sweep = _CSRStretchSweep(g, h, search=search)
+    snap = sweep.snap
+    index = snap.indexer.index
     if fault_model == "vertex":
-        gv = fault_view(g, vertex_faults=faults)
-        hv = fault_view(h, vertex_faults=faults)
+        sweep.set_vertex_faults(faults)
+        vstamp, vgen = snap.vmask.stamp, snap.vmask.gen
+        pairs = [
+            (u, v) for u, v in g.edges()
+            if vstamp[index(u)] != vgen and vstamp[index(v)] != vgen
+        ]
     else:
-        gv = fault_view(g, edge_faults=faults)
-        hv = fault_view(h, edge_faults=faults)
-    return max_stretch(gv, hv, pairs=_surviving_edge_pairs(g, gv))
-
-
-def _use_csr(g: GraphLike, h: GraphLike, backend: Optional[str]) -> bool:
-    """CSR applies only to concrete Graphs (views stay on the dict path).
-
-    The backend is resolved *before* the input-type check so a typo'd
-    backend name is reported even for view inputs, not silently
-    swallowed (same rule as the greedy family).
-    """
-    use = resolve_backend(backend) == "csr"
-    return use and isinstance(g, Graph) and isinstance(h, Graph)
+        sweep.set_edge_faults(faults)
+        estamp, egen = snap.emask_g.stamp, snap.emask_g.gen
+        pairs = [
+            (u, v) for u, v in g.edges()
+            if estamp[snap.csr_g.edge_id(index(u), index(v))] != egen
+        ]
+    return _worst_ratio(sweep.stretch, pairs)
 
 
 def _edge_pairs(g: GraphLike) -> Iterable[Tuple[Node, Node]]:
@@ -280,10 +256,3 @@ def _edge_pairs(g: GraphLike) -> Iterable[Tuple[Node, Node]]:
                 seen.add((u, v))
                 pairs.append((u, v))
     return pairs
-
-
-def _surviving_edge_pairs(g: Graph, view) -> Iterable[Tuple[Node, Node]]:
-    """Edges of ``g`` that survive in ``view``."""
-    return [
-        (u, v) for u, v in g.edges() if view.has_node(u) and view.has_edge(u, v)
-    ]

@@ -1,15 +1,16 @@
-"""dict-vs-csr parity across the applications layer.
+"""CSR-vs-reference parity across the applications layer.
 
-The applications are the last layer that gained a CSR path, and the
-guarantee is the same as everywhere else in the library: not "equally
-good" answers but the *same* answers -- distances bit for bit, paths
-and next hops node for node, availability reports field for field.
-Every test here runs the identical workload through both backends and
+The guarantee is the same as everywhere else in the library: not
+"equally good" answers but the *same* answers -- distances bit for bit,
+paths and next hops node for node, availability reports field for
+field.  Every test here runs the identical workload through the
+production CSR path and the dict reference in ``tests/reference/`` and
 compares with ``==``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,8 @@ from repro.applications import (
 )
 from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.graph import generators
+from repro.session import SpannerSession
+from tests import reference as ref
 
 INFINITY = math.inf
 
@@ -56,8 +59,8 @@ class TestOracleParity:
             g,
             scenarios,
             rng,
-            FaultTolerantDistanceOracle(g, 2, 2, backend="dict", **kwargs),
-            FaultTolerantDistanceOracle(g, 2, 2, backend="csr", **kwargs),
+            ref.FaultTolerantDistanceOracle(g, 2, 2, **kwargs),
+            FaultTolerantDistanceOracle(g, 2, 2, **kwargs),
         )
 
     def test_distances_and_paths(self, weighted, fault_model):
@@ -112,8 +115,8 @@ class TestRouterParity:
     def test_tables_next_hops_and_routes(self, weighted, fault_model):
         g, prebuilt, scenarios, rng = _instance(weighted, fault_model)
         kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
-        rd = SpannerRouter(g, 2, 2, backend="dict", **kwargs)
-        rc = SpannerRouter(g, 2, 2, backend="csr", **kwargs)
+        rd = ref.SpannerRouter(g, 2, 2, **kwargs)
+        rc = SpannerRouter(g, 2, 2, **kwargs)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             for dest in alive[:5]:
@@ -142,11 +145,9 @@ class TestAvailabilityParity:
             failures=3, guarantee=3.0, scenarios=12,
             pairs_per_scenario=10, seed=17,
         )
-        assert availability_analysis(
-            g, prebuilt.spanner, backend="dict", **kwargs
-        ) == availability_analysis(
-            g, prebuilt.spanner, backend="csr", **kwargs
-        )
+        assert ref.availability_analysis(
+            g, prebuilt.spanner, **kwargs
+        ) == availability_analysis(g, prebuilt.spanner, **kwargs)
 
     def test_degradation_profiles_identical(self, weighted):
         g, prebuilt, _, _ = _instance(weighted, "vertex")
@@ -154,11 +155,9 @@ class TestAvailabilityParity:
             guarantee=3.0, max_failures=3, scenarios=6,
             pairs_per_scenario=6, seed=23,
         )
-        assert degradation_profile(
-            g, prebuilt.spanner, backend="dict", **kwargs
-        ) == degradation_profile(
-            g, prebuilt.spanner, backend="csr", **kwargs
-        )
+        assert ref.degradation_profile(
+            g, prebuilt.spanner, **kwargs
+        ) == degradation_profile(g, prebuilt.spanner, **kwargs)
 
 
 def _engine_instance(weighted: bool, fault_model: str):
@@ -193,10 +192,8 @@ class TestSearchEngineApplicationsParity:
     def test_oracle_answers_identical(self, weighted, fault_model, search):
         g, prebuilt, scenarios, rng = _engine_instance(weighted, fault_model)
         kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
-        od = FaultTolerantDistanceOracle(g, 2, 2, backend="dict", **kwargs)
-        oc = FaultTolerantDistanceOracle(
-            g, 2, 2, backend="csr", search=search, **kwargs
-        )
+        od = ref.FaultTolerantDistanceOracle(g, 2, 2, **kwargs)
+        oc = FaultTolerantDistanceOracle(g, 2, 2, search=search, **kwargs)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             pairs = [tuple(rng.sample(alive, 2)) for _ in range(10)]
@@ -212,8 +209,8 @@ class TestSearchEngineApplicationsParity:
     def test_router_tables_identical(self, weighted, fault_model, search):
         g, prebuilt, scenarios, rng = _engine_instance(weighted, fault_model)
         kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
-        rd = SpannerRouter(g, 2, 2, backend="dict", **kwargs)
-        rc = SpannerRouter(g, 2, 2, backend="csr", search=search, **kwargs)
+        rd = ref.SpannerRouter(g, 2, 2, **kwargs)
+        rc = SpannerRouter(g, 2, 2, search=search, **kwargs)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             for dest in alive[:4]:
@@ -230,10 +227,10 @@ class TestSearchEngineApplicationsParity:
             failures=3, guarantee=3.0, scenarios=8,
             pairs_per_scenario=8, seed=17,
         )
-        assert availability_analysis(
-            g, prebuilt.spanner, backend="dict", **kwargs
+        assert ref.availability_analysis(
+            g, prebuilt.spanner, **kwargs
         ) == availability_analysis(
-            g, prebuilt.spanner, backend="csr", search=search, **kwargs
+            g, prebuilt.spanner, search=search, **kwargs
         )
 
 
@@ -245,46 +242,50 @@ class TestDynamicEngineApplicationsParity:
     """The ``dynamic`` column of the engine matrix: every engine cell
     answers exactly like the dict reference *after* streaming updates
     have churned the graph, with faults drawn from the post-churn
-    state (so scenarios can hit overlay-inserted edges)."""
+    state (so scenarios can hit overlay-inserted edges).  The reference
+    applies the same updates to dict copies in place."""
 
     def _churned_pair(self, weighted, fault_model, search):
-        from repro.session import SpannerSession
-
         g = generators.gnp_random_graph(32, 0.18, seed=555)
         if weighted:
             g = generators.with_random_weights(
                 g, low=1.0, high=8.0, seed=555, integral=True
             )
         g = generators.ensure_connected(g, seed=555)
-        sd = SpannerSession(
-            g, k=2, f=2, fault_model=fault_model, backend="dict", seed=0
-        )
         sc = SpannerSession(
-            g.copy(), k=2, f=2, fault_model=fault_model, backend="csr",
-            seed=0, search=search,
+            g.copy(), k=2, f=2, fault_model=fault_model, seed=0,
+            search=search,
         )
-        sd.build()
-        sc.build()
+        built = sc.build()
+        gd, hd = g.copy(), built.spanner.copy()
         ops = generators.sliding_window_churn(
             g, steps=25, window=6, seed=555,
             weights="int" if weighted else "unit",
         )
-        assert sd.apply_updates(list(ops)) == sc.apply_updates(list(ops))
+        assert ref.apply_updates(gd, hd, ops) == \
+            sc.apply_updates(list(ops))
+        assert sorted(gd.weighted_edges()) == sorted(sc.g.weighted_edges())
+        assert sorted(hd.weighted_edges()) == \
+            sorted(sc.spanner.weighted_edges())
+        prebuilt = dataclasses.replace(built, spanner=hd)
+        kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
+        od = ref.FaultTolerantDistanceOracle(gd, 2, 2, **kwargs)
+        rd = ref.SpannerRouter(gd, 2, 2, **kwargs)
         rng = random.Random(9)
         universe = (
-            sorted(sd.g.nodes()) if fault_model == "vertex"
-            else list(sd.g.edges())
+            sorted(gd.nodes()) if fault_model == "vertex"
+            else list(gd.edges())
         )
         scenarios = [[]] + [rng.sample(universe, 2) for _ in range(3)]
-        return sd, sc, scenarios, rng
+        return gd, (od, rd), sc, scenarios, rng
 
     def test_oracle_answers_identical(self, weighted, fault_model, search):
-        sd, sc, scenarios, rng = self._churned_pair(
+        gd, (od, _), sc, scenarios, rng = self._churned_pair(
             weighted, fault_model, search
         )
-        od, oc = sd.oracle(), sc.oracle()
+        oc = sc.oracle()
         for faults in scenarios:
-            alive = _survivors(sd.g, faults, fault_model)
+            alive = _survivors(gd, faults, fault_model)
             pairs = [tuple(rng.sample(alive, 2)) for _ in range(8)]
             assert oc.distances(pairs, faults=faults) == \
                 [od.distance(u, v, faults=faults) for u, v in pairs]
@@ -293,12 +294,12 @@ class TestDynamicEngineApplicationsParity:
                     oc.path(u, v, faults=faults)
 
     def test_router_tables_identical(self, weighted, fault_model, search):
-        sd, sc, scenarios, rng = self._churned_pair(
+        gd, (_, rd), sc, scenarios, rng = self._churned_pair(
             weighted, fault_model, search
         )
-        rd, rc = sd.router(), sc.router()
+        rc = sc.router()
         for faults in scenarios:
-            alive = _survivors(sd.g, faults, fault_model)
+            alive = _survivors(gd, faults, fault_model)
             for dest in alive[:3]:
                 assert rd.table(dest, faults=faults) == \
                     rc.table(dest, faults=faults)
@@ -314,7 +315,7 @@ class TestSearchEngineValidationInApplications:
 
         for search in ("bucket", "bidir", "batch"):
             oracle = FaultTolerantDistanceOracle(
-                g, 2, 1, prebuilt=prebuilt, backend="csr", search=search
+                g, 2, 1, prebuilt=prebuilt, search=search
             )
             with pytest.raises(UnsupportedSearch, match="float"):
                 oracle.distance(0, 1)  # sweep built on first query
@@ -322,7 +323,7 @@ class TestSearchEngineValidationInApplications:
                 availability_analysis(
                     g, prebuilt.spanner, failures=1, guarantee=3.0,
                     scenarios=2, pairs_per_scenario=2, seed=0,
-                    backend="csr", search=search,
+                    search=search,
                 )
 
     def test_unknown_search_rejected_eagerly(self):
@@ -330,14 +331,9 @@ class TestSearchEngineValidationInApplications:
         prebuilt = fault_tolerant_spanner(g, 2, 1)
         from repro.graph.snapshot import UnsupportedSearch
 
-        for backend in ("dict", "csr"):
-            with pytest.raises(UnsupportedSearch):
-                FaultTolerantDistanceOracle(
-                    g, 2, 1, prebuilt=prebuilt, backend=backend,
-                    search="dial",
-                )
-            with pytest.raises(UnsupportedSearch):
-                SpannerRouter(
-                    g, 2, 1, prebuilt=prebuilt, backend=backend,
-                    search="dial",
-                )
+        with pytest.raises(UnsupportedSearch):
+            FaultTolerantDistanceOracle(
+                g, 2, 1, prebuilt=prebuilt, search="dial"
+            )
+        with pytest.raises(UnsupportedSearch):
+            SpannerRouter(g, 2, 1, prebuilt=prebuilt, search="dial")

@@ -19,6 +19,11 @@ def graph_file(tmp_path):
     return path
 
 
+# The subcommands that took ``--backend`` before CSR became the only
+# execution path.
+_BACKEND_FLAG_COMMANDS = ["build", "verify", "oracle", "serve", "churn"]
+
+
 class TestOracle:
     def test_oracle_random(self, capsys):
         rc = main([
@@ -38,30 +43,35 @@ class TestOracle:
         assert rc == 0
         assert "reachable under faults" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_oracle_backend_flag(self, backend, capsys):
-        rc = main([
-            "oracle", "--random", "20", "--p", "0.3", "-f", "1",
-            "--pairs", "10", "--scenarios", "1", "--backend", backend,
-        ])
-        assert rc == 0
-        assert f"backend {backend}" in capsys.readouterr().out
+    def test_oracle_needs_source(self):
+        with pytest.raises(SystemExit):
+            main(["oracle"])
 
-    def test_oracle_backends_answer_identically(self, capsys):
+    def test_oracle_answers_match_reference(self, capsys, monkeypatch):
+        # The same sampled queries, answered by the dict reference oracle
+        # over the same spanner, give an identical reachability line.
+        from repro.session import SpannerSession
+        from tests import reference as ref
+
         args = [
             "oracle", "--random", "24", "--p", "0.3", "-f", "2",
             "--pairs", "30", "--scenarios", "3", "--seed", "7",
         ]
-        assert main(args + ["--backend", "dict"]) == 0
-        out_dict = capsys.readouterr().out.splitlines()[-1]
-        assert main(args + ["--backend", "csr"]) == 0
+        assert main(args) == 0
         out_csr = capsys.readouterr().out.splitlines()[-1]
-        # Identical reachability line: same sampled queries, same answers.
-        assert out_dict == out_csr
 
-    def test_oracle_needs_source(self):
-        with pytest.raises(SystemExit):
-            main(["oracle"])
+        def reference_oracle(session, cache_size=128):
+            return ref.FaultTolerantDistanceOracle(
+                session.g, session.k, session.f,
+                fault_model=session.fault_model, cache_size=cache_size,
+                prebuilt=session.result,
+            )
+
+        monkeypatch.setattr(SpannerSession, "oracle", reference_oracle)
+        assert main(args) == 0
+        out_dict = capsys.readouterr().out.splitlines()[-1]
+        assert out_csr.startswith("reachable under faults")
+        assert out_dict == out_csr
 
 
 class TestBuild:
@@ -102,42 +112,44 @@ class TestBuild:
         ])
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_backend_flag(self, backend, capsys):
-        rc = main([
-            "build", "--random", "25", "--p", "0.3", "-k", "2", "-f", "1",
-            "--backend", backend, "--seed", "4",
-        ])
-        assert rc == 0
-        assert "kept" in capsys.readouterr().out
-
     def test_backends_build_identical_spanners(self, graph_file, tmp_path,
                                                capsys):
-        paths = {}
-        for backend in ("dict", "csr"):
-            out_path = tmp_path / f"spanner-{backend}.txt"
-            rc = main([
-                "build", "--input", str(graph_file), "-k", "2", "-f", "1",
-                "--backend", backend, "--output", str(out_path),
-            ])
-            assert rc == 0
-            paths[backend] = out_path
-        dict_spanner = graph_io.load(paths["dict"])
-        csr_spanner = graph_io.load(paths["csr"])
-        assert set(dict_spanner.edges()) == set(csr_spanner.edges())
+        # The CLI's spanner equals the dict reference construction.
+        from tests import reference as ref
+
+        out_path = tmp_path / "spanner.txt"
+        rc = main([
+            "build", "--input", str(graph_file), "-k", "2", "-f", "1",
+            "--output", str(out_path),
+        ])
+        assert rc == 0
+        expected = ref.fault_tolerant_spanner(graph_io.load(graph_file), 2, 1)
+        assert set(graph_io.load(out_path).edges()) == \
+            set(expected.spanner.edges())
 
     def test_backend_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["build", "--random", "10", "--backend", "numpy"])
 
-    def test_env_var_reaches_build_when_flag_omitted(self, monkeypatch):
-        # Without --backend the CLI must defer to REPRO_BACKEND; a bogus
-        # value proves the env var is consulted, and it must fail as a
-        # clean usage error rather than a traceback.
+    @pytest.mark.parametrize("command", _BACKEND_FLAG_COMMANDS)
+    def test_retired_backend_flag_rejected(self, command, graph_file,
+                                           capsys):
+        argv = {
+            "build": ["build", "--random", "10"],
+            "verify": ["verify", str(graph_file), str(graph_file), "-t", "3"],
+            "oracle": ["oracle", "--random", "10"],
+            "serve": ["serve", "--random", "10"],
+            "churn": ["churn", "--random", "10"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "csr"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_backend_env_var_is_ignored(self, monkeypatch):
+        # The execution path is not configurable: a leftover
+        # REPRO_BACKEND value changes nothing.
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(SystemExit, match="unknown backend"):
-            main(["build", "--random", "12", "--p", "0.3"])
-        monkeypatch.setenv("REPRO_BACKEND", "dict")
         assert main(["build", "--random", "12", "--p", "0.3"]) == 0
 
     def test_local_and_congest_algorithms(self, capsys):
@@ -226,7 +238,7 @@ class TestAlgorithmsSubcommand:
             assert name in out
         assert "stretch 2k-1" in out
         assert "faults: vertex" in out          # capability column
-        assert "backends: dict/csr" in out
+        assert "backends" not in out
 
     def test_verbose_adds_summaries(self, capsys):
         rc = main(["algorithms", "--verbose"])
@@ -236,11 +248,6 @@ class TestAlgorithmsSubcommand:
 
 class TestCapabilityErrors:
     """The registry surfaces what the lambda table silently dropped."""
-
-    def test_backend_flag_rejected_for_single_engine_algorithm(self):
-        with pytest.raises(SystemExit, match="single engine"):
-            main(["build", "--random", "16", "--p", "0.3",
-                  "--algorithm", "dk", "--backend", "csr"])
 
     def test_f_below_algorithm_minimum_is_an_error(self):
         with pytest.raises(SystemExit, match="requires f >= 1"):
@@ -293,15 +300,6 @@ class TestCapabilityErrors:
         rc = main(["build", "--random", "16", "--p", "0.3", "--seed", "7"])
         assert rc == 0
         assert "deterministic" not in capsys.readouterr().out
-
-    def test_backend_flag_beats_env(self, monkeypatch, capsys):
-        # Precedence: --backend > REPRO_BACKEND.  A bogus env value
-        # proves the flag short-circuits it.
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        rc = main(["build", "--random", "14", "--p", "0.3",
-                   "--backend", "csr"])
-        assert rc == 0
-        assert "kept" in capsys.readouterr().out
 
 
 class TestInfoAndDemo:

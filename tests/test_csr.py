@@ -182,22 +182,17 @@ class TestCSRBuilder:
             == csr_bounded_bfs_path(b.repack(), 0, 3, 6, ws)
         )
 
-    def test_compact_preserves_everything_and_stays_appendable(self):
+    def test_repack_leaves_the_builder_appendable(self):
         b = CSRBuilder(5)
         for u, v, w in [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 4, 4.0)]:
             b.add_edge(u, v, w)
-        before = (
-            [list(r) for r in b.neighbors],
-            [list(r) for r in b.edge_id_rows],
-            [list(r) for r in b.weight_rows],
-        )
-        b.compact()
-        assert [list(r) for r in b.neighbors] == before[0]
-        assert [list(r) for r in b.edge_id_rows] == before[1]
-        assert [list(r) for r in b.weight_rows] == before[2]
-        # Still a live builder after compaction.
+        frozen = b.repack()
+        # Still a live builder after repacking; the frozen copy is not
+        # touched by later insertions.
         b.add_edge(3, 4, 5.0)
         assert b.has_edge(3, 4) and b.num_edges == 5
+        assert frozen.num_edges == 4
+        assert list(frozen.neighbors[4]) == [0]
         ws = BFSWorkspace(5)
         assert csr_bounded_bfs_path(b, 0, 3, 5, ws) is not None
 

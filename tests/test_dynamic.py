@@ -338,23 +338,23 @@ class TestCompaction:
 
 
 # --------------------------------------------------------------------- #
-# Session churn: SnapshotStale, H-mirroring, backend parity
+# Session churn: SnapshotStale, H-mirroring, reference parity
 # --------------------------------------------------------------------- #
 
 
 class TestSessionChurn:
-    def _session(self, backend):
+    def _session(self):
         g = generators.ensure_connected(
             generators.gnp_random_graph(30, 0.15, seed=8), seed=8
         )
-        s = SpannerSession(g, k=2, f=1, backend=backend, seed=0)
+        s = SpannerSession(g, k=2, f=1, seed=0)
         s.build()
         return s
 
     def test_snapshot_stale_guards_live_server(self):
-        from repro.serving.errors import SnapshotStale
+        from repro.serving import SnapshotStale
 
-        s = self._session("csr")
+        s = self._session()
         server = s.serve()
         try:
             with pytest.raises(SnapshotStale):
@@ -369,7 +369,7 @@ class TestSessionChurn:
             ) == [1.0]
 
     def test_updates_mirror_into_spanner(self):
-        s = self._session("csr")
+        s = self._session()
         h = s.result.spanner
         assert s.apply_updates([("insert", 1, 28, 1.0)]) == 1
         assert h.has_edge(1, 28)  # churned edge served at stretch 1
@@ -380,29 +380,34 @@ class TestSessionChurn:
             assert s.g.has_edge(u, v)
 
     def test_dict_vs_csr_backend_parity_under_churn(self):
-        from repro.graph.traversal import dijkstra
+        import dataclasses
 
-        sd = self._session("dict")
-        sc = self._session("csr")
-        ops = _random_ops(sd.g, random.Random(12), 30, "unit")
-        assert sd.apply_updates(ops) == sc.apply_updates(list(ops))
-        assert sorted(sd.g.weighted_edges()) == \
-            sorted(sc.g.weighted_edges())
-        assert sorted(sd.result.spanner.weighted_edges()) == \
+        from repro.graph.traversal import dijkstra
+        from tests import reference as ref
+
+        sc = self._session()
+        assert sc.churn_stats() is None
+        gd, hd = sc.g.copy(), sc.result.spanner.copy()
+        ops = _random_ops(gd, random.Random(12), 30, "unit")
+        assert ref.apply_updates(gd, hd, ops) == sc.apply_updates(list(ops))
+        assert sorted(gd.weighted_edges()) == sorted(sc.g.weighted_edges())
+        assert sorted(hd.weighted_edges()) == \
             sorted(sc.result.spanner.weighted_edges())
-        od, oc = sd.oracle(), sc.oracle()
+        od = ref.FaultTolerantDistanceOracle(
+            gd, 2, 1, prebuilt=dataclasses.replace(sc.result, spanner=hd)
+        )
+        oc = sc.oracle()
         rng = random.Random(13)
-        nodes = sorted(sd.g.nodes())
+        nodes = sorted(gd.nodes())
         for _ in range(10):
             u, v = rng.sample(nodes, 2)
-            want = dijkstra(sd.result.spanner, u, target=v).get(v, INFINITY)
+            want = dijkstra(hd, u, target=v).get(v, INFINITY)
             assert od.distance(u, v) == want
             assert oc.distance(u, v) == want
-        assert sd.churn_stats() is None
         assert sc.churn_stats() is not None
 
     def test_prebuilt_oracle_and_router_follow_churn(self):
-        s = self._session("csr")
+        s = self._session()
         oracle = s.oracle()
         router = s.router()
         oracle.distance(0, 29)       # warm the caches pre-churn
@@ -463,8 +468,10 @@ class TestCascadeFaultProcess:
             failures=4, guarantee=3.0, scenarios=6,
             pairs_per_scenario=6, seed=21, fault_process="cascade",
         )
-        assert availability_analysis(g, h, backend="dict", **kwargs) == \
-            availability_analysis(g, h, backend="csr", **kwargs)
+        from tests import reference as ref
+
+        assert ref.availability_analysis(g, h, **kwargs) == \
+            availability_analysis(g, h, **kwargs)
 
     def test_unknown_process_rejected(self):
         from repro.applications.availability import availability_analysis

@@ -264,39 +264,6 @@ class TestCertificates:
         assert result.edges_considered == small_gnp.num_edges
 
 
-class TestRepackScheduling:
-    def test_repack_every_produces_identical_result(self, small_gnp):
-        plain = fault_tolerant_spanner(small_gnp, 2, 2, backend="csr")
-        repacked = fault_tolerant_spanner(
-            small_gnp, 2, 2, backend="csr", repack_every=5
-        )
-        assert set(plain.spanner.edges()) == set(repacked.spanner.edges())
-        assert plain.certificates == repacked.certificates
-        assert plain.bfs_calls == repacked.bfs_calls
-        assert repacked.extra["repacks"] >= 1
-        assert "repacks" not in plain.extra
-
-    def test_repack_every_ignored_on_dict_backend(self, small_gnp):
-        result = fault_tolerant_spanner(
-            small_gnp, 2, 1, backend="dict", repack_every=5
-        )
-        assert "repacks" not in result.extra
-
-    def test_nonpositive_repack_every_rejected(self, small_gnp):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="repack_every"):
-                fault_tolerant_spanner(
-                    small_gnp, 2, 1, backend="csr", repack_every=bad
-                )
-
-    def test_repack_every_weighted_path(self, weighted_gnp_graph):
-        plain = fault_tolerant_spanner(weighted_gnp_graph, 2, 1, backend="csr")
-        repacked = fault_tolerant_spanner(
-            weighted_gnp_graph, 2, 1, backend="csr", repack_every=5
-        )
-        assert set(plain.spanner.edges()) == set(repacked.spanner.edges())
-
-
 class TestValidation:
     def test_bad_k(self, small_gnp):
         with pytest.raises(ValueError):
@@ -309,3 +276,20 @@ class TestValidation:
     def test_bad_fault_model(self, small_gnp):
         with pytest.raises(ValueError):
             fault_tolerant_spanner(small_gnp, 2, 1, fault_model="both")
+
+    def test_retired_repack_every_rejected(self, small_gnp):
+        # The periodic builder repack is gone: the keyword is an error,
+        # not a silently ignored no-op.
+        with pytest.raises(TypeError, match="repack_every"):
+            fault_tolerant_spanner(small_gnp, 2, 1, repack_every=5)
+        assert "repacks" not in fault_tolerant_spanner(
+            small_gnp, 2, 1
+        ).extra
+
+    def test_retired_repack_every_rejected_by_build_spanner(
+        self, small_gnp
+    ):
+        from repro.registry import UnsupportedOption, build_spanner
+
+        with pytest.raises(UnsupportedOption, match="repack_every"):
+            build_spanner(small_gnp, "greedy", k=2, f=1, repack_every=5)

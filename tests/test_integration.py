@@ -14,18 +14,15 @@ import pytest
 from repro import (
     FaultModel,
     bounds,
-    classic_greedy_spanner,
-    congest_baswana_sen,
-    dk_fault_tolerant_spanner,
-    exponential_greedy_spanner,
-    fault_tolerant_spanner,
     generators,
     graph_io,
-    local_ft_spanner,
     max_stretch,
     max_stretch_under_faults,
     verify_ft_spanner,
 )
+from repro.baselines import classic_greedy_spanner, dk_fault_tolerant_spanner
+from repro.core import exponential_greedy_spanner, fault_tolerant_spanner
+from repro.distributed import congest_baswana_sen, local_ft_spanner
 from repro.core.blocking import (
     blocking_set_from_certificates,
     extract_high_girth_subgraph,

@@ -201,7 +201,7 @@ class TestErrorIdentity:
     """Serving's except clauses must keep matching after the move."""
 
     def test_serving_errors_are_the_substrate_classes(self):
-        from repro.serving import errors as serving_errors
+        import repro.serving as serving_errors
         from repro.parallel import errors as parallel_errors
 
         for name in (
@@ -213,7 +213,7 @@ class TestErrorIdentity:
             ), name
 
     def test_serving_chaos_is_the_substrate_chaos(self):
-        from repro.serving import chaos as serving_chaos
+        import repro.serving as serving_chaos
         from repro.parallel import chaos as parallel_chaos
 
         assert serving_chaos.ChaosPolicy is parallel_chaos.ChaosPolicy

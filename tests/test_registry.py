@@ -1,11 +1,12 @@
 """The algorithm registry: specs, capability validation, dispatch parity.
 
 The acceptance bar for the registry is that ``build_spanner`` is a pure
-*router*: for every registered algorithm x supported fault model x
-supported backend, dispatching through the registry returns a spanner
-bit-identical to calling the legacy free function directly with the
-same arguments -- and everything a construction cannot honor raises a
-typed error instead of being silently dropped.
+*router*: for every registered algorithm x supported fault model,
+dispatching through the registry returns a spanner bit-identical to
+calling the legacy free function directly with the same arguments --
+and, for the constructions ``tests/reference/`` keeps a dict twin of,
+to that reference too -- and everything a construction cannot honor
+raises a typed error instead of being silently dropped.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from repro.baselines.thorup_zwick import thorup_zwick_spanner
 from repro.core.greedy_exact import exponential_greedy_spanner
 from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.core.incremental import incremental_spanner
-from repro.core.spanner import BACKENDS, FaultModel
+from repro.core.spanner import FaultModel
 from repro.distributed.congest_bs import congest_baswana_sen
 from repro.distributed.congest_ft import congest_ft_spanner
 from repro.distributed.local_spanner import local_ft_spanner
 from repro.graph import generators
+from tests import reference as ref
 from repro.registry import (
     UnknownAlgorithm,
     UnsupportedOption,
@@ -112,7 +114,9 @@ class TestCapabilityValidation:
             build_spanner(g, "greedy", k=2, f=1, seed=3)
 
     def test_backend_on_single_engine_algorithm(self, g):
-        with pytest.raises(UnsupportedOption, match="single engine"):
+        # Every construction is single-engine now: backend= is an
+        # unknown option everywhere.
+        with pytest.raises(UnsupportedOption, match="backend"):
             build_spanner(g, "dk", k=2, f=1, backend="csr")
 
     def test_f_on_non_fault_tolerant_algorithm(self, g):
@@ -180,11 +184,11 @@ class TestCapabilityValidation:
             build_spanner(g, "classic", k=2, fault_model="vertex")
 
     def test_invalid_backend_value_is_typed(self, g):
-        with pytest.raises(UnsupportedOption, match="unknown backend"):
+        with pytest.raises(UnsupportedOption, match="backend"):
             build_spanner(g, "greedy", k=2, f=1, backend="bogus")
 
     def test_unknown_extra_option(self, g):
-        with pytest.raises(UnsupportedOption, match="repack_every"):
+        with pytest.raises(UnsupportedOption, match="bogus_option"):
             build_spanner(g, "greedy", k=2, f=1, bogus_option=1)
 
     def test_extra_option_passthrough(self, g):
@@ -205,36 +209,52 @@ class TestCapabilityValidation:
 # --------------------------------------------------------------------- #
 
 # Legacy adapters: how a pre-registry caller would invoke each
-# construction for a given (f, fault_model, backend, seed) cell.
+# construction for a given (f, fault_model, seed) cell.
 _LEGACY = {
-    "greedy": lambda g, k, f, m, b, s: fault_tolerant_spanner(
-        g, k, f, fault_model=m, backend=b
+    "greedy": lambda g, k, f, m, s: fault_tolerant_spanner(
+        g, k, f, fault_model=m
     ),
-    "exact-greedy": lambda g, k, f, m, b, s: exponential_greedy_spanner(
-        g, k, f, fault_model=m, backend=b
+    "exact-greedy": lambda g, k, f, m, s: exponential_greedy_spanner(
+        g, k, f, fault_model=m
     ),
-    "classic": lambda g, k, f, m, b, s: classic_greedy_spanner(
-        g, k, backend=b
-    ),
-    "baswana-sen": lambda g, k, f, m, b, s: baswana_sen_spanner(g, k, seed=s),
-    "thorup-zwick": lambda g, k, f, m, b, s: thorup_zwick_spanner(
+    "classic": lambda g, k, f, m, s: classic_greedy_spanner(g, k),
+    "baswana-sen": lambda g, k, f, m, s: baswana_sen_spanner(g, k, seed=s),
+    "thorup-zwick": lambda g, k, f, m, s: thorup_zwick_spanner(
         g, k, seed=s
     ),
-    "dk": lambda g, k, f, m, b, s: dk_fault_tolerant_spanner(
+    "dk": lambda g, k, f, m, s: dk_fault_tolerant_spanner(
         g, k, f, seed=s, iterations=8
     ),
-    "clpr": lambda g, k, f, m, b, s: clpr_fault_tolerant_spanner(
+    "clpr": lambda g, k, f, m, s: clpr_fault_tolerant_spanner(
         g, k, f, seed=s
     ),
-    "local": lambda g, k, f, m, b, s: local_ft_spanner(
+    "local": lambda g, k, f, m, s: local_ft_spanner(
         g, k, f, fault_model=m, seed=s
     ),
-    "congest": lambda g, k, f, m, b, s: congest_ft_spanner(
+    "congest": lambda g, k, f, m, s: congest_ft_spanner(
         g, k, f, seed=s, iterations=8
     ),
-    "congest-bs": lambda g, k, f, m, b, s: congest_baswana_sen(g, k, seed=s),
-    "incremental": lambda g, k, f, m, b, s: incremental_spanner(
-        g, k, f, fault_model=m, backend=b
+    "congest-bs": lambda g, k, f, m, s: congest_baswana_sen(g, k, seed=s),
+    "incremental": lambda g, k, f, m, s: incremental_spanner(
+        g, k, f, fault_model=m
+    ),
+}
+
+# The dict twins in tests/reference/: the "dict" cells of the matrix
+# check registry dispatch against these instead of the free function.
+_REFERENCE = {
+    "greedy": lambda g, k, f, m, s: ref.fault_tolerant_spanner(
+        g, k, f, fault_model=m
+    ),
+    "exact-greedy": lambda g, k, f, m, s: ref.exponential_greedy_spanner(
+        g, k, f, fault_model=m
+    ),
+    "classic": lambda g, k, f, m, s: ref.classic_greedy_spanner(g, k),
+    "baswana-sen": lambda g, k, f, m, s: ref.baswana_sen_spanner(
+        g, k, seed=s
+    ),
+    "incremental": lambda g, k, f, m, s: ref.incremental_spanner(
+        g, k, f, fault_model=m
     ),
 }
 
@@ -244,15 +264,19 @@ _EXTRAS = {"dk": {"iterations": 8}, "congest": {"iterations": 8}}
 
 
 def _matrix_cells():
-    """One cell per algorithm x fault model x backend."""
+    """One cell per algorithm x fault model x oracle.
+
+    The oracle is ``"csr"`` (the free function) or ``"dict"`` (the
+    reference twin) for constructions with a reference, else ``None``.
+    """
     cells = []
     for name in algorithm_names():
         spec = get_algorithm(name)
         models = [m.value for m in spec.fault_models] or [None]
-        backends = list(BACKENDS) if spec.backend_aware else [None]
+        oracles = ["dict", "csr"] if name in _REFERENCE else [None]
         for model in models:
-            for backend in backends:
-                cells.append((name, model, backend))
+            for oracle in oracles:
+                cells.append((name, model, oracle))
     return cells
 
 
@@ -263,15 +287,16 @@ class TestDispatchParity:
             "matrix in this test module"
         )
 
-    @pytest.mark.parametrize("name,model,backend", _matrix_cells())
-    def test_registry_matches_legacy(self, g, name, model, backend):
+    @pytest.mark.parametrize("name,model,oracle", _matrix_cells())
+    def test_registry_matches_legacy(self, g, name, model, oracle):
         spec = get_algorithm(name)
         f = max(spec.min_f, 1) if spec.fault_tolerant else 0
         seed = SEED if spec.seedable else None
-        legacy = _LEGACY[name](g, 2, f, model, backend, SEED)
+        table = _REFERENCE if oracle == "dict" else _LEGACY
+        legacy = table[name](g, 2, f, model, SEED)
         via_registry = build_spanner(
             g, name, k=2, f=f, fault_model=model, seed=seed,
-            backend=backend, **_EXTRAS.get(name, {}),
+            **_EXTRAS.get(name, {}),
         )
         assert (
             sorted(via_registry.spanner.weighted_edges())
@@ -285,9 +310,9 @@ class TestDispatchParity:
         g = generators.ensure_connected(
             generators.weighted_gnp(16, 0.4, seed=3), seed=3
         )
-        for backend in BACKENDS:
-            r = build_spanner(g, "greedy", k=2, f=1, backend=backend)
-            direct = fault_tolerant_spanner(g, 2, 1, backend=backend)
+        r = build_spanner(g, "greedy", k=2, f=1)
+        for direct in (fault_tolerant_spanner(g, 2, 1),
+                       ref.fault_tolerant_spanner(g, 2, 1)):
             assert sorted(r.spanner.weighted_edges()) == sorted(
                 direct.spanner.weighted_edges()
             )

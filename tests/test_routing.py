@@ -155,10 +155,10 @@ class TestDisjointRoutes:
             assert fault not in route
 
     def test_backends_agree(self, mesh):
-        csr = SpannerRouter(mesh, k=2, f=1, backend="csr")
-        result = csr.construction
-        dict_ = SpannerRouter(mesh, k=2, f=1, backend="dict",
-                              prebuilt=result)
+        from tests import reference as ref
+
+        csr = SpannerRouter(mesh, k=2, f=1)
+        dict_ = ref.SpannerRouter(mesh, k=2, f=1, prebuilt=csr.construction)
         assert csr.disjoint_routes(0, 20) == dict_.disjoint_routes(0, 20)
 
     def test_insufficient_routes_raise(self):

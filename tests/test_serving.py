@@ -12,8 +12,8 @@ Three contracts:
    answers bit-identical to the in-process :class:`ScenarioSweep`, and
    application errors (faulted endpoints) surface exactly as the sweep
    raises them.
-3. **Wiring.**  ``SpannerSession.serve()`` shares the session snapshot
-   (CSR backend) or freezes exactly once (dict backend); the open-loop
+3. **Wiring.**  ``SpannerSession.serve()`` shares the session
+   snapshot and answers like the dict reference oracle; the open-loop
    load generator audits parity post-hoc; budget/degradation edges
    (``SweepBudgetExceeded`` progress fields, ``cache_size=0`` oracle
    batches under a deadline, clustered fault sampling) behave.
@@ -204,12 +204,19 @@ class TestHealthyServer:
 
 
 class TestSessionServe:
-    @pytest.mark.parametrize("backend", ["csr", "dict"])
-    def test_serve_matches_oracle(self, backend):
+    @pytest.mark.parametrize("oracle_kind", ["csr", "dict"])
+    def test_serve_matches_oracle(self, oracle_kind):
+        from tests import reference as ref
+
         g = generators.gnp_random_graph(40, 0.2, seed=0)
-        session = SpannerSession(g, k=2, f=1, backend=backend, seed=1)
-        session.build("greedy")
-        oracle = session.oracle()
+        session = SpannerSession(g, k=2, f=1, seed=1)
+        result = session.build("greedy")
+        if oracle_kind == "csr":
+            oracle = session.oracle()
+        else:
+            oracle = ref.FaultTolerantDistanceOracle(
+                g, 2, 1, prebuilt=result
+            )
         pairs = [(0, 7), (3, 9), (11, 20)]
         with session.serve() as server:
             got = server.distances(pairs, [5])
@@ -228,9 +235,9 @@ class TestSessionServe:
         with session.serve(config=ServingConfig(workers=2)) as server:
             assert server.config.workers == 2
 
-    def test_dict_backend_freezes_once_for_serving(self):
+    def test_serving_freezes_the_spanner_once(self):
         g = ring_graph(30)
-        session = SpannerSession(g, k=2, f=1, backend="dict")
+        session = SpannerSession(g, k=2, f=1)
         session.build("greedy")
         before = csr_freeze_count()
         session.serve().close()
@@ -318,17 +325,16 @@ class TestBudgetAndDegradationEdges:
                 assert got_i is None or got_i == want_i
 
     def test_clustered_sampler_dict_vs_csr_parity(self):
+        from tests import reference as ref
+
         g = generators.gnp_random_graph(40, 0.15, seed=5)
         h = SpannerSession(g, k=2, f=1, seed=0).build("greedy").spanner
-        reports = [
-            availability_analysis(
-                g, h, failures=4, guarantee=3.0, scenarios=8,
-                pairs_per_scenario=6, seed=123, backend=backend,
-                fault_process="clustered",
-            )
-            for backend in ("dict", "csr")
-        ]
-        assert reports[0] == reports[1]
+        kwargs = dict(
+            failures=4, guarantee=3.0, scenarios=8, pairs_per_scenario=6,
+            seed=123, fault_process="clustered",
+        )
+        assert ref.availability_analysis(g, h, **kwargs) == \
+            availability_analysis(g, h, **kwargs)
 
     def test_clustered_sampler_is_contagious(self):
         # On a long path, a clustered draw is one connected ball

@@ -29,8 +29,8 @@ from repro.serving import (
     ServingUnavailable,
     SpannerServer,
     run_load,
+    validate_directive,
 )
-from repro.serving.chaos import validate_directive
 
 
 def ring_graph(n=60, chords=(1, 2, 7), weight=1):

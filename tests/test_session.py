@@ -3,20 +3,20 @@
 The facade's contract has three parts:
 
 1. **One freeze per graph.**  A build -> verify -> oracle -> router ->
-   availability -> degradation workflow on the CSR backend freezes the
-   input graph once and the spanner once -- asserted here through the
-   substrate's ``csr_freeze_count`` instrumentation.
+   availability -> degradation workflow freezes the input graph once
+   and the spanner once -- asserted here through the substrate's
+   ``csr_freeze_count`` instrumentation.
 2. **Bit-identical answers.**  Everything the session returns equals
-   the corresponding free-function call (which in turn is
-   backend-parity-checked elsewhere).
-3. **Config precedence.**  backend= kwarg > REPRO_BACKEND env > default,
-   for both ``build_spanner`` and ``SpannerSession``; the deprecated
-   top-level entry points keep returning bit-identical results while
-   warning.
+   the corresponding free-function call and the dict reference in
+   ``tests/reference/``.
+3. **No hidden knobs.**  The retired ``backend=`` option is rejected,
+   and the per-algorithm functions live only in their defining
+   submodules (the top-level shims are gone).
 """
 
 from __future__ import annotations
 
+import importlib
 import warnings
 
 import pytest
@@ -27,13 +27,13 @@ from repro.applications import (
     availability_analysis,
     degradation_profile,
 )
-from repro.core.spanner import DEFAULT_BACKEND
 from repro.graph import generators
 from repro.graph import snapshot as snapshot_mod
 from repro.graph.snapshot import CSRSnapshot, DualCSRSnapshot
 from repro.registry import UnsupportedOption, build_spanner
 from repro.session import SpannerSession
 from repro.verification import verify_ft_spanner
+from tests import reference as ref
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def weighted_g():
 
 class TestOneFreezePerGraph:
     def test_full_workflow_freezes_each_graph_exactly_once(self, g):
-        session = SpannerSession(g, k=2, f=1, backend="csr", seed=0)
+        session = SpannerSession(g, k=2, f=1, seed=0)
         session.build("greedy")
         before = snapshot_mod.csr_freeze_count()
         session.verify(samples=40)
@@ -71,7 +71,7 @@ class TestOneFreezePerGraph:
         assert snapshot_mod.csr_freeze_count() - before == 2
 
     def test_query_only_session_freezes_just_the_spanner(self, g):
-        session = SpannerSession(g, k=2, f=1, backend="csr")
+        session = SpannerSession(g, k=2, f=1)
         session.build("greedy")
         before = snapshot_mod.csr_freeze_count()
         session.oracle()
@@ -86,19 +86,19 @@ class TestOneFreezePerGraph:
         result = build_spanner(g, "greedy", k=2, f=1)
         h = result.spanner
         before = snapshot_mod.csr_freeze_count()
-        verify_ft_spanner(g, h, t=3, f=1, backend="csr")
+        verify_ft_spanner(g, h, t=3, f=1)
         oracle = FaultTolerantDistanceOracle(
-            g, 2, 1, prebuilt=result, backend="csr"
+            g, 2, 1, prebuilt=result
         )
         oracle.distances([(0, 5)], faults=[3])
         availability_analysis(
             g, h, failures=1, guarantee=3, scenarios=3,
-            pairs_per_scenario=4, seed=0, backend="csr",
+            pairs_per_scenario=4, seed=0,
         )
         assert snapshot_mod.csr_freeze_count() - before >= 5
 
     def test_rebuild_invalidates_spanner_snapshot_keeps_graph(self, g):
-        session = SpannerSession(g, k=2, f=1, backend="csr", seed=0)
+        session = SpannerSession(g, k=2, f=1, seed=0)
         session.build("greedy")
         session.verify(samples=10)  # freezes G + H
         before = snapshot_mod.csr_freeze_count()
@@ -113,22 +113,13 @@ class TestOneFreezePerGraph:
         before = snapshot_mod.csr_freeze_count()
         degradation_profile(
             g, h, guarantee=3, max_failures=3, scenarios=3,
-            pairs_per_scenario=4, seed=1, backend="csr",
+            pairs_per_scenario=4, seed=1,
         )
         assert snapshot_mod.csr_freeze_count() - before == 2
 
-    def test_dict_backend_never_freezes(self, g):
-        session = SpannerSession(g, k=2, f=1, backend="dict", seed=0)
-        session.build("greedy")
-        before = snapshot_mod.csr_freeze_count()
-        session.verify(samples=20)
-        session.oracle().distance(0, 4, faults=[2])
-        session.availability(scenarios=3, pairs_per_scenario=4)
-        assert snapshot_mod.csr_freeze_count() == before
-
 
 # --------------------------------------------------------------------- #
-# Answers match the free functions (and hence both backends)
+# Answers match the free functions and the dict reference
 # --------------------------------------------------------------------- #
 
 
@@ -177,20 +168,29 @@ class TestSessionParity:
         ) == free
 
     def test_dict_and_csr_sessions_agree(self, weighted_g):
-        reports = {}
-        for backend in ("dict", "csr"):
-            session = SpannerSession(
-                weighted_g, k=2, f=1, backend=backend, seed=4
-            )
-            result = session.build("greedy")
-            oracle = session.oracle()
-            reports[backend] = (
-                sorted(result.spanner.weighted_edges()),
-                session.verify(samples=25),
-                oracle.distances([(0, 7), (2, 13)], faults=[5]),
-                session.availability(scenarios=4, pairs_per_scenario=5),
-            )
-        assert reports["dict"] == reports["csr"]
+        session = SpannerSession(weighted_g, k=2, f=1, seed=4)
+        result = session.build("greedy")
+        got = (
+            sorted(result.spanner.weighted_edges()),
+            session.verify(samples=25),
+            session.oracle().distances([(0, 7), (2, 13)], faults=[5]),
+            session.availability(scenarios=4, pairs_per_scenario=5),
+        )
+        expected = ref.fault_tolerant_spanner(weighted_g, 2, 1)
+        h = expected.spanner
+        oracle = ref.FaultTolerantDistanceOracle(
+            weighted_g, 2, 1, prebuilt=expected
+        )
+        want = (
+            sorted(h.weighted_edges()),
+            ref.verify_ft_spanner(weighted_g, h, 3, 1, samples=25, seed=4),
+            oracle.distances([(0, 7), (2, 13)], faults=[5]),
+            ref.availability_analysis(
+                weighted_g, h, failures=1, guarantee=3, scenarios=4,
+                pairs_per_scenario=5, seed=4,
+            ),
+        )
+        assert got == want
 
     def test_session_routes_capability_errors(self, g):
         session = SpannerSession(g, k=2, f=1)
@@ -242,26 +242,15 @@ class TestSessionParity:
 
 
 class TestSnapshotArguments:
-    def test_snapshot_requires_csr_backend(self, g):
-        h = build_spanner(g, "greedy", k=2, f=1).spanner
-        dual = DualCSRSnapshot(g, h)
-        with pytest.raises(ValueError, match="csr backend"):
-            verify_ft_spanner(g, h, t=3, f=1, backend="dict", snapshot=dual)
-        with pytest.raises(ValueError, match="csr backend"):
-            availability_analysis(
-                g, h, failures=1, guarantee=3, scenarios=2,
-                pairs_per_scenario=3, backend="dict", snapshot=dual,
-            )
-
     def test_snapshot_must_freeze_the_right_graphs(self, g):
         result = build_spanner(g, "greedy", k=2, f=1)
         h = result.spanner
         wrong = DualCSRSnapshot(h, h)
         with pytest.raises(ValueError, match="does not freeze"):
-            verify_ft_spanner(g, h, t=3, f=1, backend="csr", snapshot=wrong)
+            verify_ft_spanner(g, h, t=3, f=1, snapshot=wrong)
         with pytest.raises(ValueError, match="oracle's spanner"):
             FaultTolerantDistanceOracle(
-                g, 2, 1, prebuilt=result, backend="csr",
+                g, 2, 1, prebuilt=result,
                 snapshot=CSRSnapshot(g),
             )
 
@@ -288,78 +277,89 @@ class TestSnapshotArguments:
 
 
 # --------------------------------------------------------------------- #
-# Config precedence: kwarg > CLI flag (tested in test_cli) > env > default
+# No hidden knobs: retired options fail loudly, retired shims are gone
 # --------------------------------------------------------------------- #
 
 
-class TestConfigPrecedence:
-    def test_explicit_kwarg_beats_env_for_build_spanner(self, g, monkeypatch):
+class TestRetiredOptions:
+    def test_backend_rejected_by_build_spanner_and_session(self, g):
+        with pytest.raises(UnsupportedOption, match="backend"):
+            build_spanner(g, "greedy", k=2, f=1, backend="dict")
+        with pytest.raises(UnsupportedOption, match="backend"):
+            SpannerSession(g, k=2, f=1).build("greedy", backend="csr")
+        with pytest.raises(TypeError):
+            SpannerSession(g, k=2, f=1, backend="dict")
+
+    def test_backend_environment_variable_is_not_consulted(
+        self, g, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        # kwarg wins: the bogus env value is never consulted.
-        r = build_spanner(g, "greedy", k=2, f=1, backend="csr")
-        assert r.num_edges > 0
-        # No kwarg: the env value is consulted and rejected.
-        with pytest.raises(ValueError, match="unknown backend"):
-            build_spanner(g, "greedy", k=2, f=1)
+        session = SpannerSession(g, k=2, f=1)
+        assert session.build("greedy").num_edges > 0
 
-    def test_env_beats_default_for_build_spanner(self, g, monkeypatch):
+    def test_backend_environment_variable_is_not_consulted_by_build_spanner(
+        self, g, monkeypatch
+    ):
+        expected = ref.fault_tolerant_spanner(g, 2, 1)
         monkeypatch.setenv("REPRO_BACKEND", "dict")
-        assert build_spanner(g, "greedy", k=2, f=1).num_edges > 0
-
-    def test_explicit_kwarg_beats_env_for_session(self, g, monkeypatch):
+        result = build_spanner(g, "greedy", k=2, f=1)
+        assert set(result.spanner.edges()) == set(expected.spanner.edges())
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        session = SpannerSession(g, k=2, f=1, backend="dict")
-        assert session.backend == "dict"
-        # Resolution is eager: a session without the kwarg fails fast.
-        with pytest.raises(ValueError, match="unknown backend"):
-            SpannerSession(g, k=2, f=1)
-
-    def test_env_beats_default_for_session(self, g, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "dict")
-        assert SpannerSession(g).backend == "dict"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert SpannerSession(g).backend == DEFAULT_BACKEND
+        assert build_spanner(g, "greedy", k=2, f=1).num_edges == \
+            result.num_edges
 
 
-# --------------------------------------------------------------------- #
-# Deprecation shims: old entry points warn but stay bit-identical
-# --------------------------------------------------------------------- #
-
-_SHIM_CASES = [
-    ("fault_tolerant_spanner", (2, 1), {}, "greedy",
-     dict(k=2, f=1)),
-    ("exponential_greedy_spanner", (2, 1), {}, "exact-greedy",
-     dict(k=2, f=1)),
-    ("classic_greedy_spanner", (2,), {}, "classic", dict(k=2)),
-    ("thorup_zwick_spanner", (2,), {"seed": 0}, "thorup-zwick",
-     dict(k=2, seed=0)),
-    ("baswana_sen_spanner", (2,), {"seed": 0}, "baswana-sen",
-     dict(k=2, seed=0)),
-    ("dk_fault_tolerant_spanner", (2, 1), {"seed": 0, "iterations": 6},
-     "dk", dict(k=2, f=1, seed=0, iterations=6)),
-    ("clpr_fault_tolerant_spanner", (2, 1), {"seed": 0}, "clpr",
-     dict(k=2, f=1, seed=0)),
-    ("local_ft_spanner", (2, 1), {"seed": 0}, "local",
-     dict(k=2, f=1, seed=0)),
-    ("congest_baswana_sen", (2,), {"seed": 0}, "congest-bs",
-     dict(k=2, seed=0)),
-    ("congest_ft_spanner", (2, 1), {"seed": 0, "iterations": 6},
-     "congest", dict(k=2, f=1, seed=0, iterations=6)),
+# Each retired top-level name, the submodule that defines it, and the
+# registry request that must build the identical spanner.
+_CANONICAL_CASES = [
+    ("fault_tolerant_spanner", "repro.core.greedy_modified", (2, 1), {},
+     "greedy", dict(k=2, f=1)),
+    ("exponential_greedy_spanner", "repro.core.greedy_exact", (2, 1), {},
+     "exact-greedy", dict(k=2, f=1)),
+    ("classic_greedy_spanner", "repro.baselines", (2,), {}, "classic",
+     dict(k=2)),
+    ("thorup_zwick_spanner", "repro.baselines", (2,), {"seed": 0},
+     "thorup-zwick", dict(k=2, seed=0)),
+    ("baswana_sen_spanner", "repro.baselines", (2,), {"seed": 0},
+     "baswana-sen", dict(k=2, seed=0)),
+    ("dk_fault_tolerant_spanner", "repro.baselines", (2, 1),
+     {"seed": 0, "iterations": 6}, "dk",
+     dict(k=2, f=1, seed=0, iterations=6)),
+    ("clpr_fault_tolerant_spanner", "repro.baselines", (2, 1),
+     {"seed": 0}, "clpr", dict(k=2, f=1, seed=0)),
+    ("local_ft_spanner", "repro.distributed", (2, 1), {"seed": 0},
+     "local", dict(k=2, f=1, seed=0)),
+    ("congest_baswana_sen", "repro.distributed", (2,), {"seed": 0},
+     "congest-bs", dict(k=2, seed=0)),
+    ("congest_ft_spanner", "repro.distributed", (2, 1),
+     {"seed": 0, "iterations": 6}, "congest",
+     dict(k=2, f=1, seed=0, iterations=6)),
 ]
 
 
 class TestDeprecationShims:
+    """The deprecated top-level per-algorithm shims are gone; the
+    canonical homes are the defining submodules and the registry."""
+
+    def test_top_level_shims_are_gone(self):
+        for name, *_ in _CANONICAL_CASES:
+            assert not hasattr(repro, name)
+            assert name not in repro.__all__
+
     @pytest.mark.parametrize(
-        "legacy_name,args,kwargs,algorithm,registry_kwargs", _SHIM_CASES
+        "name,module,args,kwargs,algorithm,registry_kwargs",
+        _CANONICAL_CASES,
+        ids=[case[0] for case in _CANONICAL_CASES],
     )
-    def test_shim_warns_and_matches_registry(
-        self, g, legacy_name, args, kwargs, algorithm, registry_kwargs
+    def test_canonical_home_matches_registry(
+        self, g, name, module, args, kwargs, algorithm, registry_kwargs
     ):
-        legacy_fn = getattr(repro, legacy_name)
-        with pytest.warns(DeprecationWarning, match=legacy_name):
-            legacy = legacy_fn(g, *args, **kwargs)
+        fn = getattr(importlib.import_module(module), name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            direct = fn(g, *args, **kwargs)
         via_registry = build_spanner(g, algorithm, **registry_kwargs)
-        assert sorted(legacy.spanner.weighted_edges()) == sorted(
+        assert sorted(direct.spanner.weighted_edges()) == sorted(
             via_registry.spanner.weighted_edges()
         )
 
@@ -392,7 +392,7 @@ class TestSearchConfig:
         results = {}
         for search in ("heap", "bucket", "bidir"):
             session = SpannerSession(
-                ig, k=2, f=1, backend="csr", seed=0, search=search
+                ig, k=2, f=1, seed=0, search=search
             )
             session.build("greedy")
             before = snapshot_mod.csr_freeze_count()
@@ -424,12 +424,3 @@ class TestSearchConfig:
     def test_search_default_is_auto(self, g):
         assert SpannerSession(g).search == "auto"
         assert SpannerSession(g, search=None).search == "auto"
-
-    def test_dict_backend_accepts_and_ignores_engine(self, ig):
-        a = SpannerSession(ig, k=2, f=1, backend="dict", seed=0,
-                           search="bucket")
-        b = SpannerSession(ig, k=2, f=1, backend="dict", seed=0)
-        ra = a.build("greedy")
-        rb = b.build("greedy")
-        assert sorted(ra.spanner.edges()) == sorted(rb.spanner.edges())
-        assert a.verify(samples=20) == b.verify(samples=20)

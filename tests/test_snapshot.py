@@ -84,7 +84,7 @@ class TestScenarioSweepParity:
                 assert sweep.path(u, v) == shortest_path(view, u, v)
 
     def test_parents_toward(self, weighted):
-        from repro.applications.routing import _dijkstra_parents
+        from tests.reference import dijkstra_parents as _dijkstra_parents
 
         g = _graph(weighted)
         sweep = ScenarioSweep(g)

@@ -5,8 +5,9 @@ every graph where the exhaustive sweep is feasible, witness mode has to
 return the same ok/fail answer (the witness path is sound per pair and
 falls back to the exact per-pair sweep when no certificate is found, so
 any divergence is a bug, not a modelling choice).  The agreement matrix
-here covers both fault models, both backends, f in {1, 2}, unit and
-weighted inputs -- and any disagreement fails with the offending
+here covers both fault models, f in {1, 2}, unit and weighted inputs,
+and sweeps from both the production path and the dict reference in
+``tests/reference/`` -- and any disagreement fails with the offending
 configuration spelled out in the assertion message.
 
 The second half checks the certificates themselves: a disjoint-path
@@ -27,9 +28,12 @@ from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.graph import generators
 from repro.graph.graph import Graph, edge_key
 from repro.verification import disjoint_paths, verify_ft_spanner
+from tests import reference as ref
 
 MODELS = ["vertex", "edge"]
-BACKENDS = ["csr", "dict"]
+#: Which sweep the witness verdict is checked against: the production
+#: CSR sweep or the dict reference sweep.
+SWEEPS = {"csr": verify_ft_spanner, "dict": ref.verify_ft_spanner}
 
 
 def small_graphs():
@@ -51,19 +55,18 @@ def small_graphs():
     ]
 
 
-def assert_reports_agree(name, g, h, t, f, model, backend):
-    sweep = verify_ft_spanner(
-        g, h, t=t, f=f, fault_model=model, backend=backend,
-        exhaustive_budget=200_000,
+def assert_reports_agree(name, g, h, t, f, model, sweep_impl):
+    sweep = SWEEPS[sweep_impl](
+        g, h, t=t, f=f, fault_model=model, exhaustive_budget=200_000,
     )
     witness = verify_ft_spanner(
-        g, h, t=t, f=f, fault_model=model, backend=backend,
-        exhaustive_budget=200_000, mode="witness",
+        g, h, t=t, f=f, fault_model=model, exhaustive_budget=200_000,
+        mode="witness",
     )
     assert sweep.exhaustive, f"{name}: matrix graph too big to sweep"
     assert witness.ok == sweep.ok, (
         f"witness disagrees with exhaustive sweep on {name} "
-        f"(f={f}, model={model}, backend={backend}): "
+        f"(f={f}, model={model}, sweep={sweep_impl}): "
         f"sweep={'OK' if sweep.ok else sweep.counterexample}, "
         f"witness={'OK' if witness.ok else witness.counterexample}"
     )
@@ -76,25 +79,25 @@ class TestAgreementMatrix:
     @pytest.mark.parametrize("name,g", small_graphs())
     @pytest.mark.parametrize("f", [1, 2])
     @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_correct_spanners_agree(self, name, g, f, model, backend):
+    @pytest.mark.parametrize("sweep_impl", list(SWEEPS))
+    def test_correct_spanners_agree(self, name, g, f, model, sweep_impl):
         k = 2
         result = fault_tolerant_spanner(g, k, f, fault_model=model)
         assert_reports_agree(
-            name, g, result.spanner, 2 * k - 1, f, model, backend
+            name, g, result.spanner, 2 * k - 1, f, model, sweep_impl
         )
 
     @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sweep_impl", list(SWEEPS))
     @pytest.mark.parametrize("f", [1, 2])
-    def test_planted_violations_agree(self, model, backend, f):
+    def test_planted_violations_agree(self, model, sweep_impl, f):
         # C8 minus an edge is not an f-FT 5-spanner of C8 for f >= 1:
         # both modes must reject it, with matching verdicts.
         g = generators.cycle_graph(8)
         h = g.copy()
         h.remove_edge(0, 1)
         witness = assert_reports_agree(
-            "cycle8-minus-edge", g, h, 5, f, model, backend
+            "cycle8-minus-edge", g, h, 5, f, model, sweep_impl
         )
         assert not witness.ok
         assert witness.counterexample is not None
