@@ -15,21 +15,20 @@ trajectory:
 * ``oracle_batch_weighted`` -- the same pattern on a weighted spanner
   (CSR Dijkstra instead of the BFS fast path).
 * ``weighted_oracle_bucket`` -- the weighted pattern on an *integral*-
-  weighted spanner with ``search="bucket"``: every cache-missed
-  single-source run is a Dial bucket-queue sweep instead of a binary
-  heap (identical answers; the weighted-engine satellite of the
-  snapshot substrate).
-* ``oracle_batch_multi`` -- the unit monitoring pattern with
-  ``search="batch"``: the CSR side answers each scenario's query batch
-  with the multi-source frontier kernels (one SSSP per *distinct*
-  source, many roots per frontier pass, numpy planes when available)
-  against the dict side's per-query ``distance()`` loop.
+  weighted spanner, where the engine policy makes every cache-missed
+  single-source run a Dial bucket-queue sweep instead of a binary heap
+  (identical answers).
+* ``oracle_batch_multi`` -- the unit monitoring pattern on larger
+  instances: the CSR side answers each scenario's query batch with the
+  multi-source frontier kernels (one SSSP per *distinct* source, many
+  roots per frontier pass, numpy planes when available) against the
+  dict side's per-query ``distance()`` loop.
 * ``routing_tables`` -- per-fault-scenario next-hop table builds for
   many destinations (destination-rooted trees on the faulted spanner).
 * ``routing_tables_multi`` -- the same table builds through the batched
-  ``tables()`` API with ``search="batch"``: all destination-rooted
-  trees of a scenario ride one multi-source pass, vs the dict side's
-  one ``table()`` call per destination.
+  ``tables()`` API: all destination-rooted trees of a scenario ride one
+  multi-source pass, vs the dict side's one ``table()`` call per
+  destination.
 * ``availability_sweep`` -- Monte-Carlo availability analysis of a
   weighted spanner (paired distance probes over sampled scenarios).
 
@@ -170,8 +169,7 @@ def _surviving_pairs(nodes, scenarios, count, rng):
     return [tuple(rng.sample(pool, 2)) for _ in range(count)]
 
 
-def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights,
-                       search=None):
+def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights):
     rows = []
     for n, p in instances:
         g = _instance(n, p, weights)
@@ -185,7 +183,7 @@ def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights,
             # A fresh oracle per run so the timing covers real cache
             # misses (and, for CSR, the one-off snapshot build).
             if csr:
-                session = SpannerSession(g, k=K, f=F, search=search)
+                session = SpannerSession(g, k=K, f=F)
                 session.adopt(prebuilt)
                 oracle = session.oracle(cache_size=2 * n)
             else:
@@ -210,21 +208,20 @@ def bench_oracle_batch(instances, repeats, pairs_per_scenario, weights,
             "scenarios": len(scenarios),
             "pairs_per_scenario": len(pairs),
         }, t_dict, t_csr, a_dict == a_csr))
-    engine = f", search='{search}'" if search else ""
     return {
         "description": (
             f"FaultTolerantDistanceOracle, {weights}-weight spanner: "
-            f"batched distances() on one CSR snapshot{engine} vs "
+            f"batched distances() on one CSR snapshot vs "
             f"per-query dict distance()"
         ),
         "parameters": {"k": K, "f": F, "fault_model": "vertex",
-                       "search": search or "auto"},
+                       "weights": weights},
         "instances": rows,
     }
 
 
 def bench_routing_tables(instances, repeats, dests_per_scenario,
-                         batch=False, search=None):
+                         batch=False):
     rows = []
     for n, p in instances:
         g = _instance(n, p, weights="unit")
@@ -239,7 +236,7 @@ def bench_routing_tables(instances, repeats, dests_per_scenario,
 
         def run(csr, use_batch):
             if csr:
-                session = SpannerSession(g, k=K, f=F, search=search)
+                session = SpannerSession(g, k=K, f=F)
                 session.adopt(prebuilt)
                 router = session.router()
             else:
@@ -266,13 +263,12 @@ def bench_routing_tables(instances, repeats, dests_per_scenario,
             "destinations": len(dests),
         }, t_dict, t_csr, tables_dict == tables_csr))
     api = "batched tables()" if batch else "per-destination table()"
-    engine = f", search='{search}'" if search else ""
     return {
         "description": f"SpannerRouter: per-scenario next-hop table builds "
                        f"(destination-rooted trees on the faulted spanner; "
-                       f"csr side uses {api}{engine})",
+                       f"csr side uses {api})",
         "parameters": {"k": K, "f": F, "fault_model": "vertex",
-                       "search": search or "auto"},
+                       "weights": "unit"},
         "instances": rows,
     }
 
@@ -323,15 +319,15 @@ def run(repeats: int = 3, quick: bool = False, only: str = None):
                 weights="float")),
             ("weighted_oracle_bucket", lambda: bench_oracle_batch(
                 QUICK_ORACLE_BUCKET, repeats, QUICK_ORACLE_PAIRS,
-                weights="int", search="bucket")),
+                weights="int")),
             ("oracle_batch_multi", lambda: bench_oracle_batch(
                 QUICK_ORACLE_MULTI, repeats, QUICK_ORACLE_PAIRS,
-                weights="unit", search="batch")),
+                weights="unit")),
             ("routing_tables", lambda: bench_routing_tables(
                 QUICK_ROUTING, repeats, QUICK_ROUTING_DESTS)),
             ("routing_tables_multi", lambda: bench_routing_tables(
                 QUICK_ROUTING_MULTI, repeats, QUICK_ROUTING_DESTS,
-                batch=True, search="batch")),
+                batch=True)),
             ("availability_sweep", lambda: bench_availability(
                 QUICK_AVAILABILITY, repeats, QUICK_AVAIL_SCENARIOS,
                 QUICK_AVAIL_PAIRS)),
@@ -345,15 +341,15 @@ def run(repeats: int = 3, quick: bool = False, only: str = None):
                 weights="float")),
             ("weighted_oracle_bucket", lambda: bench_oracle_batch(
                 ORACLE_BUCKET_INSTANCES, repeats, ORACLE_PAIRS,
-                weights="int", search="bucket")),
+                weights="int")),
             ("oracle_batch_multi", lambda: bench_oracle_batch(
                 ORACLE_MULTI_INSTANCES, max(repeats, 3), ORACLE_PAIRS,
-                weights="unit", search="batch")),
+                weights="unit")),
             ("routing_tables", lambda: bench_routing_tables(
                 ROUTING_INSTANCES, repeats, ROUTING_DESTS)),
             ("routing_tables_multi", lambda: bench_routing_tables(
                 ROUTING_MULTI_INSTANCES, max(repeats, 3), ROUTING_MULTI_DESTS,
-                batch=True, search="batch")),
+                batch=True)),
             ("availability_sweep", lambda: bench_availability(
                 AVAILABILITY_INSTANCES, repeats, AVAIL_SCENARIOS,
                 AVAIL_PAIRS)),

@@ -14,11 +14,10 @@ performance trajectory:
   instance (the branch-and-bound Dijkstra search).
 * ``verification_sweep`` -- exhaustive ``verify_ft_spanner`` of a
   weighted spanner (one Dijkstra per surviving edge per fault set).
-* ``verify_bidir`` -- the same sweep on an *integral*-weighted instance
-  with ``search="bidir"`` on the CSR side: every probe is a
-  bidirectional Dijkstra meeting in the middle instead of a full
-  forward search (identical report; the weighted-engine satellite of
-  the snapshot substrate).
+* ``verify_bidir`` -- the same sweep on an *integral*-weighted instance,
+  where the engine policy probes with bidirectional Dijkstra on the CSR
+  side: every probe meets in the middle instead of running a full
+  forward search (identical report).
 
 The CSR side of every scenario drives the unified public API
 (``build_spanner`` / ``SpannerSession``), so this doubles as an
@@ -216,7 +215,7 @@ def bench_verification(instances, repeats):
 
 
 def bench_verify_bidir(instances, repeats):
-    """Exhaustive verification on integral weights, bidir vs reference."""
+    """Exhaustive verification on integral weights (bidir probes)."""
     rows = []
     f = 1
     t = 2 * K - 1
@@ -231,7 +230,7 @@ def bench_verify_bidir(instances, repeats):
         def run():
             # A fresh session per run so the timing covers the CSR
             # freeze, exactly like the pre-session per-call behavior.
-            session = SpannerSession(g, k=K, f=f, search="bidir")
+            session = SpannerSession(g, k=K, f=f)
             session.adopt(prebuilt)
             return session.verify(t=t)
 
@@ -251,10 +250,10 @@ def bench_verify_bidir(instances, repeats):
         }, t_dict, t_csr, identical))
     return {
         "description": "verify_ft_spanner, integral weights, exhaustive "
-                       "(csr probes with search='bidir'; identical "
-                       "report)",
+                       "(the int-weight policy probes with bidirectional "
+                       "Dijkstra; identical report)",
         "parameters": {"t": t, "f": f, "fault_model": "vertex",
-                       "search": "bidir"},
+                       "weights": "int"},
         "instances": rows,
     }
 

@@ -2,7 +2,7 @@
 """Quickstart: build and verify a fault-tolerant spanner in ~20 lines.
 
 One `SpannerSession` carries the whole workflow: the session holds the
-graph, the parameters (k, f, fault model, search engine, seed), and one
+graph, the parameters (k, f, fault model, seed), and one
 frozen CSR snapshot per graph that the build check, verification sweep,
 and any later oracle/router all share.
 

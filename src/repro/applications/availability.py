@@ -20,10 +20,9 @@ space; each sampled scenario is an O(|F|) re-stamp of the shared vertex
 mask, and each distance probe is an early-exit flat-array search
 (hop-bounded BFS on unit inputs, truncated CSR Dijkstra otherwise)
 through one preallocated workspace -- the same snapshot-and-sweep
-discipline as the verification layer.  On all-unit inputs (or under
-``search="batch"`` on any integral weights) each scenario's sampled
-pairs are answered by **one** multi-source batch sweep per side instead
-of paired per-pair probes.
+discipline as the verification layer.  On all-unit inputs each
+scenario's sampled pairs are answered by **one** multi-source BFS sweep
+per side instead of paired per-pair probes.
 
 The dict reference in ``tests/reference/`` drives the same sampling
 loop with lazy ``VertexFaultView`` probes; it draws the identical random
@@ -41,11 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph, Node
-from repro.graph.snapshot import (
-    DualCSRSnapshot,
-    validate_search,
-    weighted_pair_engine,
-)
+from repro.graph.snapshot import DualCSRSnapshot, weighted_pair_engine
 from repro.graph.traversal import (
     BFSWorkspace,
     DijkstraWorkspace,
@@ -216,7 +211,7 @@ class _AvailabilityProbes:
 
     __slots__ = (
         "snap", "ws", "unit", "eng_g", "eng_h", "mw_g", "mw_h", "index",
-        "can_batch", "batch_eng_g", "batch_eng_h", "mws", "_pg", "_ph",
+        "mws", "_pg", "_ph",
     )
 
     def __init__(
@@ -224,7 +219,6 @@ class _AvailabilityProbes:
         g: Graph,
         h: Graph,
         snapshot: Optional[DualCSRSnapshot] = None,
-        search: Optional[str] = None,
     ) -> None:
         if snapshot is None:
             snapshot = DualCSRSnapshot(g, h)
@@ -233,37 +227,19 @@ class _AvailabilityProbes:
                 "snapshot does not freeze this (graph, spanner) pair"
             )
         self.snap = snapshot
-        s = validate_search(
-            search, snapshot.snap_g.profile, snapshot.snap_h.profile
-        )
-        # The hop-BFS fast path serves auto-resolved unit inputs; an
-        # explicit engine choice replaces it so every engine cell of
-        # the parity matrix genuinely runs its engine.
-        self.unit = (
-            s == "auto" and snapshot.snap_g.unit and snapshot.snap_h.unit
-        )
-        self.eng_g = weighted_pair_engine(s, snapshot.snap_g.profile)
-        self.eng_h = weighted_pair_engine(s, snapshot.snap_h.profile)
+        # All-unit inputs probe with hop-BFS, and batch each scenario's
+        # probes into one multi-source BFS per side (the multi-BFS
+        # reads the same hop counts the bounded per-pair BFS would).
+        # Everything else keeps the early-exit weighted per-pair probes.
+        self.unit = snapshot.snap_g.unit and snapshot.snap_h.unit
+        self.eng_g = weighted_pair_engine(snapshot.snap_g.profile)
+        self.eng_h = weighted_pair_engine(snapshot.snap_h.profile)
         self.mw_g = snapshot.snap_g.max_weight
         self.mw_h = snapshot.snap_h.max_weight
         self.index = snapshot.indexer.index
-        # Batch plane: an explicit search="batch" submits each
-        # scenario's probes as one multi-source sweep per side (BFS
-        # planes on unit sides, the shared Dial sweep on integral ones
-        # -- validate_search has already rejected float inputs for
-        # "batch").  Auto-resolved all-unit inputs batch too: the
-        # multi-BFS reads the same hop counts the bounded per-pair BFS
-        # would.  Everything else keeps the early-exit per-pair probes.
-        if s == "batch":
-            self.can_batch = True
-            self.batch_eng_g = "bfs" if snapshot.snap_g.unit else "bucket"
-            self.batch_eng_h = "bfs" if snapshot.snap_h.unit else "bucket"
-        else:
-            self.can_batch = self.unit
-            self.batch_eng_g = self.batch_eng_h = "bfs"
         n = len(snapshot.indexer)
         self.ws = BFSWorkspace(n) if self.unit else DijkstraWorkspace(n)
-        self.mws = MultiSourceWorkspace() if self.can_batch else None
+        self.mws = MultiSourceWorkspace() if self.unit else None
         self._pg: Dict[Tuple[Node, Node], float] = {}
         self._ph: Dict[Tuple[Node, Node], float] = {}
 
@@ -274,7 +250,7 @@ class _AvailabilityProbes:
     def prefetch(self, pairs: Sequence[Tuple[Node, Node]]) -> None:
         """Answer a scenario's pair probes in one batched pass per side.
 
-        No-op unless the batch plane applies; otherwise the graph
+        No-op unless both sides are unit-weighted; otherwise the graph
         side sweeps every sampled pair grouped by source, and the
         spanner side sweeps only the pairs the sampling loop will
         actually re-ask (finite, nonzero graph distance) -- exactly
@@ -282,14 +258,13 @@ class _AvailabilityProbes:
         """
         self._pg.clear()
         self._ph.clear()
-        if not self.can_batch or not pairs:
+        if not self.unit or not pairs:
             return
         index = self.index
         ipairs = [(index(u), index(v)) for u, v in pairs]
         dg = csr_multi_pair_distances(
             self.snap.csr_g, ipairs, workspace=self.mws,
-            vertex_mask=self.snap.vmask, engine=self.batch_eng_g,
-            max_weight=self.mw_g,
+            vertex_mask=self.snap.vmask,
         )
         pg = self._pg
         for pair, d in zip(pairs, dg):
@@ -303,8 +278,7 @@ class _AvailabilityProbes:
             return
         dh = csr_multi_pair_distances(
             self.snap.csr_h, [ip for _, ip in need], workspace=self.mws,
-            vertex_mask=self.snap.vmask, engine=self.batch_eng_h,
-            max_weight=self.mw_h,
+            vertex_mask=self.snap.vmask,
         )
         ph = self._ph
         for (pair, _), d in zip(need, dh):
@@ -346,7 +320,6 @@ def availability_analysis(
     pairs_per_scenario: int = 30,
     seed: Optional[int] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
-    search: Optional[str] = None,
     fault_process: str = "independent",
 ) -> AvailabilityReport:
     """Sample ``scenarios`` random sets of exactly ``failures`` nodes.
@@ -358,8 +331,7 @@ def availability_analysis(
     :class:`~repro.graph.snapshot.DualCSRSnapshot` of (g, spanner) --
     e.g. from :func:`degradation_profile` or a
     :class:`repro.session.SpannerSession` -- so the probes re-stamp it
-    instead of freezing their own, and ``search`` picks the weighted
-    probe engine (identical report on every legal engine).
+    instead of freezing their own.
     ``fault_process`` selects the scenario generator (see
     :func:`sample_fault_scenario`); the default ``"independent"``
     reproduces the historical uniform draw bit-for-bit.
@@ -367,9 +339,7 @@ def availability_analysis(
     return _sample_availability(
         g, failures, guarantee, scenarios, pairs_per_scenario, seed,
         fault_process,
-        lambda: _AvailabilityProbes(
-            g, spanner, snapshot=snapshot, search=search
-        ),
+        lambda: _AvailabilityProbes(g, spanner, snapshot=snapshot),
     )
 
 
@@ -466,7 +436,6 @@ def degradation_profile(
     pairs_per_scenario: int = 20,
     seed: Optional[int] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
-    search: Optional[str] = None,
     fault_process: str = "independent",
 ) -> List[Tuple[int, AvailabilityReport]]:
     """Sweep simultaneous failures 0..max_failures.
@@ -503,7 +472,6 @@ def degradation_profile(
             pairs_per_scenario=pairs_per_scenario,
             seed=None if seed is None else seed + j,
             snapshot=snapshot,
-            search=search,
             fault_process=fault_process,
         )
         out.append((j, report))

@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.graph import Graph, Node, edge_key
-from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, resolve_search
+from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
 
 INFINITY = math.inf
 
@@ -68,15 +68,11 @@ class FaultTolerantDistanceOracle:
         An already-frozen
         :class:`~repro.graph.snapshot.CSRSnapshot` of the spanner (e.g.
         from a :class:`repro.session.SpannerSession`); the oracle's
-        sweep then re-stamps it instead of freezing its own.
-    search:
-        The CSR weighted engine (``'auto'``/``'heap'``/``'bucket'``/
-        ``'bidir'``/``'batch'``; see
-        :data:`repro.graph.snapshot.SEARCH_MODES`).  ``'auto'`` resolves
-        from the spanner snapshot's weight profile -- integral-weight
-        spanners answer single-source runs with the Dial bucket queue --
-        and routes batch queries through the multi-source kernels, as
-        does ``'batch'``.  Answers are identical on every legal engine.
+        sweep then re-stamps it instead of freezing its own.  Its
+        weight profile picks the CSR engines (see
+        :data:`repro.graph.snapshot.ENGINE_POLICY`): integral-weight
+        spanners answer single-source runs with the Dial bucket queue,
+        and batch queries go through the multi-source kernels.
 
     Examples
     --------
@@ -97,12 +93,10 @@ class FaultTolerantDistanceOracle:
         cache_size: int = 128,
         prebuilt: Optional[SpannerResult] = None,
         snapshot: Optional[CSRSnapshot] = None,
-        search: Optional[str] = None,
     ) -> None:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.search = resolve_search(search)
         if prebuilt is not None:
             if prebuilt.k != k or prebuilt.f < f:
                 raise ValueError(
@@ -131,7 +125,7 @@ class FaultTolerantDistanceOracle:
                 raise ValueError(
                     "snapshot does not freeze this oracle's spanner"
                 )
-            self._sweep = ScenarioSweep(snapshot, search=self.search)
+            self._sweep = ScenarioSweep(snapshot)
 
     # ------------------------------------------------------------- #
     # Queries
@@ -328,9 +322,7 @@ class FaultTolerantDistanceOracle:
         """The shared snapshot sweep, re-stamped for ``fault_key``."""
         sweep = self._sweep
         if sweep is None:
-            sweep = self._sweep = ScenarioSweep(
-                self.spanner, search=self.search
-            )
+            sweep = self._sweep = ScenarioSweep(self.spanner)
         sweep.stamp(fault_key, self.fault_model.value)
         return sweep
 

@@ -37,7 +37,7 @@ from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.core.spanner import FaultModel, SpannerResult
 from repro.flow.dinitz import DisjointPathNetwork, FlowWorkspace
 from repro.graph.graph import Graph, Node, edge_key
-from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, resolve_search
+from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
 
 INFINITY = math.inf
 
@@ -55,11 +55,10 @@ class SpannerRouter:
     already-frozen
     :class:`~repro.graph.snapshot.CSRSnapshot` of the spanner (e.g.
     from a :class:`repro.session.SpannerSession`) for the router's
-    sweep to re-stamp instead of freezing its own, and ``search`` picks
-    the weighted engine for the destination-rooted trees (``'auto'``
-    resolves from the snapshot's weight profile: the Dial bucket queue
-    on integral-weight spanners; identical tables on every legal
-    engine).
+    sweep to re-stamp instead of freezing its own.  The spanner's weight
+    profile picks the engine for the destination-rooted trees (the Dial
+    bucket queue on integral-weight spanners; see
+    :data:`repro.graph.snapshot.ENGINE_POLICY`).
 
     Examples
     --------
@@ -78,12 +77,10 @@ class SpannerRouter:
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
         prebuilt: Optional[SpannerResult] = None,
         snapshot: Optional[CSRSnapshot] = None,
-        search: Optional[str] = None,
     ) -> None:
         self.k = k
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
-        self.search = resolve_search(search)
         if prebuilt is not None:
             result = prebuilt
         else:
@@ -109,7 +106,7 @@ class SpannerRouter:
                 raise ValueError(
                     "snapshot does not freeze this router's spanner"
                 )
-            self._sweep = ScenarioSweep(snapshot, search=self.search)
+            self._sweep = ScenarioSweep(snapshot)
 
     # ------------------------------------------------------------- #
 
@@ -338,9 +335,7 @@ class SpannerRouter:
         if self._flow is None:
             sweep = self._sweep
             if sweep is None:
-                sweep = self._sweep = ScenarioSweep(
-                    self.spanner, search=self.search
-                )
+                sweep = self._sweep = ScenarioSweep(self.spanner)
             csr = sweep.snap.csr
             indexer = sweep.snap.indexer
             self._flow = (
@@ -355,9 +350,7 @@ class SpannerRouter:
         """The shared snapshot sweep, re-stamped for ``fault_key``."""
         sweep = self._sweep
         if sweep is None:
-            sweep = self._sweep = ScenarioSweep(
-                self.spanner, search=self.search
-            )
+            sweep = self._sweep = ScenarioSweep(self.spanner)
         sweep.stamp(fault_key, self.fault_model.value)
         return sweep
 

@@ -52,15 +52,11 @@ from typing import List, Optional
 
 from repro.graph import generators
 from repro.graph import io as graph_io
-from repro.graph.snapshot import (
-    SEARCH_CAPABILITIES,
-    SEARCH_MODES,
-    UnsupportedSearch,
-)
+from repro.graph.snapshot import ENGINE_POLICY
 from repro.graph.traversal import (
-    HAVE_NUMPY,
     connected_components,
     hop_diameter,
+    resolve_batch_accel,
 )
 from repro.registry import (
     UnsupportedOption,
@@ -100,17 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="greedy",
                        help="a registered construction (see: ftspanner "
                             "algorithms)")
-    build.add_argument("--search", choices=SEARCH_MODES, default=None,
-                       help="weighted search engine for the CSR sweeps "
-                            "(--verify): 'auto' picks per weight profile "
-                            "(BFS / bucket queue / bidirectional "
-                            "Dijkstra / heap); identical reports on "
-                            "every legal engine.  'bucket', 'bidir' and "
-                            "'batch' require integral edge weights; "
-                            "'batch' sweeps many roots per frontier pass "
-                            "(numpy-accelerated when available, stdlib "
-                            "otherwise).  Default: REPRO_SEARCH when "
-                            "set, else 'auto'.")
     build.add_argument("--seed", type=int, default=None,
                        help="random seed for --random generation and for "
                             "seeded constructions (default 0)")
@@ -137,11 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "algorithms)")
     verify.add_argument("--samples", type=int, default=300)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--search", choices=SEARCH_MODES, default=None,
-                        help="weighted search engine for the CSR sweep "
-                             "('bucket'/'bidir'/'batch' need integral "
-                             "weights); the report is identical on every "
-                             "legal engine")
 
     oracle = sub.add_parser(
         "oracle",
@@ -165,16 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cache-size", type=int, default=256,
                         help="single-source runs kept in the oracle LRU "
                              "(default 256)")
-    oracle.add_argument("--search", choices=SEARCH_MODES, default=None,
-                        help="weighted search engine for the CSR query "
-                             "sweep: 'auto' resolves from the spanner's "
-                             "weight profile (bucket queue on integral "
-                             "weights); 'batch' answers each scenario's "
-                             "query batch with one multi-source sweep "
-                             "(integral weights only; numpy-accelerated "
-                             "BFS planes when numpy is importable, pure "
-                             "stdlib otherwise); answers are identical "
-                             "on every legal engine")
     oracle.add_argument("--seed", type=int, default=0,
                         help="seed for --random generation and for "
                              "scenario/pair sampling (default 0)")
@@ -232,10 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="raise ServingUnavailable instead of "
                             "degrading to in-process execution when the "
                             "pool is unusable")
-    serve.add_argument("--search", choices=SEARCH_MODES, default=None,
-                       help="weighted search engine for the workers' "
-                            "sweeps (identical answers on every legal "
-                            "engine)")
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for --random generation, the workload, "
                             "and the chaos schedule (default 0)")
@@ -277,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--probes", type=int, default=5,
                        help="distance probes checked per batch "
                             "(default 5)")
-    churn.add_argument("--search", choices=SEARCH_MODES, default=None,
-                       help="weighted search engine for the probes")
     churn.add_argument("--seed", type=int, default=0,
                        help="seed for --random generation, the churn "
                             "stream, and probe sampling (default 0)")
@@ -386,8 +350,7 @@ def _cmd_build(args) -> int:
               f"has no effect on a file input without --verify")
     g = _load_or_generate(args, seed=seed)
     session = SpannerSession(
-        g, k=args.k, f=f, fault_model=fault_model,
-        seed=seed, search=args.search,
+        g, k=args.k, f=f, fault_model=fault_model, seed=seed
     )
     start = time.perf_counter()
     try:
@@ -404,12 +367,9 @@ def _cmd_build(args) -> int:
           f"({100.0 * result.compression_ratio(g):.1f}%)   "
           f"time: {elapsed:.3f}s")
     if args.verify:
-        try:
-            # samples=300: keep the historical sampled fallback on
-            # builds too big for the exhaustive sweep.
-            report = session.verify(t=2 * args.k - 1, samples=300)
-        except UnsupportedSearch as exc:
-            raise SystemExit(f"ftspanner build: error: {exc}")
+        # samples=300: keep the historical sampled fallback on builds
+        # too big for the exhaustive sweep.
+        report = session.verify(t=2 * args.k - 1, samples=300)
         kind = "exhaustive" if report.exhaustive else "sampled"
         print(f"verification ({kind}, {report.fault_sets_checked} fault sets): "
               f"{'OK' if report.ok else 'FAILED'}")
@@ -426,16 +386,10 @@ def _cmd_verify(args) -> int:
     g = graph_io.load(args.graph)
     h = graph_io.load(args.spanner)
     session = SpannerSession(
-        g, f=args.f, fault_model=args.fault_model,
-        seed=args.seed, search=args.search,
+        g, f=args.f, fault_model=args.fault_model, seed=args.seed
     )
     session.adopt(h)
-    try:
-        report = session.verify(
-            t=args.t, samples=args.samples, mode=args.mode
-        )
-    except UnsupportedSearch as exc:
-        raise SystemExit(f"ftspanner verify: error: {exc}")
+    report = session.verify(t=args.t, samples=args.samples, mode=args.mode)
     kind = "exhaustive" if report.exhaustive else "sampled"
     if report.mode == "witness":
         print(f"witnessed {report.pairs_witnessed}/{report.pairs_checked} "
@@ -456,15 +410,11 @@ def _cmd_oracle(args) -> int:
 
     g = _load_or_generate(args, seed=args.seed)
     session = SpannerSession(
-        g, k=args.k, f=args.f, fault_model=args.fault_model,
-        seed=args.seed, search=args.search,
+        g, k=args.k, f=args.f, fault_model=args.fault_model, seed=args.seed
     )
     start = time.perf_counter()
     session.build("greedy")
-    try:
-        oracle = session.oracle(cache_size=args.cache_size)
-    except UnsupportedSearch as exc:
-        raise SystemExit(f"ftspanner oracle: error: {exc}")
+    oracle = session.oracle(cache_size=args.cache_size)
     build = time.perf_counter() - start
     print(f"oracle over {oracle.size} spanner edges "
           f"(stretch guarantee {oracle.stretch}, f={args.f}): "
@@ -511,8 +461,7 @@ def _cmd_serve(args) -> int:
 
     g = _load_or_generate(args, seed=args.seed)
     session = SpannerSession(
-        g, k=args.k, f=args.f, fault_model=args.fault_model,
-        seed=args.seed, search=args.search,
+        g, k=args.k, f=args.f, fault_model=args.fault_model, seed=args.seed
     )
     start = time.perf_counter()
     session.build("greedy")
@@ -537,11 +486,7 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"ftspanner serve: error: {exc}")
-    try:
-        server = session.serve(config=config, chaos=chaos)
-    except UnsupportedSearch as exc:
-        raise SystemExit(f"ftspanner serve: error: {exc}")
-    with server:
+    with session.serve(config=config, chaos=chaos) as server:
         print(f"serving {session.result.spanner.num_edges} spanner edges "
               f"over {server.live_workers} worker(s) "
               f"(built in {build:.3f}s; deadline "
@@ -582,9 +527,7 @@ def _cmd_churn(args) -> int:
     from repro.graph.traversal import dijkstra
 
     g = _load_or_generate(args, seed=args.seed)
-    session = SpannerSession(
-        g, k=args.k, f=args.f, seed=args.seed, search=args.search,
-    )
+    session = SpannerSession(g, k=args.k, f=args.f, seed=args.seed)
     start = time.perf_counter()
     session.build("greedy")
     build = time.perf_counter() - start
@@ -604,14 +547,11 @@ def _cmd_churn(args) -> int:
     start = time.perf_counter()
     for lo in range(0, len(ops), max(1, args.batch)):
         batch = ops[lo:lo + max(1, args.batch)]
-        try:
-            session.apply_updates(
-                batch,
-                compact_every=args.compact_every,
-                max_density=args.max_density or None,
-            )
-        except UnsupportedSearch as exc:
-            raise SystemExit(f"ftspanner churn: error: {exc}")
+        session.apply_updates(
+            batch,
+            compact_every=args.compact_every,
+            max_density=args.max_density or None,
+        )
         nodes = sorted(h.nodes(), key=repr)
         for _ in range(args.probes):
             u, v = rng.sample(nodes, 2)
@@ -722,15 +662,21 @@ def _cmd_algorithms(args) -> int:
             print(f"{'':<{width}}  {spec.summary}")
         print(f"{'':<{width}}  {spec.capabilities()}")
     print()
-    print("search engines (--search; CSR execution policy):")
-    sw = max(len(name) for name in SEARCH_CAPABILITIES)
-    for name, constraint in SEARCH_CAPABILITIES.items():
-        print(f"  {name:<{sw}}  {constraint}")
-    print(f"  {'':<{sw}}  numpy batch acceleration: "
-          f"{'available' if HAVE_NUMPY else 'NOT importable'} on this "
-          f"interpreter (REPRO_BATCH_ACCEL=numpy "
-          f"{'honored' if HAVE_NUMPY else 'would be a typed error'}; "
-          f"'auto' always falls back to stdlib)")
+    print("engine policy (CSR kernel per snapshot weight profile):")
+    columns = ("profile", "sssp", "pair", "path", "batch")
+    rows = [columns] + [
+        (profile,) + tuple(kernels[c] for c in columns[1:])
+        for profile, kernels in ENGINE_POLICY.items()
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
+    for row in rows:
+        print("  " + "  ".join(
+            cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    if resolve_batch_accel() == "numpy":
+        print("  numpy: importable (the unit batch kernel is vectorized)")
+    else:
+        print("  numpy: NOT importable (the unit batch kernel runs on "
+              "stdlib loops)")
     print()
     print("verification modes (verify --mode):")
     vw = max(len(name) for name in VERIFY_MODES)

@@ -39,7 +39,7 @@ from repro.dynamic.overlay import DeltaOverlay
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
-from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, resolve_search
+from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
 
 __all__ = ["CompactionPolicy", "DynamicSnapshot"]
 
@@ -206,7 +206,7 @@ class DynamicSnapshot:
         self.log = UpdateLog()
         self.compactions = 0
         self._depth = 0
-        self._sweeps: Dict[str, ScenarioSweep] = {}
+        self._sweep: Optional[ScenarioSweep] = None
 
     # ------------------------------------------------------------- #
     # Updates
@@ -297,18 +297,16 @@ class DynamicSnapshot:
         """The live snapshot view (stable object across updates)."""
         return self.view
 
-    def sweep(self, search: Optional[str] = None) -> ScenarioSweep:
+    def sweep(self) -> ScenarioSweep:
         """A churn-following :class:`ScenarioSweep` over the view.
 
-        One sweep is cached per resolved ``search`` mode; its masks,
-        workspaces, and engine validation refresh automatically when
-        the overlay's version moves.
+        One sweep is cached; its masks and workspaces refresh
+        automatically when the overlay's version moves, and every query
+        picks its engine from the live weight profile.
         """
-        s = resolve_search(search)
-        sw = self._sweeps.get(s)
-        if sw is None:
-            sw = self._sweeps[s] = ScenarioSweep(self.view, search=s)
-        return sw
+        if self._sweep is None:
+            self._sweep = ScenarioSweep(self.view)
+        return self._sweep
 
     # ------------------------------------------------------------- #
     # Introspection

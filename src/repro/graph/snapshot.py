@@ -20,12 +20,11 @@ substrate:
   object-level queries (``distances_from`` / ``distance`` / ``path`` /
   ``parents_toward``) that match the dict path's answers exactly.
   Unit-weighted snapshots answer distance queries with the (much
-  faster) hop-bounded BFS primitives; weighted ones with the CSR
-  Dijkstra engine the ``search=`` keyword resolves to -- binary heap,
-  Dial bucket queue, or bidirectional Dijkstra, selected per snapshot
-  from the weight profile detected at freeze time (see
-  :data:`SEARCH_MODES` and docs/architecture.md, "Weighted search
-  engines").
+  faster) hop-bounded BFS primitives; weighted ones with a CSR Dijkstra
+  engine -- binary heap, Dial bucket queue, or bidirectional Dijkstra --
+  chosen per query kind from the weight profile detected at freeze
+  time (see :data:`ENGINE_POLICY` and docs/architecture.md, "Engine
+  policy").
 * :class:`DualCSRSnapshot` -- G and H snapshotted over one *shared*
   index space (so a vertex mask stamped with G-side indices is directly
   valid against H), the base of the verification sweeps and of the
@@ -45,7 +44,6 @@ applications parity suite (`tests/test_applications_parity.py`) and
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import struct
 from itertools import islice
@@ -56,7 +54,6 @@ from repro.graph.graph import Edge, Graph, Node
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import (
     BFSWorkspace,
-    BUCKET_MAX_WEIGHT,
     DijkstraWorkspace,
     MultiSourceWorkspace,
     csr_bfs_distances,
@@ -75,22 +72,6 @@ from repro.graph.traversal import (
 )
 
 INFINITY = math.inf
-
-#: The weighted search engines a snapshot query may request.  ``"auto"``
-#: resolves per query from the snapshot's weight profile (detected once
-#: at freeze time): unit snapshots answer distances with hop-BFS,
-#: integral ones with the Dial bucket queue (single-source) and
-#: bidirectional Dijkstra (point-to-point), float ones with the binary
-#: heap.  ``"batch"`` routes multi-root queries through the multi-source
-#: frontier kernels (integral weights only; single queries fall back to
-#: the matching sequential engine).  Every engine is bit-identical to
-#: the dict path wherever it is legal, so the choice is pure
-#: execution policy.
-SEARCH_MODES = ("auto", "heap", "bucket", "bidir", "batch")
-
-#: Environment variable overriding the default search mode (the explicit
-#: ``search=`` keyword always wins over the environment).
-SEARCH_ENV_VAR = "REPRO_SEARCH"
 
 #: How many roots one multi-source batch advances per shared sweep.  The
 #: label planes hold ``roots x num_nodes`` cells, so chunking bounds the
@@ -111,130 +92,60 @@ BATCH_ROOT_LIMIT = 128
 NUMPY_BATCH_CELLS = 1 << 17
 
 
-class UnsupportedSearch(ValueError):
-    """Raised when a requested search engine cannot run on a snapshot.
-
-    The bucket and bidirectional engines are exact only for positive
-    integer weights (path sums are association-independent there);
-    forcing them onto a float-weighted snapshot would break the
-    dict/CSR parity guarantee, so it is a typed error instead.
-    """
-
-
-def resolve_search(search: Optional[str]) -> str:
-    """Validate a ``search=`` argument.
-
-    ``None`` means "use the default": ``"auto"`` unless the
-    :data:`SEARCH_ENV_VAR` environment variable names another mode.
-    """
-    if search is None:
-        search = os.environ.get(SEARCH_ENV_VAR)
-        if search is None:
-            return "auto"
-    if search not in SEARCH_MODES:
-        raise UnsupportedSearch(
-            f"unknown search engine {search!r}; expected one of "
-            f"{SEARCH_MODES}"
-        )
-    return search
+#: The engine policy: which CSR kernel answers each query kind on each
+#: freeze-time weight profile (see
+#: :func:`repro.graph.traversal.weight_profile`).  Unit snapshots answer
+#: distances with hop-BFS, integral ones with the Dial bucket queue
+#: (single-source) and bidirectional Dijkstra (point-to-point), float
+#: ones with the binary heap.  Paths always take a weighted engine (the
+#: dict path's tie-breaking), and ``"batch"`` names the multi-source
+#: kernel a batch of roots advances through (``"loop"``: none applies,
+#: so the roots run one by one).  Every kernel is bit-identical to the
+#: dict path wherever the policy picks it, so the table is pure
+#: execution policy -- no query result depends on it.
+ENGINE_POLICY: Dict[str, Dict[str, str]] = {
+    "unit": {"sssp": "bfs", "pair": "bfs", "path": "bucket",
+             "batch": "bfs"},
+    "int": {"sssp": "bucket", "pair": "bidir", "path": "bucket",
+            "batch": "bucket"},
+    "float": {"sssp": "heap", "pair": "heap", "path": "heap",
+              "batch": "loop"},
+}
 
 
-def validate_search(search: Optional[str], *profiles: str) -> str:
-    """Resolve ``search`` and check it against snapshot weight profiles.
-
-    ``profiles`` are the ``CSRSnapshot.profile`` strings of every
-    snapshot the caller will probe with this engine choice; the
-    integral-only engines are rejected when any of them is ``"float"``.
-    """
-    s = resolve_search(search)
-    if s in ("bucket", "bidir", "batch") and "float" in profiles:
-        raise UnsupportedSearch(
-            f"search={s!r} requires positive integer edge weights "
-            f"(path sums must be exact to preserve dict/CSR parity); "
-            f"this snapshot's weight profile is 'float'.  Use "
-            f"search='heap' or 'auto'."
-        )
-    return s
+def sssp_engine(profile: str) -> str:
+    """The single-source engine: ``"bfs"``, ``"bucket"`` or ``"heap"``."""
+    return ENGINE_POLICY[profile]["sssp"]
 
 
-def sssp_engine(search: str, profile: str) -> str:
-    """The single-source engine for one resolved search mode.
-
-    Returns ``"bfs"`` (unit fast path), ``"heap"`` or ``"bucket"``.
-    ``"bidir"`` is a point-to-point engine, so single-source queries
-    under it take the bucket engine (legal whenever bidir is).
-    ``"batch"`` resolves like ``"auto"``: its multi-source kernels *are*
-    the BFS and bucket disciplines, so a lone single-source query under
-    it runs the matching sequential kernel.  This doubles as the batch
-    kernel policy: ``"bfs"`` and ``"bucket"`` name multi-source kernels
-    and ``"heap"`` means "no batch kernel applies -- loop per root".
-    """
-    if search == "heap":
-        return "heap"
-    if search in ("bucket", "bidir"):
-        return "bucket"
-    if profile == "unit":
-        return "bfs"
-    return "bucket" if profile == "int" else "heap"
+def pair_engine(profile: str) -> str:
+    """The point-to-point engine: ``"bfs"``, ``"bidir"`` or ``"heap"``."""
+    return ENGINE_POLICY[profile]["pair"]
 
 
-def pair_engine(search: str, profile: str) -> str:
-    """The point-to-point engine for one resolved search mode.
-
-    Returns ``"bfs"``, ``"heap"``, ``"bucket"`` or ``"bidir"``.
-    ``"batch"`` resolves like ``"auto"`` (there is no batched variant of
-    a *single* point-to-point probe; many probes at once go through the
-    multi-pair kernel instead).
-    """
-    if search not in ("auto", "batch"):
-        return search
-    if profile == "unit":
-        return "bfs"
-    return "bidir" if profile == "int" else "heap"
-
-
-def weighted_pair_engine(search: str, profile: str) -> str:
+def weighted_pair_engine(profile: str) -> str:
     """:func:`pair_engine` for sweeps that always probe with weights.
 
-    The verification / stretch / availability sweeps never take the
-    hop-BFS fast path per side (e.g. a unit spanner of a weighted graph
-    still needs a weighted probe), so a side that :func:`pair_engine`
-    would answer with BFS probes with bidirectional Dijkstra instead --
-    legal wherever BFS would have been, since unit weights are integral.
+    The verification / stretch / availability sweeps probe both sides
+    with weights unless the whole sweep takes its hop-BFS fast path (a
+    unit spanner of a weighted graph still needs a weighted probe), so
+    a unit side of such a sweep probes with bidirectional Dijkstra --
+    legal wherever BFS is, since unit weights are integral.
     """
-    engine = pair_engine(search, profile)
+    engine = pair_engine(profile)
     return "bidir" if engine == "bfs" else engine
 
 
-def path_engine(search: str, profile: str) -> str:
-    """The path-reconstruction engine (``"heap"`` or ``"bucket"``).
+def path_engine(profile: str) -> str:
+    """The path-reconstruction engine: ``"bucket"`` or ``"heap"``.
 
-    Paths need the dict path's tie-breaking, which the heap and
-    bucket engines reproduce (bidir does not reconstruct paths; unit
-    snapshots also use a weighted engine here, exactly like the dict
-    path's path queries).  ``"batch"`` resolves like ``"auto"``.
+    Paths need the dict path's tie-breaking, which the heap and bucket
+    engines reproduce (bidir does not reconstruct paths), so unit
+    snapshots use the bucket engine here, exactly like the dict path's
+    path queries.
     """
-    if search == "heap":
-        return "heap"
-    if search in ("bucket", "bidir"):
-        return "bucket"
-    return "heap" if profile == "float" else "bucket"
+    return ENGINE_POLICY[profile]["path"]
 
-
-#: One-line capability constraint per search mode, surfaced by the CLI
-#: (``ftspanner algorithms`` and the ``--search`` help text).
-SEARCH_CAPABILITIES = {
-    "auto": "per-snapshot policy: BFS on unit, bucket/bidir on int, "
-            "heap on float weights",
-    "heap": "binary-heap Dijkstra; any non-negative weights",
-    "bucket": "Dial bucket queue; positive integer weights <= "
-              f"{BUCKET_MAX_WEIGHT}",
-    "bidir": "bidirectional Dijkstra for s-t probes; integral weights "
-             "only",
-    "batch": "multi-source frontier batching for multi-root queries; "
-             "integral weights only (BFS plane kernel vectorizes with "
-             "numpy when importable, stdlib fallback otherwise)",
-}
 
 #: Process-wide count of CSR freezes (one per :class:`CSRSnapshot`
 #: construction; a :class:`DualCSRSnapshot` built from scratch counts
@@ -303,9 +214,9 @@ class CSRSnapshot:
         path for distance queries (hop distance equals weighted
         distance, and small integer floats are exact).
     profile:
-        The freeze-time weight profile driving ``search="auto"`` engine
-        selection: ``"unit"``, ``"int"`` (positive integers within the
-        bucket engine's range) or ``"float"`` (see
+        The freeze-time weight profile keying :data:`ENGINE_POLICY`:
+        ``"unit"``, ``"int"`` (positive integers within the bucket
+        engine's range) or ``"float"`` (see
         :func:`repro.graph.traversal.weight_profile`).
     max_weight:
         The largest edge weight as an ``int`` for the first two
@@ -527,21 +438,18 @@ class ScenarioSweep:
     ``KeyError`` (as ``dijkstra`` does on a view that lacks the node),
     while an unknown or faulted *target* is merely unreachable.
 
-    ``search`` picks the weighted engine (one of :data:`SEARCH_MODES`);
-    the default ``"auto"`` resolves per query from the snapshot's
-    freeze-time weight profile.  Every legal engine answers
-    bit-identically, so this is pure execution policy; the integral-only
-    engines raise :class:`UnsupportedSearch` on float-weighted
-    snapshots.
+    Every query runs the kernel :data:`ENGINE_POLICY` picks for the
+    snapshot's freeze-time weight profile.  ``search`` survives only as
+    a compatibility keyword: ``None`` and ``"auto"`` (the one policy)
+    are accepted, anything else raises ``ValueError``.
 
     Sweeps follow *dynamic* snapshots automatically: when the underlying
     graph carries a mutation ``version`` stamp (a
     :class:`~repro.dynamic.overlay.DeltaOverlay` behind a
     :class:`~repro.dynamic.snapshot.DynamicSnapshot` view), every
     stamping and query entry point first re-sizes the masks, extends the
-    node table, re-validates the engine against the current weight
-    profile, and drops the stamped scenario (stale fault indices must be
-    re-stamped by the caller -- the oracle/router/availability layers
+    node table, and drops the stamped scenario (stale fault indices must
+    be re-stamped by the caller -- the oracle/router/availability layers
     already stamp per scenario).  Frozen snapshots carry no version and
     skip the check in O(1).
 
@@ -549,7 +457,7 @@ class ScenarioSweep:
     """
 
     __slots__ = (
-        "snap", "vmask", "emask", "search", "_nodes", "_ident",
+        "snap", "vmask", "emask", "_nodes", "_ident",
         "_bfs_ws", "_dij_ws", "_multi_ws", "_use_vmask", "_use_emask",
         "_version",
     )
@@ -559,10 +467,15 @@ class ScenarioSweep:
         snapshot: Union[CSRSnapshot, Graph],
         search: Optional[str] = None,
     ) -> None:
+        if search not in (None, "auto"):
+            raise ValueError(
+                f"ScenarioSweep picks its engines from the snapshot's "
+                f"weight profile; search={search!r} is not supported "
+                f"(pass None or 'auto')"
+            )
         if not isinstance(snapshot, CSRSnapshot):
             snapshot = CSRSnapshot(snapshot)
         self.snap = snapshot
-        self.search = validate_search(search, snapshot.profile)
         self.vmask = FaultMask(snapshot.csr.num_nodes)
         self.emask = FaultMask(snapshot.csr.num_edges)
         self._nodes: List[Node] = list(snapshot.indexer)
@@ -590,19 +503,16 @@ class ScenarioSweep:
         O(1) when the graph is frozen (no ``version`` attribute) or
         unchanged.  On a version change: grow the fault masks to the
         current node/edge-id spaces, extend the node table with any
-        newly-indexed nodes, re-validate the engine choice against the
-        live weight profile (churn can move it -- a float insert makes
-        ``search="bucket"`` illegal, surfaced as the usual typed
-        :class:`UnsupportedSearch`), and drop the stamped scenario:
-        fault indices stamped against the old state must be re-stamped
-        by the caller.
+        newly-indexed nodes, and drop the stamped scenario: fault
+        indices stamped against the old state must be re-stamped by the
+        caller.  Engines need no re-validation -- every query reads the
+        live weight profile.
         """
         v = getattr(self.snap.csr, "version", None)
         if v == self._version:
             return
         self._version = v
         csr = self.snap.csr
-        validate_search(self.search, self.snap.profile)
         self.vmask.ensure(csr.num_nodes)
         self.emask.ensure(csr.num_edges)
         self.clear_faults()
@@ -679,14 +589,14 @@ class ScenarioSweep:
 
         The CSR twin of ``dijkstra(view, source)``: reachable surviving
         nodes map to their distance, everything else is absent.  Unit
-        snapshots run hop-BFS under ``search="auto"`` (identical values
-        -- unit distances are exact small-integer floats); otherwise the
-        resolved weighted engine (heap or bucket) runs.
+        snapshots run hop-BFS (identical values -- unit distances are
+        exact small-integer floats); weighted ones the policy's heap or
+        bucket engine.
         """
         self._refresh_if_stale()
         iu = self._source_index(source)
         nodes = self._nodes
-        engine = sssp_engine(self.search, self.snap.profile)
+        engine = sssp_engine(self.snap.profile)
         if engine == "bfs":
             raw = csr_bfs_distances(
                 self.snap.csr, iu, workspace=self._bfs(),
@@ -713,7 +623,7 @@ class ScenarioSweep:
             return INFINITY  # target not in the surviving view
         if iu == iv:
             return 0.0
-        engine = pair_engine(self.search, self.snap.profile)
+        engine = pair_engine(self.snap.profile)
         if engine == "bfs":
             path = csr_bounded_bfs_path(
                 self.snap.csr, iu, iv, self.snap.csr.num_nodes,
@@ -744,7 +654,7 @@ class ScenarioSweep:
         path = csr_bounded_dijkstra_path(
             self.snap.csr, iu, iv, workspace=self._dij(),
             vertex_mask=self._vmask(), edge_mask=self._emask(),
-            search=path_engine(self.search, self.snap.profile),
+            search=path_engine(self.snap.profile),
             max_weight=self.snap.max_weight,
         )
         if path is None:
@@ -765,7 +675,7 @@ class ScenarioSweep:
         self._refresh_if_stale()
         iroot = self._source_index(root, role="root")
         nodes = self._nodes
-        engine = sssp_engine(self.search, self.snap.profile)
+        engine = sssp_engine(self.snap.profile)
         if engine == "bfs":
             raw = csr_bfs_parents(
                 self.snap.csr, iroot, workspace=self._bfs(),
@@ -791,19 +701,21 @@ class ScenarioSweep:
         The batch plane of the sweep: sources are validated exactly like
         :meth:`distances_from` (an unknown or faulted source raises
         ``KeyError``), repeated sources get independent -- identical --
-        results, and an empty batch returns ``[]``.  Whenever the
-        resolved engine has a multi-source kernel (BFS on unit
-        snapshots, the Dial bucket sweep on integral ones) all roots of
-        a chunk advance through one shared frontier, chunked at
+        results, and an empty batch returns ``[]``.  On unit and
+        integral snapshots (the multi-source BFS and Dial bucket
+        kernels of :data:`ENGINE_POLICY`) all roots of a chunk advance
+        through one shared frontier, chunked at
         :data:`BATCH_ROOT_LIMIT` roots to bound label-plane memory;
-        forced ``search="heap"`` and float-weighted snapshots fall back
-        to a per-root loop.  Answers are bit-identical either way.
+        float-weighted snapshots fall back to a per-root loop.  The BFS
+        kernel runs vectorized when numpy is importable (see
+        :func:`~repro.graph.traversal.resolve_batch_accel`).  Answers
+        are bit-identical either way.
         """
         self._refresh_if_stale()
         srcs = list(sources)
         idx = [self._source_index(s) for s in srcs]
-        engine = sssp_engine(self.search, self.snap.profile)
-        if engine == "heap":
+        engine = ENGINE_POLICY[self.snap.profile]["batch"]
+        if engine == "loop":
             return [self.distances_from(s) for s in srcs]
         nodes = self._nodes
         csr = self.snap.csr
@@ -866,8 +778,8 @@ class ScenarioSweep:
         self._refresh_if_stale()
         rts = list(roots)
         idx = [self._source_index(r, role="root") for r in rts]
-        engine = sssp_engine(self.search, self.snap.profile)
-        if engine == "heap":
+        engine = ENGINE_POLICY[self.snap.profile]["batch"]
+        if engine == "loop":
             return [self.parents_toward(r) for r in rts]
         nodes = self._nodes
         csr = self.snap.csr

@@ -55,14 +55,14 @@ The CSR Dijkstra primitives run on one of three interchangeable engines
   is exact regardless of association order, so the returned distance is
   bit-identical to the unidirectional engines.
 
-Engine *selection* (the ``"auto"`` policy keyed on a snapshot's weight
-profile) lives in :mod:`repro.graph.snapshot`; this module only executes
-whichever engine the caller resolved.
+Engine *selection* (the policy keyed on a snapshot's weight profile)
+lives in :mod:`repro.graph.snapshot`; this module only executes
+whichever engine the caller picked.
 
 Multi-source batch kernels
 --------------------------
-The batch engine (``search="batch"`` at the snapshot seam) amortizes the
-per-call interpreter overhead of the single-root kernels across many
+The batch kernels (``ScenarioSweep.distances_multi`` /
+``parents_multi`` at the snapshot seam) amortize the per-call interpreter overhead of the single-root kernels across many
 roots: :func:`csr_bfs_multi` advances *all* roots level-synchronously in
 one shared frontier, and :func:`csr_bucket_multi` settles all roots in
 one shared circular Dial sweep.  Both work on a
@@ -74,18 +74,17 @@ single-root workspaces.  Each root's projection of the shared frontier
 kernel would, so per-root distances, parents, and settle orders are
 bit-identical to the ``heap``/``bucket``/BFS engines, not merely
 equivalent.  :func:`csr_multi_pair_distances` is the pair-probe variant
-(many s-t probes, one sweep, early exit once every target is resolved).
-When numpy is importable the BFS batch kernel additionally offers a
-vectorized variant (:data:`HAVE_NUMPY`, ``REPRO_BATCH_ACCEL`` override)
-that processes whole frontiers as index arrays; the stdlib loops remain
-the always-available fallback and the reference for its parity tests.
+(many unit-weight s-t probes, one BFS sweep, early exit once every
+target is resolved).  When numpy is importable (:data:`HAVE_NUMPY`) the
+BFS batch kernel runs as a vectorized variant that processes whole
+frontiers as index arrays; the stdlib loops remain the fallback and
+the reference for its parity tests.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from array import array
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -1560,53 +1559,19 @@ def csr_bounded_dijkstra_path_edges(
 
 
 # --------------------------------------------------------------------- #
-# CSR path: multi-source batch kernels (the "batch" engine)
+# CSR path: multi-source batch kernels
 # --------------------------------------------------------------------- #
 
 HAVE_NUMPY = _np is not None
 
-#: Environment variable overriding the batch kernel's acceleration
-#: choice: ``"auto"`` (numpy when importable, the default), ``"numpy"``
-#: (require it), or ``"stdlib"`` (force the pure-Python loops).
-BATCH_ACCEL_ENV_VAR = "REPRO_BATCH_ACCEL"
+def resolve_batch_accel() -> str:
+    """The batch BFS kernel variant: ``"numpy"`` when importable.
 
-
-class BatchAccelUnavailable(ValueError):
-    """numpy batch acceleration was required but numpy is missing.
-
-    The typed face of the ``accel='numpy'`` / ``REPRO_BATCH_ACCEL=numpy``
-    requirement: hard-requiring the vectorized frontier kernels on an
-    interpreter without numpy is a capability violation, not a silent
-    fallback (``'auto'`` is the fallback spelling).  Subclasses
-    ``ValueError`` so pre-existing callers that caught that keep
-    working.
+    :func:`csr_bfs_multi_numpy` when numpy imports, the stdlib
+    :func:`csr_bfs_multi` loops otherwise; both are bit-identical, so
+    this is execution policy, not a setting.
     """
-
-
-def resolve_batch_accel(accel: Optional[str] = None) -> str:
-    """Resolve the batch BFS acceleration to ``"numpy"`` or ``"stdlib"``.
-
-    ``None`` consults :data:`BATCH_ACCEL_ENV_VAR` (default ``"auto"``).
-    Asking for numpy when it is not importable raises
-    :class:`BatchAccelUnavailable`; ``"auto"`` silently falls back to
-    the stdlib loops.
-    """
-    if accel is None:
-        accel = os.environ.get(BATCH_ACCEL_ENV_VAR, "auto")
-    accel = accel.lower()
-    if accel not in ("auto", "numpy", "stdlib"):
-        raise ValueError(
-            f"unknown batch acceleration {accel!r}; expected 'auto', "
-            f"'numpy' or 'stdlib'"
-        )
-    if accel == "numpy" and not HAVE_NUMPY:
-        raise BatchAccelUnavailable(
-            "batch acceleration 'numpy' requested but numpy is not "
-            "importable; use 'auto' or 'stdlib'"
-        )
-    if accel == "auto":
-        return "numpy" if HAVE_NUMPY else "stdlib"
-    return accel
+    return "numpy" if HAVE_NUMPY else "stdlib"
 
 
 class MultiSourceWorkspace:
@@ -1909,18 +1874,15 @@ def csr_multi_pair_distances(
     workspace: Optional[MultiSourceWorkspace] = None,
     vertex_mask: Optional[FaultMask] = None,
     edge_mask: Optional[FaultMask] = None,
-    engine: str = "bfs",
-    max_weight: Optional[int] = None,
 ) -> List[float]:
-    """Many s-t distance probes answered by one multi-source sweep.
+    """Many s-t hop-distance probes answered by one multi-source BFS.
 
-    Groups the pairs by source, runs one batched BFS (``engine="bfs"``,
-    unit weights) or Dial bucket sweep (``engine="bucket"``, integral
-    weights) over the distinct sources, and reads each pair's distance
-    off the label planes -- with a global early exit the moment every
-    requested target has a final distance.  Returns one float per pair
-    (``inf`` for unreachable), identical to looping
-    :func:`csr_weighted_distance` pair by pair.
+    Groups the pairs by source, runs one batched BFS over the distinct
+    sources, and reads each pair's distance off the label planes --
+    with a global early exit the moment every requested target is
+    labeled.  Returns one float per pair (``inf`` for unreachable),
+    identical to looping :func:`csr_bounded_bfs_path` pair by pair, and
+    so to the weighted distance on unit-weight graphs.
     """
     pair_list = list(pairs)
     out = [INFINITY] * len(pair_list)
@@ -1945,36 +1907,16 @@ def csr_multi_pair_distances(
         for _, t in groups[s]:
             targets.add(base + t)
         base += n
-    if engine == "bfs":
-        _bfs_multi_probe(csr, roots, ws, gen, vertex_mask, edge_mask, targets)
-        depth = ws.depth
-        seen = ws.seen
-        base = 0
-        for s in roots:
-            for i, t in groups[s]:
-                code = base + t
-                if seen[code] == gen:
-                    out[i] = float(depth[code])
-            base += n
-    elif engine == "bucket":
-        _bucket_multi_probe(
-            csr, roots, ws, gen, vertex_mask, edge_mask,
-            _bucket_max_weight(csr, max_weight), targets,
-        )
-        dist = ws.dist
-        settled = ws.settled
-        base = 0
-        for s in roots:
-            for i, t in groups[s]:
-                code = base + t
-                if settled[code] == gen:
-                    out[i] = dist[code]
-            base += n
-    else:
-        raise ValueError(
-            f"csr_multi_pair_distances runs on engine='bfs' or 'bucket', "
-            f"got {engine!r}"
-        )
+    _bfs_multi_probe(csr, roots, ws, gen, vertex_mask, edge_mask, targets)
+    depth = ws.depth
+    seen = ws.seen
+    base = 0
+    for s in roots:
+        for i, t in groups[s]:
+            code = base + t
+            if seen[code] == gen:
+                out[i] = float(depth[code])
+        base += n
     return out
 
 
@@ -2052,100 +1994,6 @@ def _bfs_multi_probe(
                         if not outstanding:
                             return
         cur = nxt
-
-
-def _bucket_multi_probe(
-    csr: CSRLike,
-    roots: List[int],
-    ws: MultiSourceWorkspace,
-    gen: int,
-    vertex_mask: Optional[FaultMask],
-    edge_mask: Optional[FaultMask],
-    max_weight: int,
-    targets: Set[int],
-) -> None:
-    """Batched Dial sweep that stops once every target code is settled.
-
-    Unlike BFS, a bucket label is only final at *settle* time, so the
-    early exit counts down on settles; targets still unsettled when the
-    sweep drains are unreachable and read back as ``inf``.
-    """
-    n = csr.num_nodes
-    label = ws.seen
-    settled = ws.settled
-    dist = ws.dist
-    rows = csr.neighbors
-    wrows = csr.weight_rows
-    if vertex_mask is not None and vertex_mask.members:
-        _stamp_fault_planes(settled, gen, vertex_mask.members, len(roots), n)
-    slots = max_weight + 1
-    buckets = ws.ensure_buckets(slots)
-    outstanding = len(targets)
-    first = buckets[0]
-    base = 0
-    for s in roots:
-        code = base + s
-        dist[code] = 0.0
-        label[code] = gen
-        first.append(code)
-        base += n
-    pending = len(roots)
-    estamp = egen = None
-    if edge_mask is not None:
-        estamp, egen = edge_mask.stamp, edge_mask.gen
-        eid_rows = csr.edge_id_rows
-    slot = 0
-    try:
-        while pending:
-            bucket = buckets[slot]
-            if bucket:
-                for code in bucket:
-                    pending -= 1
-                    if settled[code] == gen:
-                        continue  # stale entry (or pre-stamped fault)
-                    settled[code] = gen
-                    if code in targets:
-                        outstanding -= 1
-                        if not outstanding:
-                            return
-                    u = code % n
-                    base = code - u
-                    d = dist[code]
-                    if estamp is not None:
-                        row = rows[u]
-                        erow = eid_rows[u]
-                        wrow = wrows[u]
-                        for j in range(len(row)):
-                            nc = base + row[j]
-                            if settled[nc] == gen:
-                                continue
-                            if estamp[erow[j]] == egen:
-                                continue
-                            nd = d + wrow[j]
-                            if label[nc] != gen or nd < dist[nc]:
-                                label[nc] = gen
-                                dist[nc] = nd
-                                buckets[int(nd) % slots].append(nc)
-                                pending += 1
-                    else:
-                        for v, w in zip(rows[u], wrows[u]):
-                            nc = base + v
-                            if settled[nc] == gen:
-                                continue
-                            nd = d + w
-                            if label[nc] != gen or nd < dist[nc]:
-                                label[nc] = gen
-                                dist[nc] = nd
-                                buckets[int(nd) % slots].append(nc)
-                                pending += 1
-                del bucket[:]
-            slot += 1
-            if slot == slots:
-                slot = 0
-    finally:
-        for bucket in buckets:
-            if bucket:
-                del bucket[:]
 
 
 def _np_adjacency(ws: MultiSourceWorkspace, csr: CSRLike):

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.core.spanner import FaultModel, SpannerResult
-from repro.graph.traversal import HAVE_NUMPY
 
 __all__ = [
     "AlgorithmSpec",
@@ -123,13 +122,6 @@ class AlgorithmSpec:
     distributed:
         Whether the construction runs on the message-passing simulator
         (its result carries a ``rounds`` count).
-    requires_numpy:
-        Whether the construction *hard-requires* numpy's vectorized
-        kernels (as opposed to the optional ``REPRO_BATCH_ACCEL``
-        acceleration, which always has a stdlib fallback).  **Enforced**
-        by :func:`build_spanner`: requesting such a construction on an
-        interpreter without numpy raises :class:`UnsupportedOption`
-        instead of failing deep inside the builder.
     accepts:
         Parameter names of ``builder``'s signature (introspected at
         registration; used to route options and validate extras).
@@ -144,7 +136,6 @@ class AlgorithmSpec:
     min_f: int = 0
     seedable: bool = False
     distributed: bool = False
-    requires_numpy: bool = False
     accepts: FrozenSet[str] = field(default_factory=frozenset)
 
     @property
@@ -257,11 +248,6 @@ class AlgorithmSpec:
             parts.append("distributed")
         if "deterministic" in self.extra_options:
             parts.append("derandomizable (deterministic=True)")
-        if self.requires_numpy:
-            parts.append(
-                "needs numpy"
-                + ("" if HAVE_NUMPY else " (MISSING on this interpreter)")
-            )
         if self.extra_options:
             parts.append("options: " + ", ".join(sorted(self.extra_options)))
         return " | ".join(parts)
@@ -280,7 +266,6 @@ def register_algorithm(
     min_f: int = 0,
     seedable: bool = False,
     distributed: bool = False,
-    requires_numpy: bool = False,
 ) -> Callable[[Callable[..., SpannerResult]], Callable[..., SpannerResult]]:
     """Register a construction under ``name`` and return it unchanged.
 
@@ -309,7 +294,6 @@ def register_algorithm(
             min_f=min_f,
             seedable=seedable,
             distributed=distributed,
-            requires_numpy=requires_numpy,
             accepts=frozenset(inspect.signature(fn).parameters),
         )
         return fn
@@ -386,12 +370,6 @@ def build_spanner(
         with the same arguments.
     """
     spec = get_algorithm(algorithm)
-    if spec.requires_numpy and not HAVE_NUMPY:
-        raise UnsupportedOption(
-            f"{spec.name!r} requires numpy's vectorized kernels, and "
-            f"numpy is not importable on this interpreter (pick another "
-            f"algorithm: ftspanner algorithms)"
-        )
     kwargs = spec.validate_request(
         f=f, fault_model=fault_model, seed=seed, options=options,
     )

@@ -60,7 +60,6 @@ from repro.graph.snapshot import (
     ScenarioSweep,
     pack_snapshot_into,
     snapshot_nbytes,
-    validate_search,
 )
 from repro.parallel.dispatch import DispatchStats, Dispatcher, Job as _Job
 from repro.parallel.errors import DeadlineExceeded, ServingUnavailable
@@ -144,12 +143,6 @@ class SpannerServer:
         plain :class:`~repro.graph.graph.Graph` to freeze here.
     config:
         A :class:`ServingConfig`; defaults apply when omitted.
-    search:
-        Weighted search engine for every worker's sweep *and* the
-        degradation path (one of
-        :data:`~repro.graph.snapshot.SEARCH_MODES`; same semantics as
-        everywhere else -- answers are bit-identical on every legal
-        engine).
     chaos:
         Optional chaos policy (:mod:`repro.parallel.chaos`) injecting
         worker kills, stalls, and spawn failures -- test/benchmark
@@ -159,19 +152,24 @@ class SpannerServer:
     worker processes and the shared segment.
     """
 
+    #: The engine policy of every worker's sweep and of the degradation
+    #: path: the one profile-keyed policy
+    #: (:data:`~repro.graph.snapshot.ENGINE_POLICY`).  A constant, so an
+    #: audit can mirror the workers with
+    #: ``ScenarioSweep(snapshot, search=server.search)``.
+    search = "auto"
+
     def __init__(
         self,
         snapshot: Union[CSRSnapshot, Graph],
         *,
         config: Optional[ServingConfig] = None,
-        search: Optional[str] = None,
         chaos=None,
     ) -> None:
         if not isinstance(snapshot, CSRSnapshot):
             snapshot = CSRSnapshot(snapshot)
         self.snapshot = snapshot
         self.config = config or ServingConfig()
-        self.search = validate_search(search, snapshot.profile)
         self.chaos = chaos
         self.stats = ServingStats()
         self._local: Optional[ScenarioSweep] = None
@@ -188,7 +186,6 @@ class SpannerServer:
             self._pool = WorkerPool(
                 shm.name,
                 self.config.workers,
-                search=self.search,
                 start_method=self.config.start_method,
                 chaos=chaos,
                 spawn_attempts=self.config.spawn_attempts,
@@ -391,7 +388,7 @@ class SpannerServer:
     def _local_sweep(self) -> ScenarioSweep:
         """The in-process degradation engine (same snapshot, same code)."""
         if self._local is None:
-            self._local = ScenarioSweep(self.snapshot, search=self.search)
+            self._local = ScenarioSweep(self.snapshot)
         return self._local
 
     # ------------------------------------------------------------- #
@@ -432,6 +429,5 @@ class SpannerServer:
     def __repr__(self) -> str:
         return (
             f"SpannerServer({self.snapshot!r}, workers="
-            f"{self.config.workers}, live={self.live_workers}, "
-            f"search={self.search!r})"
+            f"{self.config.workers}, live={self.live_workers})"
         )

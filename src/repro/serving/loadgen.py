@@ -161,7 +161,7 @@ def run_load(
 
     # Post-hoc audit: every completed answer must be bit-identical to
     # the in-process sweep over the same frozen snapshot.
-    truth = ScenarioSweep(snap, search=server.search)
+    truth = ScenarioSweep(snap)
     parity_ok = True
     for (faults, pairs), got in zip(workload, answers):
         if got is None:

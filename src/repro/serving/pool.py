@@ -75,7 +75,7 @@ def execute_request(sweep: ScenarioSweep, kind: str, payload) -> object:
     )
 
 
-def sweep_executor(shm_name: str, search: Optional[str]):
+def sweep_executor(shm_name: str):
     """Executor factory run inside each serving worker (spawn-safe).
 
     Attaches the shared segment, adopts the snapshot zero-copy, and
@@ -89,7 +89,7 @@ def sweep_executor(shm_name: str, search: Optional[str]):
     exports are never closed out from under the sweep at all.
     """
     shm = _attach_shared(shm_name)
-    sweep = ScenarioSweep(adopt_snapshot(shm.buf), search=search)
+    sweep = ScenarioSweep(adopt_snapshot(shm.buf))
 
     def executor(kind: str, payload, _segment=shm) -> object:
         return execute_request(sweep, kind, payload)
@@ -100,8 +100,8 @@ def sweep_executor(shm_name: str, search: Optional[str]):
 class WorkerPool(_SubstratePool):
     """The serving pool: substrate workers running :func:`sweep_executor`.
 
-    Keeps the serving layer's historical constructor signature
-    (``WorkerPool(shm_name, size, search=...)``); everything else --
+    Keeps the serving layer's constructor signature
+    (``WorkerPool(shm_name, size, ...)``); everything else --
     spawn/health-check/reap/respawn, the backoff and chaos semantics,
     the ``respawns`` / ``spawn_rejections`` counters -- is inherited
     unchanged from :class:`repro.parallel.pool.WorkerPool`.
@@ -112,7 +112,6 @@ class WorkerPool(_SubstratePool):
         shm_name: str,
         size: int,
         *,
-        search: Optional[str] = None,
         start_method: Optional[str] = None,
         chaos=None,
         spawn_attempts: int = 3,
@@ -122,7 +121,7 @@ class WorkerPool(_SubstratePool):
     ) -> None:
         super().__init__(
             sweep_executor,
-            (shm_name, search),
+            (shm_name,),
             size,
             start_method=start_method,
             chaos=chaos,
@@ -132,4 +131,3 @@ class WorkerPool(_SubstratePool):
             spawn_timeout=spawn_timeout,
         )
         self.shm_name = shm_name
-        self.search = search

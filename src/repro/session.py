@@ -10,7 +10,7 @@ workflow that only ever looks at two graphs.
 
 :class:`SpannerSession` is the facade that makes snapshot sharing the
 default.  Construct it once from a graph with the session-wide
-configuration (``k``, ``f``, fault model, search engine, seed);
+configuration (``k``, ``f``, fault model, seed);
 ``build()`` dispatches through the :mod:`algorithm registry
 <repro.registry>`; every subsequent consumer -- :meth:`verify`,
 :meth:`oracle`, :meth:`router`, :meth:`availability`,
@@ -60,7 +60,7 @@ from repro.dynamic.log import EdgeDelete, EdgeInsert, classify_op, coerce_op
 from repro.dynamic.snapshot import CompactionPolicy, DynamicSnapshot
 from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
-from repro.graph.snapshot import CSRSnapshot, DualCSRSnapshot, resolve_search
+from repro.graph.snapshot import CSRSnapshot, DualCSRSnapshot
 from repro.registry import build_spanner, get_algorithm
 from repro.verification.spanner_check import (
     VerificationReport,
@@ -93,23 +93,6 @@ class SpannerSession:
         configuration, not a per-call option -- pass ``seed=`` to
         :func:`~repro.registry.build_spanner` directly if you want the
         strict per-call validation).
-    search:
-        The weighted search engine for every CSR sweep and query the
-        session serves: one of
-        :data:`~repro.graph.snapshot.SEARCH_MODES`.  The default
-        ``'auto'`` resolves per snapshot from its freeze-time weight
-        profile (hop-BFS on unit graphs, Dial bucket queue /
-        bidirectional Dijkstra on integral weights, binary heap
-        otherwise); answers are bit-identical on every legal engine.
-        ``'batch'`` routes batched queries (oracle pair batches,
-        full routing tables, availability scenario probes) through the
-        multi-source kernels -- many roots per frontier pass -- and
-        resolves like ``'auto'`` for lone queries; it is integral-only,
-        like ``'bucket'``.  ``None`` consults the ``REPRO_SEARCH``
-        environment variable before falling back to ``'auto'``.
-        Validated eagerly by name; the integral-only engines raise
-        :class:`~repro.graph.snapshot.UnsupportedSearch` when a
-        float-weighted snapshot is first probed.
     serving:
         Optional session-wide default
         :class:`~repro.serving.ServingConfig` for :meth:`serve`
@@ -132,7 +115,6 @@ class SpannerSession:
         f: int = 1,
         fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
         seed: Optional[int] = None,
-        search: Optional[str] = None,
         serving=None,
     ) -> None:
         if k < 1:
@@ -144,7 +126,6 @@ class SpannerSession:
         self.f = f
         self.fault_model = FaultModel.coerce(fault_model)
         self.seed = seed
-        self.search = resolve_search(search)
         self.serving = serving
         self._result: Optional[SpannerResult] = None
         self._indexer: Optional[NodeIndexer] = None
@@ -267,7 +248,7 @@ class SpannerSession:
         """Verify the session spanner's fault-tolerance guarantee.
 
         ``t`` defaults to the session guarantee ``2k - 1``; fault budget,
-        model, search engine, and sampling seed come from the session.
+        model, and sampling seed come from the session.
         The sweep re-stamps the session's shared snapshot.
 
         ``mode="witness"`` verifies via per-pair disjoint-path
@@ -288,7 +269,6 @@ class SpannerSession:
             samples=samples,
             seed=self.seed,
             snapshot=self._dual_snapshot(),
-            search=self.search,
             mode=mode,
             witness_pairs=witness_pairs,
         )
@@ -298,7 +278,7 @@ class SpannerSession:
 
         Each call returns a fresh oracle (they keep independent LRU
         caches), but every oracle re-stamps the same
-        frozen spanner snapshot (with the session's search engine).
+        frozen spanner snapshot.
         """
         return FaultTolerantDistanceOracle(
             self.g,
@@ -308,7 +288,6 @@ class SpannerSession:
             cache_size=cache_size,
             prebuilt=self._require_result(),
             snapshot=self._spanner_snapshot(),
-            search=self.search,
         )
 
     def router(self) -> SpannerRouter:
@@ -320,7 +299,6 @@ class SpannerSession:
             fault_model=self.fault_model,
             prebuilt=self._require_result(),
             snapshot=self._spanner_snapshot(),
-            search=self.search,
         )
 
     def availability(
@@ -350,7 +328,6 @@ class SpannerSession:
             pairs_per_scenario=pairs_per_scenario,
             seed=self.seed,
             snapshot=self._dual_snapshot(),
-            search=self.search,
             fault_process=fault_process,
         )
 
@@ -374,7 +351,6 @@ class SpannerSession:
             pairs_per_scenario=pairs_per_scenario,
             seed=self.seed,
             snapshot=self._dual_snapshot(),
-            search=self.search,
             fault_process=fault_process,
         )
 
@@ -408,7 +384,6 @@ class SpannerSession:
         server = SpannerServer(
             snap,
             config=config if config is not None else self.serving,
-            search=self.search,
             chaos=chaos,
         )
         # Remember the lease: a live server pins the packed (pre-update)
@@ -631,6 +606,6 @@ class SpannerSession:
         return (
             f"SpannerSession(n={self.g.num_nodes}, m={self.g.num_edges}, "
             f"k={self.k}, f={self.f}, "
-            f"model={self.fault_model.value}, search={self.search}, "
+            f"model={self.fault_model.value}, "
             f"spanner={built})"
         )

@@ -84,11 +84,7 @@ from repro.graph.traversal import (
     csr_weighted_distance,
 )
 from repro.lbc.approx import lbc_edge, lbc_vertex
-from repro.graph.snapshot import (
-    DualCSRSnapshot,
-    validate_search,
-    weighted_pair_engine,
-)
+from repro.graph.snapshot import DualCSRSnapshot, weighted_pair_engine
 
 INFINITY = math.inf
 
@@ -197,19 +193,14 @@ def is_spanner(
     g: Graph,
     h: Graph,
     t: float,
-    search: Optional[str] = None,
 ) -> bool:
     """Fault-free check: is H a t-spanner of G?
 
     Uses the Lemma 3 edge-sufficiency: it is enough that every edge of G
-    has ``d_H(u, v) <= t * w(u, v)``.  ``search`` picks the CSR weighted
-    engine (``'auto'``/``'heap'``/``'bucket'``/``'bidir'``; identical
-    verdict on every legal engine).
+    has ``d_H(u, v) <= t * w(u, v)``.
     """
     unit = g.is_unit_weighted()
-    return _CSRSweep(g, h, t, "vertex", unit, search=search).check(
-        None
-    ) is None
+    return _CSRSweep(g, h, t, "vertex", unit).check(None) is None
 
 
 def verify_ft_spanner(
@@ -222,7 +213,6 @@ def verify_ft_spanner(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
     snapshot: Optional[DualCSRSnapshot] = None,
-    search: Optional[str] = None,
     mode: str = "sweep",
     witness_pairs: Optional[int] = None,
 ) -> VerificationReport:
@@ -249,9 +239,7 @@ def verify_ft_spanner(
     ``snapshot`` may supply an already-frozen :class:`DualCSRSnapshot`
     of (G, H) --
     e.g. from a :class:`repro.session.SpannerSession` -- so the sweep
-    re-stamps it instead of freezing its own, and ``search`` picks the
-    weighted probe engine (``'auto'`` resolves from the snapshots'
-    weight profiles; every legal engine yields the identical report).
+    re-stamps it instead of freezing its own.
     """
     if fault_model not in ("vertex", "edge"):
         raise ValueError(f"unknown fault model {fault_model!r}")
@@ -270,12 +258,9 @@ def verify_ft_spanner(
     if mode == "witness":
         return _verify_witness(
             g, h, t, f, fault_model, unit, universe, total,
-            exhaustive_budget, samples, seed, snapshot, search,
-            witness_pairs,
+            exhaustive_budget, samples, seed, snapshot, witness_pairs,
         )
-    check = _CSRSweep(
-        g, h, t, fault_model, unit, snapshot=snapshot, search=search
-    ).check
+    check = _CSRSweep(g, h, t, fault_model, unit, snapshot=snapshot).check
     checked = 0
     if total <= exhaustive_budget:
         for faults in _all_fault_sets(universe, f):
@@ -352,17 +337,15 @@ class _CSRSweep:
     (unit weights) or up to two truncated Dijkstras (weighted) per
     surviving edge of G.
 
-    ``search`` picks the weighted probe engine per side (resolved from
-    each snapshot's weight profile under ``'auto'``): integral-weight
-    inputs probe with bidirectional Dijkstra, float ones with the heap,
-    and an explicit engine overrides both.  A non-``'auto'`` engine also
-    replaces the unit BFS fast path, so every engine x weight cell of
-    the parity matrix genuinely exercises its engine.
+    Weighted probes take the engine
+    :func:`~repro.graph.snapshot.weighted_pair_engine` picks per side
+    from its weight profile: bidirectional Dijkstra on integral
+    weights, the heap on float ones.
     """
 
     __slots__ = (
-        "t", "fault_model", "unit", "snap", "ws", "edges",
-        "search", "eng_g", "eng_h",
+        "t", "fault_model", "unit", "snap", "ws", "edges", "eng_g",
+        "eng_h",
     )
 
     def __init__(
@@ -373,7 +356,6 @@ class _CSRSweep:
         fault_model: str,
         unit: bool,
         snapshot: Optional[DualCSRSnapshot] = None,
-        search: Optional[str] = None,
     ) -> None:
         self.t = t
         self.fault_model = fault_model
@@ -382,16 +364,9 @@ class _CSRSweep:
         elif snapshot.g is not g or snapshot.h is not h:
             raise ValueError("snapshot does not freeze this (G, H) pair")
         self.snap = snapshot
-        self.search = validate_search(
-            search, snapshot.snap_g.profile, snapshot.snap_h.profile
-        )
-        self.unit = unit and self.search == "auto"
-        self.eng_g = weighted_pair_engine(
-            self.search, snapshot.snap_g.profile
-        )
-        self.eng_h = weighted_pair_engine(
-            self.search, snapshot.snap_h.profile
-        )
+        self.unit = unit
+        self.eng_g = weighted_pair_engine(snapshot.snap_g.profile)
+        self.eng_h = weighted_pair_engine(snapshot.snap_h.profile)
         n = len(self.snap.indexer)
         self.ws: Union[BFSWorkspace, DijkstraWorkspace] = (
             BFSWorkspace(n) if self.unit else DijkstraWorkspace(n)
@@ -509,7 +484,6 @@ def _verify_witness(
     samples: Optional[int],
     seed: Optional[int],
     snapshot: Optional[DualCSRSnapshot],
-    search: Optional[str],
     witness_pairs: Optional[int],
 ) -> VerificationReport:
     """Witness-mode verification: disjoint-path certificates per pair.
@@ -539,9 +513,7 @@ def _verify_witness(
     The flow engine, the distance probes, and the fallback sweep all
     run on the one shared snapshot.
     """
-    sweep = _CSRSweep(
-        g, h, t, fault_model, unit, snapshot=snapshot, search=search
-    )
+    sweep = _CSRSweep(g, h, t, fault_model, unit, snapshot=snapshot)
     snap = sweep.snap
     rows: List = sweep.edges
     rng = random.Random(seed)

@@ -35,12 +35,7 @@ from repro.graph.traversal import (
     dijkstra,
 )
 from repro.graph.views import GraphView
-from repro.graph.snapshot import (
-    DualCSRSnapshot,
-    resolve_search,
-    validate_search,
-    weighted_pair_engine,
-)
+from repro.graph.snapshot import DualCSRSnapshot, weighted_pair_engine
 
 INFINITY = math.inf
 
@@ -78,10 +73,8 @@ class _CSRStretchSweep:
     Dijkstras, and optional fault masks stand in for the ``G \\ F`` /
     ``H \\ F`` views.
 
-    ``search`` picks the probe engine per side (``'auto'`` resolves from
-    each snapshot's weight profile: bidirectional Dijkstra on integral
-    weights, the heap otherwise); ratios are identical on every legal
-    engine.
+    Each side probes with the engine its weight profile picks
+    (bidirectional Dijkstra on integral weights, the heap otherwise).
     """
 
     __slots__ = (
@@ -89,15 +82,10 @@ class _CSRStretchSweep:
         "mw_g", "mw_h",
     )
 
-    def __init__(
-        self, g: Graph, h: Graph, search: Optional[str] = None
-    ) -> None:
+    def __init__(self, g: Graph, h: Graph) -> None:
         self.snap = DualCSRSnapshot(g, h)
-        s = validate_search(
-            search, self.snap.snap_g.profile, self.snap.snap_h.profile
-        )
-        self.eng_g = weighted_pair_engine(s, self.snap.snap_g.profile)
-        self.eng_h = weighted_pair_engine(s, self.snap.snap_h.profile)
+        self.eng_g = weighted_pair_engine(self.snap.snap_g.profile)
+        self.eng_h = weighted_pair_engine(self.snap.snap_h.profile)
         self.mw_g = self.snap.snap_g.max_weight
         self.mw_h = self.snap.snap_h.max_weight
         self.ws = DijkstraWorkspace(len(self.snap.indexer))
@@ -154,17 +142,15 @@ def pairwise_stretch(
     g: GraphLike,
     h: GraphLike,
     pairs: Optional[Iterable[Tuple[Node, Node]]] = None,
-    search: Optional[str] = None,
 ) -> Dict[Tuple[Node, Node], float]:
     """Stretch for each pair (default: every edge of ``g``).
 
     Edge pairs are exactly the set Lemma 3 says suffices; full all-pairs
-    measurement is available by passing explicit pairs.  ``search``
-    picks the CSR probe engine (identical ratios on every legal one).
+    measurement is available by passing explicit pairs.
     """
     if pairs is None:
         pairs = _edge_pairs(g)
-    probe = _probe(g, h, search)
+    probe = _probe(g, h)
     return {(u, v): probe(u, v) for u, v in pairs}
 
 
@@ -172,7 +158,6 @@ def max_stretch(
     g: GraphLike,
     h: GraphLike,
     pairs: Optional[Iterable[Tuple[Node, Node]]] = None,
-    search: Optional[str] = None,
 ) -> float:
     """Worst-case stretch of H over the given pairs (default: edges of G).
 
@@ -182,14 +167,13 @@ def max_stretch(
     """
     if pairs is None:
         pairs = _edge_pairs(g)
-    return _worst_ratio(_probe(g, h, search), pairs)
+    return _worst_ratio(_probe(g, h), pairs)
 
 
-def _probe(g: GraphLike, h: GraphLike, search: Optional[str]):
+def _probe(g: GraphLike, h: GraphLike):
     """The per-pair stretch probe: CSR for Graphs, dict for views."""
     if isinstance(g, Graph) and isinstance(h, Graph):
-        return _CSRStretchSweep(g, h, search=search).stretch
-    resolve_search(search)  # validate the name for view inputs too
+        return _CSRStretchSweep(g, h).stretch
 
     def probe(u: Node, v: Node) -> float:
         return stretch_of_pair(g, h, u, v)
@@ -212,19 +196,17 @@ def max_stretch_under_faults(
     h: Graph,
     faults: Iterable,
     fault_model: str = "vertex",
-    search: Optional[str] = None,
 ) -> float:
     """Worst-case stretch of ``H \\ F`` w.r.t. ``G \\ F``.
 
     ``faults`` is a vertex set or edge set per ``fault_model``.  Pairs
     range over the edges of ``G \\ F`` (sufficient by Lemma 3).  The
-    fault set is a mask re-stamp on the shared snapshot, and ``search``
-    picks the probe engine.
+    fault set is a mask re-stamp on the shared snapshot.
     """
     faults = list(faults)
     if fault_model not in ("vertex", "edge"):
         raise ValueError(f"unknown fault model {fault_model!r}")
-    sweep = _CSRStretchSweep(g, h, search=search)
+    sweep = _CSRStretchSweep(g, h)
     snap = sweep.snap
     index = snap.indexer.index
     if fault_model == "vertex":

@@ -30,10 +30,27 @@ from tests import reference as ref
 INFINITY = math.inf
 
 
-def _instance(weighted: bool, fault_model: str):
-    """A connected graph, its spanner, and sampled fault scenarios."""
-    gen = generators.weighted_gnp if weighted else generators.gnp_random_graph
-    g = generators.ensure_connected(gen(32, 0.18, seed=555), seed=555)
+PROFILES = ["unit", "int", "float"]
+
+
+def _weighted(g, profile: str, seed: int):
+    """``g`` with weights of one profile (unit graphs pass through)."""
+    if profile == "unit":
+        return g
+    return generators.with_random_weights(
+        g, low=1.0, high=8.0, seed=seed, integral=profile == "int"
+    )
+
+
+def _instance(profile: str, fault_model: str):
+    """A connected graph of one weight profile, its spanner, and
+    sampled fault scenarios."""
+    if profile == "float":
+        g = generators.weighted_gnp(32, 0.18, seed=555)
+    else:
+        g = _weighted(generators.gnp_random_graph(32, 0.18, seed=555),
+                      profile, seed=555)
+    g = generators.ensure_connected(g, seed=555)
     prebuilt = fault_tolerant_spanner(g, 2, 2, fault_model=fault_model)
     rng = random.Random(9)
     universe = (
@@ -49,11 +66,11 @@ def _survivors(g, faults, fault_model):
     return sorted(g.nodes())
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
 class TestOracleParity:
-    def _oracles(self, weighted, fault_model):
-        g, prebuilt, scenarios, rng = _instance(weighted, fault_model)
+    def _oracles(self, profile, fault_model):
+        g, prebuilt, scenarios, rng = _instance(profile, fault_model)
         kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
         return (
             g,
@@ -63,8 +80,8 @@ class TestOracleParity:
             FaultTolerantDistanceOracle(g, 2, 2, **kwargs),
         )
 
-    def test_distances_and_paths(self, weighted, fault_model):
-        g, scenarios, rng, od, oc = self._oracles(weighted, fault_model)
+    def test_distances_and_paths(self, profile, fault_model):
+        g, scenarios, rng, od, oc = self._oracles(profile, fault_model)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             pairs = [tuple(rng.sample(alive, 2)) for _ in range(12)]
@@ -74,8 +91,8 @@ class TestOracleParity:
                 assert od.path(u, v, faults=faults) == \
                     oc.path(u, v, faults=faults)
 
-    def test_batch_matches_per_query(self, weighted, fault_model):
-        g, scenarios, rng, od, oc = self._oracles(weighted, fault_model)
+    def test_batch_matches_per_query(self, profile, fault_model):
+        g, scenarios, rng, od, oc = self._oracles(profile, fault_model)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             pairs = [tuple(rng.sample(alive, 2)) for _ in range(15)]
@@ -84,8 +101,8 @@ class TestOracleParity:
             assert oc.distances(pairs, faults=faults) == per_query
             assert od.distances(pairs, faults=faults) == per_query
 
-    def test_distances_from_and_matrix(self, weighted, fault_model):
-        g, scenarios, rng, od, oc = self._oracles(weighted, fault_model)
+    def test_distances_from_and_matrix(self, profile, fault_model):
+        g, scenarios, rng, od, oc = self._oracles(profile, fault_model)
         for faults in scenarios:
             alive = _survivors(g, faults, fault_model)
             sources = alive[:6]
@@ -95,8 +112,8 @@ class TestOracleParity:
             assert od.distance_matrix(sources, faults=faults) == \
                 oc.distance_matrix(sources, faults=faults)
 
-    def test_validation_errors_match(self, weighted, fault_model):
-        g, scenarios, rng, od, oc = self._oracles(weighted, fault_model)
+    def test_validation_errors_match(self, profile, fault_model):
+        g, scenarios, rng, od, oc = self._oracles(profile, fault_model)
         universe = (
             sorted(g.nodes()) if fault_model == "vertex"
             else list(g.edges())
@@ -109,11 +126,11 @@ class TestOracleParity:
                 oracle.distance(0, 999)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
 class TestRouterParity:
-    def test_tables_next_hops_and_routes(self, weighted, fault_model):
-        g, prebuilt, scenarios, rng = _instance(weighted, fault_model)
+    def test_tables_next_hops_and_routes(self, profile, fault_model):
+        g, prebuilt, scenarios, rng = _instance(profile, fault_model)
         kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
         rd = ref.SpannerRouter(g, 2, 2, **kwargs)
         rc = SpannerRouter(g, 2, 2, **kwargs)
@@ -134,13 +151,17 @@ class TestRouterParity:
                         rc.route(src, dest, faults=faults)
                     assert rd.route_cost(src, dest, faults=faults) == \
                         rc.route_cost(src, dest, faults=faults)
+            # The batched tables() pass (multi-source kernels on unit
+            # and int spanners, a per-root loop on float ones).
+            assert rd.tables(alive, faults=faults) == \
+                rc.tables(alive, faults=faults)
         assert rd.table_size() == rc.table_size()
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("profile", PROFILES)
 class TestAvailabilityParity:
-    def test_availability_reports_identical(self, weighted):
-        g, prebuilt, _, _ = _instance(weighted, "vertex")
+    def test_availability_reports_identical(self, profile):
+        g, prebuilt, _, _ = _instance(profile, "vertex")
         kwargs = dict(
             failures=3, guarantee=3.0, scenarios=12,
             pairs_per_scenario=10, seed=17,
@@ -149,8 +170,8 @@ class TestAvailabilityParity:
             g, prebuilt.spanner, **kwargs
         ) == availability_analysis(g, prebuilt.spanner, **kwargs)
 
-    def test_degradation_profiles_identical(self, weighted):
-        g, prebuilt, _, _ = _instance(weighted, "vertex")
+    def test_degradation_profiles_identical(self, profile):
+        g, prebuilt, _, _ = _instance(profile, "vertex")
         kwargs = dict(
             guarantee=3.0, max_failures=3, scenarios=6,
             pairs_per_scenario=6, seed=23,
@@ -160,107 +181,28 @@ class TestAvailabilityParity:
         ) == degradation_profile(g, prebuilt.spanner, **kwargs)
 
 
-def _engine_instance(weighted: bool, fault_model: str):
-    """Like :func:`_instance` but with *integral* weights, so every
-    search engine (heap / bucket / bidir) is legal on the weighted
-    cells."""
-    g = generators.gnp_random_graph(32, 0.18, seed=555)
-    if weighted:
-        g = generators.with_random_weights(
-            g, low=1.0, high=8.0, seed=555, integral=True
-        )
-    g = generators.ensure_connected(g, seed=555)
-    prebuilt = fault_tolerant_spanner(g, 2, 2, fault_model=fault_model)
-    rng = random.Random(9)
-    universe = (
-        sorted(g.nodes()) if fault_model == "vertex" else list(g.edges())
-    )
-    scenarios = [[]] + [rng.sample(universe, 2) for _ in range(4)]
-    return g, prebuilt, scenarios, rng
-
-
-ENGINES = ["auto", "heap", "bucket", "bidir", "batch"]
-
-
-@pytest.mark.parametrize("weighted", [False, True],
-                         ids=["unit", "int-weighted"])
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("churn", PROFILES)
 @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-@pytest.mark.parametrize("search", ENGINES)
-class TestSearchEngineApplicationsParity:
-    """Every engine cell answers exactly like the dict reference."""
-
-    def test_oracle_answers_identical(self, weighted, fault_model, search):
-        g, prebuilt, scenarios, rng = _engine_instance(weighted, fault_model)
-        kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
-        od = ref.FaultTolerantDistanceOracle(g, 2, 2, **kwargs)
-        oc = FaultTolerantDistanceOracle(g, 2, 2, search=search, **kwargs)
-        for faults in scenarios:
-            alive = _survivors(g, faults, fault_model)
-            pairs = [tuple(rng.sample(alive, 2)) for _ in range(10)]
-            assert oc.distances(pairs, faults=faults) == \
-                [od.distance(u, v, faults=faults) for u, v in pairs]
-            for u, v in pairs[:4]:
-                assert od.path(u, v, faults=faults) == \
-                    oc.path(u, v, faults=faults)
-            s = alive[0]
-            assert od.distances_from(s, faults=faults) == \
-                oc.distances_from(s, faults=faults)
-
-    def test_router_tables_identical(self, weighted, fault_model, search):
-        g, prebuilt, scenarios, rng = _engine_instance(weighted, fault_model)
-        kwargs = dict(fault_model=fault_model, prebuilt=prebuilt)
-        rd = ref.SpannerRouter(g, 2, 2, **kwargs)
-        rc = SpannerRouter(g, 2, 2, search=search, **kwargs)
-        for faults in scenarios:
-            alive = _survivors(g, faults, fault_model)
-            for dest in alive[:4]:
-                assert rd.table(dest, faults=faults) == \
-                    rc.table(dest, faults=faults)
-
-    def test_availability_reports_identical(
-        self, weighted, fault_model, search
-    ):
-        if fault_model == "edge":
-            pytest.skip("availability samples vertex failures only")
-        g, prebuilt, _, _ = _engine_instance(weighted, fault_model)
-        kwargs = dict(
-            failures=3, guarantee=3.0, scenarios=8,
-            pairs_per_scenario=8, seed=17,
-        )
-        assert ref.availability_analysis(
-            g, prebuilt.spanner, **kwargs
-        ) == availability_analysis(
-            g, prebuilt.spanner, search=search, **kwargs
-        )
-
-
-@pytest.mark.parametrize("weighted", [False, True],
-                         ids=["unit", "int-weighted"])
-@pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-@pytest.mark.parametrize("search", ENGINES)
-class TestDynamicEngineApplicationsParity:
-    """The ``dynamic`` column of the engine matrix: every engine cell
-    answers exactly like the dict reference *after* streaming updates
-    have churned the graph, with faults drawn from the post-churn
+class TestDynamicProfileApplicationsParity:
+    """The ``dynamic`` column of the profile matrix: every base-profile
+    x churn-profile cell answers exactly like the dict reference *after*
+    streaming updates have churned the graph (moving it to the churn's
+    profile when that is wider), with faults drawn from the post-churn
     state (so scenarios can hit overlay-inserted edges).  The reference
     applies the same updates to dict copies in place."""
 
-    def _churned_pair(self, weighted, fault_model, search):
-        g = generators.gnp_random_graph(32, 0.18, seed=555)
-        if weighted:
-            g = generators.with_random_weights(
-                g, low=1.0, high=8.0, seed=555, integral=True
-            )
+    def _churned_pair(self, profile, churn, fault_model):
+        g = _weighted(generators.gnp_random_graph(32, 0.18, seed=555),
+                      profile, seed=555)
         g = generators.ensure_connected(g, seed=555)
         sc = SpannerSession(
             g.copy(), k=2, f=2, fault_model=fault_model, seed=0,
-            search=search,
         )
         built = sc.build()
         gd, hd = g.copy(), built.spanner.copy()
         ops = generators.sliding_window_churn(
-            g, steps=25, window=6, seed=555,
-            weights="int" if weighted else "unit",
+            g, steps=25, window=6, seed=555, weights=churn,
         )
         assert ref.apply_updates(gd, hd, ops) == \
             sc.apply_updates(list(ops))
@@ -279,9 +221,9 @@ class TestDynamicEngineApplicationsParity:
         scenarios = [[]] + [rng.sample(universe, 2) for _ in range(3)]
         return gd, (od, rd), sc, scenarios, rng
 
-    def test_oracle_answers_identical(self, weighted, fault_model, search):
+    def test_oracle_answers_identical(self, profile, churn, fault_model):
         gd, (od, _), sc, scenarios, rng = self._churned_pair(
-            weighted, fault_model, search
+            profile, churn, fault_model
         )
         oc = sc.oracle()
         for faults in scenarios:
@@ -293,9 +235,9 @@ class TestDynamicEngineApplicationsParity:
                 assert od.path(u, v, faults=faults) == \
                     oc.path(u, v, faults=faults)
 
-    def test_router_tables_identical(self, weighted, fault_model, search):
+    def test_router_tables_identical(self, profile, churn, fault_model):
         gd, (_, rd), sc, scenarios, rng = self._churned_pair(
-            weighted, fault_model, search
+            profile, churn, fault_model
         )
         rc = sc.router()
         for faults in scenarios:
@@ -303,37 +245,3 @@ class TestDynamicEngineApplicationsParity:
             for dest in alive[:3]:
                 assert rd.table(dest, faults=faults) == \
                     rc.table(dest, faults=faults)
-
-
-class TestSearchEngineValidationInApplications:
-    def test_float_weights_reject_integral_engines(self):
-        g = generators.ensure_connected(
-            generators.weighted_gnp(20, 0.25, seed=3), seed=3
-        )
-        prebuilt = fault_tolerant_spanner(g, 2, 1)
-        from repro.graph.snapshot import UnsupportedSearch
-
-        for search in ("bucket", "bidir", "batch"):
-            oracle = FaultTolerantDistanceOracle(
-                g, 2, 1, prebuilt=prebuilt, search=search
-            )
-            with pytest.raises(UnsupportedSearch, match="float"):
-                oracle.distance(0, 1)  # sweep built on first query
-            with pytest.raises(UnsupportedSearch, match="float"):
-                availability_analysis(
-                    g, prebuilt.spanner, failures=1, guarantee=3.0,
-                    scenarios=2, pairs_per_scenario=2, seed=0,
-                    search=search,
-                )
-
-    def test_unknown_search_rejected_eagerly(self):
-        g = generators.gnp_random_graph(10, 0.4, seed=1)
-        prebuilt = fault_tolerant_spanner(g, 2, 1)
-        from repro.graph.snapshot import UnsupportedSearch
-
-        with pytest.raises(UnsupportedSearch):
-            FaultTolerantDistanceOracle(
-                g, 2, 1, prebuilt=prebuilt, search="dial"
-            )
-        with pytest.raises(UnsupportedSearch):
-            SpannerRouter(g, 2, 1, prebuilt=prebuilt, search="dial")

@@ -7,10 +7,11 @@ BFS accounting must be *identical* to the reference -- not merely
 valid.  This holds because both iterate neighbors in the same order and
 therefore find the same shortest-hop paths in every LBC invocation.
 
-The last class guards the shape that makes the oracle independent:
+A later class guards the shape that makes the oracle independent:
 ``src/`` never imports the reference, the reference never imports the
 CSR modules itself, and the retired ``backend=`` option is rejected
-instead of silently ignored.
+instead of silently ignored (nor do the retired ``search=`` knob's
+names survive in ``src/``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.applications import availability_analysis
 from repro.baselines.baswana_sen import baswana_sen_spanner
 from repro.baselines.greedy_classic import classic_greedy_spanner
 from repro.core.greedy_exact import exponential_greedy_spanner
@@ -30,6 +32,7 @@ from repro.core.greedy_modified import (
 )
 from repro.core.incremental import IncrementalSpanner
 from repro.graph import generators
+from repro.graph.snapshot import CSRSnapshot
 from repro.registry import UnsupportedOption, build_spanner
 from repro.verification import (
     is_spanner,
@@ -310,6 +313,83 @@ _DIRECT_CALLS = {
 }
 
 
+class TestMixedProfileParity:
+    """Sweeps whose two graphs sit on different policy rows.
+
+    H is a spanner of a graph G0 of H's profile; G adds heavier edges
+    of a wider profile to G0, so H is still a subgraph of G.  Each side
+    of the dual sweeps then probes with its own engine -- a unit H with
+    bidirectional Dijkstra beside G's bidir or heap probes -- and every
+    report must still equal the dict reference's.
+    """
+
+    CELLS = [("int", "unit"), ("float", "unit"), ("float", "int")]
+
+    @staticmethod
+    def _pair(g_profile, h_profile, seed=5):
+        import random
+
+        g0 = generators.gnp_random_graph(22, 0.25, seed=seed)
+        if h_profile == "int":
+            g0 = generators.with_random_weights(
+                g0, low=1.0, high=8.0, seed=seed, integral=True
+            )
+        h = fault_tolerant_spanner(g0, 2, 1).spanner
+        g = g0.copy()
+        rng = random.Random(seed)
+        nodes = sorted(g.nodes())
+        while g.num_edges < g0.num_edges + 15:
+            u, v = rng.sample(nodes, 2)
+            if not g.has_edge(u, v):
+                w = (float(rng.randint(2, 8)) if g_profile == "int"
+                     else rng.uniform(1.5, 8.5))
+                g.add_edge(u, v, w)
+        assert CSRSnapshot(g).profile == g_profile
+        assert CSRSnapshot(h).profile == h_profile
+        return g, h
+
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_verification_reports_identical(self, cell, fault_model):
+        g, h = self._pair(*cell)
+        r_dict = ref.verify_ft_spanner(
+            g, h, t=3, f=1, fault_model=fault_model
+        )
+        r_csr = verify_ft_spanner(g, h, t=3, f=1, fault_model=fault_model)
+        assert r_dict.ok == r_csr.ok
+        assert r_dict.exhaustive == r_csr.exhaustive
+        assert r_dict.fault_sets_checked == r_csr.fault_sets_checked
+        assert r_dict.counterexample == r_csr.counterexample
+        assert ref.is_spanner(g, h, 3) == is_spanner(g, h, 3)
+
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_stretch_measures_identical(self, cell, fault_model):
+        import random
+
+        g, h = self._pair(*cell, seed=6)
+        assert max_stretch(g, h) == ref.max_stretch(g, h)
+        assert pairwise_stretch(g, h) == ref.pairwise_stretch(g, h)
+        rng = random.Random(6)
+        if fault_model == "vertex":
+            faults = rng.sample(list(g.nodes()), 3)
+        else:
+            faults = rng.sample(list(g.edges()), 3)
+        assert max_stretch_under_faults(
+            g, h, faults, fault_model
+        ) == ref.max_stretch_under_faults(g, h, faults, fault_model)
+
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_availability_reports_identical(self, cell):
+        g, h = self._pair(*cell, seed=7)
+        kwargs = dict(
+            failures=2, guarantee=3.0, scenarios=8,
+            pairs_per_scenario=8, seed=17,
+        )
+        assert ref.availability_analysis(g, h, **kwargs) == \
+            availability_analysis(g, h, **kwargs)
+
+
 class TestOneProductionPath:
     """CSR is the only production path; the dict code is test-only."""
 
@@ -376,113 +456,113 @@ class TestOneProductionPath:
             text = path.read_text()
             assert not [b for b in banned if b in text], path
 
+    def test_no_search_knob_left_in_src(self):
+        banned = ("SEARCH_MODES", "resolve_search", "validate_search",
+                  "UnsupportedSearch", "REPRO_SEARCH", "REPRO_BATCH_ACCEL",
+                  "BatchAccelUnavailable", "_bucket_multi_probe",
+                  "--search")
+        for path in sorted((REPO / "src").rglob("*.py")):
+            text = path.read_text()
+            assert not [b for b in banned if b in text], path
 
-class TestSearchEngineParity:
-    """Engine x fault-model x weight-profile cells of the parity matrix.
 
-    The weighted search engines (heap / bucket / bidir) are pure
-    execution policy: on every cell where an engine is legal, the
-    verification report and the stretch measures must equal the dict
-    reference's bit for bit.  Instances use *integral* weights so all
-    three engines are legal; the unit cells force the weighted engines
-    onto graphs the auto policy would answer with BFS.
+class TestWeightProfileParity:
+    """Fault-model x weight-profile cells of the parity matrix.
+
+    Each weight profile drives the CSR engine policy to different
+    kernels -- hop-BFS on unit graphs, bidirectional Dijkstra on
+    integral weights, the binary heap on float weights -- and on every
+    cell the verification report and the stretch measures must equal
+    the dict reference's bit for bit.
     """
 
-    ENGINES = ["auto", "heap", "bucket", "bidir", "batch"]
+    PROFILES = ["unit", "int", "float"]
 
     @staticmethod
-    def _graph(weighted, seed=4):
+    def _graph(profile, seed=4):
         g = generators.gnp_random_graph(22, 0.25, seed=seed)
-        if weighted:
+        if profile != "unit":
             g = generators.with_random_weights(
-                g, low=1.0, high=8.0, seed=seed, integral=True
+                g, low=1.0, high=8.0, seed=seed, integral=profile == "int"
             )
         return g
 
-    @pytest.mark.parametrize("weighted", [False, True],
-                             ids=["unit", "int-weighted"])
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-    @pytest.mark.parametrize("search", ENGINES)
-    def test_verification_reports_identical(
-        self, weighted, fault_model, search
-    ):
-        g = self._graph(weighted)
+    def test_verification_reports_identical(self, profile, fault_model):
+        g = self._graph(profile)
         h = fault_tolerant_spanner(g, 2, 1).spanner
         r_dict = ref.verify_ft_spanner(
             g, h, t=3, f=1, fault_model=fault_model
         )
-        r_eng = verify_ft_spanner(
-            g, h, t=3, f=1, fault_model=fault_model, search=search
-        )
-        assert r_dict.ok == r_eng.ok
-        assert r_dict.exhaustive == r_eng.exhaustive
-        assert r_dict.fault_sets_checked == r_eng.fault_sets_checked
-        assert r_dict.counterexample == r_eng.counterexample
+        r_csr = verify_ft_spanner(g, h, t=3, f=1, fault_model=fault_model)
+        assert r_dict.ok == r_csr.ok
+        assert r_dict.exhaustive == r_csr.exhaustive
+        assert r_dict.fault_sets_checked == r_csr.fault_sets_checked
+        assert r_dict.counterexample == r_csr.counterexample
 
-    @pytest.mark.parametrize("weighted", [False, True],
-                             ids=["unit", "int-weighted"])
-    @pytest.mark.parametrize("search", ENGINES)
-    def test_counterexamples_identical_on_broken_spanner(
-        self, weighted, search
-    ):
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_counterexamples_identical_on_broken_spanner(self, profile):
         import random
 
-        g = self._graph(weighted, seed=8)
+        g = self._graph(profile, seed=8)
         h = fault_tolerant_spanner(g, 2, 1).spanner.copy()
         edges = list(h.edges())
         for e in random.Random(8).sample(edges, len(edges) // 2):
             h.remove_edge(*e)
         r_dict = ref.verify_ft_spanner(g, h, t=3, f=1)
-        r_eng = verify_ft_spanner(g, h, t=3, f=1, search=search)
-        assert not r_eng.ok
-        assert r_dict.fault_sets_checked == r_eng.fault_sets_checked
-        assert r_dict.counterexample == r_eng.counterexample
+        r_csr = verify_ft_spanner(g, h, t=3, f=1)
+        assert not r_csr.ok
+        assert r_dict.fault_sets_checked == r_csr.fault_sets_checked
+        assert r_dict.counterexample == r_csr.counterexample
 
-    @pytest.mark.parametrize("weighted", [False, True],
-                             ids=["unit", "int-weighted"])
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-    @pytest.mark.parametrize("search", ENGINES)
-    def test_stretch_measures_identical(self, weighted, fault_model, search):
+    def test_stretch_measures_identical(self, profile, fault_model):
         import random
 
-        g = self._graph(weighted, seed=6)
+        g = self._graph(profile, seed=6)
         h = fault_tolerant_spanner(g, 2, 1).spanner
-        assert max_stretch(g, h, search=search) == \
-            ref.max_stretch(g, h)
-        assert pairwise_stretch(g, h, search=search) == \
-            ref.pairwise_stretch(g, h)
+        assert max_stretch(g, h) == ref.max_stretch(g, h)
+        assert pairwise_stretch(g, h) == ref.pairwise_stretch(g, h)
         rng = random.Random(6)
         if fault_model == "vertex":
             faults = rng.sample(list(g.nodes()), 3)
         else:
             faults = rng.sample(list(g.edges()), 3)
         assert max_stretch_under_faults(
-            g, h, faults, fault_model, search=search
+            g, h, faults, fault_model
         ) == ref.max_stretch_under_faults(g, h, faults, fault_model)
 
-    def test_integral_engines_rejected_on_float_weights(self):
-        from repro.graph.snapshot import UnsupportedSearch
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_sampled_reports_identical(self, profile, fault_model):
+        # Beyond the exhaustive budget the sweep checks adversarially
+        # sampled fault sets (the generator is shared), so the reports
+        # must still match field for field.
+        g = self._graph(profile, seed=9)
+        h = fault_tolerant_spanner(
+            g, 2, 2, fault_model=fault_model
+        ).spanner
+        kwargs = dict(t=3, f=2, fault_model=fault_model,
+                      exhaustive_budget=50, samples=25, seed=3)
+        r_dict = ref.verify_ft_spanner(g, h, **kwargs)
+        r_csr = verify_ft_spanner(g, h, **kwargs)
+        assert not r_csr.exhaustive
+        assert r_dict.ok == r_csr.ok
+        assert r_dict.fault_sets_checked == r_csr.fault_sets_checked
+        assert r_dict.counterexample == r_csr.counterexample
 
-        g = generators.weighted_gnp(14, 0.3, seed=4)
-        h = fault_tolerant_spanner(g, 2, 1).spanner
-        for search in ("bucket", "bidir", "batch"):
-            with pytest.raises(UnsupportedSearch, match="float"):
-                verify_ft_spanner(g, h, t=3, f=1, search=search)
-            with pytest.raises(UnsupportedSearch, match="float"):
-                max_stretch(g, h, search=search)
-        # Float weights on the heap engine (and auto) stay legal.
-        verify_ft_spanner(g, h, t=3, f=0, search="heap")
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_is_spanner_identical(self, profile):
+        import random
 
-    def test_unknown_search_name_rejected(self):
-        from repro.graph.snapshot import UnsupportedSearch
-        from repro.graph.views import fault_view
-
-        g = generators.gnp_random_graph(10, 0.4, seed=1)
-        with pytest.raises(UnsupportedSearch):
-            verify_ft_spanner(g, g, t=3, f=0, search="dial")
-        # Graphs probe on CSR, lazy views with dict Dijkstra: both
-        # validate the engine name.
-        gv = fault_view(g, vertex_faults=[0])
-        for a, b in ((g, g), (gv, gv)):
-            with pytest.raises(UnsupportedSearch):
-                max_stretch(a, b, search="dial")
+        g = self._graph(profile, seed=10)
+        h = fault_tolerant_spanner(g, 2, 0).spanner
+        broken = h.copy()
+        edges = list(broken.edges())
+        for e in random.Random(10).sample(edges, len(edges) // 3):
+            broken.remove_edge(*e)
+        for t in (1.0, 2.0, 3.0, 5.0):
+            assert is_spanner(g, h, t) == ref.is_spanner(g, h, t)
+            assert is_spanner(g, broken, t) == ref.is_spanner(g, broken, t)

@@ -1,10 +1,10 @@
-"""Property tests for the multi-source batch engine (``search="batch"``).
+"""Property tests for the multi-source batch kernels (``*_multi`` queries).
 
 The contract under test: a batched query is *bit-identical* to the
 sequential per-root queries it replaces -- same keys, same values, same
 python types -- across weight profiles, fault scenarios, repeated
 roots, disconnected graphs, and both the numpy and stdlib kernel
-variants.  The batch engine is pure execution policy; any observable
+variants.  The batch kernels are pure execution policy; any observable
 difference from the sequential path is a bug.
 """
 
@@ -12,53 +12,53 @@ import random
 
 import pytest
 
-from repro.graph import generators
-from repro.graph.snapshot import (
-    SEARCH_ENV_VAR,
-    CSRSnapshot,
-    ScenarioSweep,
-    UnsupportedSearch,
-)
-from repro.graph.traversal import BATCH_ACCEL_ENV_VAR, HAVE_NUMPY
+from repro.graph import generators, traversal
+from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
+from repro.graph.traversal import HAVE_NUMPY
 
 
 def _instance(n, p, weights, seed):
     g = generators.gnp_random_graph(n, p, seed=seed)
-    if weights == "int":
+    if weights != "unit":
         g = generators.with_random_weights(
-            g, low=1.0, high=9.0, seed=seed, integral=True
+            g, low=1.0, high=9.0, seed=seed, integral=weights == "int"
         )
     return g
 
 
-def _sweep_pair(g, faults=()):
-    """A batch sweep and a sequential (auto) sweep on one snapshot."""
+def _sweep_pair(g, faults=(), fault_model="vertex"):
+    """Two sweeps on one snapshot: one batched, one queried per root."""
     snap = CSRSnapshot(g)
-    batch = ScenarioSweep(snap, search="batch")
-    seq = ScenarioSweep(snap, search="auto")
+    batch = ScenarioSweep(snap)
+    seq = ScenarioSweep(snap)
     if faults:
-        batch.set_vertex_faults(faults)
-        seq.set_vertex_faults(faults)
+        batch.stamp(faults, fault_model)
+        seq.stamp(faults, fault_model)
     return batch, seq
 
 
 class TestBatchEqualsSequential:
     """distances_multi / parents_multi == per-root sequential calls."""
 
-    @pytest.mark.parametrize("weights", ["unit", "int"])
-    def test_random_graphs_random_faults(self, weights):
+    @pytest.mark.parametrize("weights", ["unit", "int", "float"])
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_random_graphs_random_faults(self, weights, fault_model):
         rng = random.Random(90)
         for trial in range(12):
             n = rng.choice([8, 25, 60])
             g = _instance(n, rng.choice([0.08, 0.2, 0.4]), weights,
                           seed=trial)
             nodes = sorted(g.nodes())
-            faults = rng.sample(nodes, rng.randint(0, min(4, n - 1)))
-            alive = [v for v in nodes if v not in set(faults)]
+            universe = nodes if fault_model == "vertex" else list(g.edges())
+            faults = rng.sample(
+                universe, rng.randint(0, min(4, max(len(universe) - 1, 0)))
+            )
+            alive = [v for v in nodes
+                     if fault_model == "edge" or v not in set(faults)]
             if not alive:
                 continue
             roots = rng.sample(alive, rng.randint(1, len(alive)))
-            batch, seq = _sweep_pair(g, faults)
+            batch, seq = _sweep_pair(g, faults, fault_model)
             dists = batch.distances_multi(roots)
             parents = batch.parents_multi(roots)
             for r, d, p in zip(roots, dists, parents):
@@ -127,32 +127,41 @@ class TestBatchEqualsSequential:
 
 
 class TestAccelVariants:
-    """The numpy and stdlib kernels answer identically."""
+    """The numpy and stdlib kernels answer identically.
+
+    The kernel is chosen by whether numpy imports, so the tests switch
+    it by patching ``traversal.HAVE_NUMPY``.
+    """
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-    def test_numpy_matches_stdlib(self, monkeypatch):
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_numpy_matches_stdlib(self, monkeypatch, fault_model):
         rng = random.Random(17)
         for trial in range(6):
             g = _instance(40, rng.choice([0.05, 0.15]), "unit",
                           seed=trial + 40)
             nodes = sorted(g.nodes())
-            faults = rng.sample(nodes, 2)
-            roots = [v for v in nodes if v not in set(faults)][:25]
+            if fault_model == "vertex":
+                faults = rng.sample(nodes, 2)
+            else:
+                faults = rng.sample(list(g.edges()), 4)
+            roots = [v for v in nodes
+                     if fault_model == "edge" or v not in set(faults)][:25]
 
-            monkeypatch.setenv(BATCH_ACCEL_ENV_VAR, "stdlib")
-            batch, _ = _sweep_pair(g, faults)
+            monkeypatch.setattr(traversal, "HAVE_NUMPY", False)
+            batch, _ = _sweep_pair(g, faults, fault_model)
             d_std = batch.distances_multi(roots)
             p_std = batch.parents_multi(roots)
 
-            monkeypatch.setenv(BATCH_ACCEL_ENV_VAR, "numpy")
-            batch, _ = _sweep_pair(g, faults)
+            monkeypatch.setattr(traversal, "HAVE_NUMPY", True)
+            batch, _ = _sweep_pair(g, faults, fault_model)
             assert batch.distances_multi(roots) == d_std
             assert batch.parents_multi(roots) == p_std
 
     def test_stdlib_fallback_is_exact(self, monkeypatch):
-        # Forcing the stdlib loops must not change any answer relative
-        # to a sequential sweep (the gate HAVE_NUMPY protects).
-        monkeypatch.setenv(BATCH_ACCEL_ENV_VAR, "stdlib")
+        # Without numpy the stdlib loops must not change any answer
+        # relative to a sequential sweep.
+        monkeypatch.setattr(traversal, "HAVE_NUMPY", False)
         g = generators.ensure_connected(
             _instance(25, 0.2, "unit", seed=3), seed=3
         )
@@ -160,31 +169,12 @@ class TestAccelVariants:
         roots = sorted(g.nodes())
         for r, d in zip(roots, batch.distances_multi(roots)):
             assert d == seq.distances_from(r)
+        for r, p in zip(roots, batch.parents_multi(roots)):
+            assert p == seq.parents_toward(r)
 
-
-class TestSearchEnvOverride:
-    """REPRO_SEARCH names the default engine for search=None."""
-
-    def test_env_selects_batch(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_ENV_VAR, "batch")
-        g = _instance(10, 0.4, "unit", seed=6)
-        sweep = ScenarioSweep(CSRSnapshot(g))
-        assert sweep.search == "batch"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_ENV_VAR, "heap")
-        g = _instance(10, 0.4, "unit", seed=6)
-        sweep = ScenarioSweep(CSRSnapshot(g), search="batch")
-        assert sweep.search == "batch"
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_ENV_VAR, "warp")
-        g = _instance(10, 0.4, "unit", seed=6)
-        with pytest.raises(UnsupportedSearch, match="unknown"):
-            ScenarioSweep(CSRSnapshot(g))
-
-    def test_env_batch_rejected_on_float_snapshot(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_ENV_VAR, "batch")
-        g = generators.weighted_gnp(10, 0.4, seed=8)
-        with pytest.raises(UnsupportedSearch, match="float"):
-            ScenarioSweep(CSRSnapshot(g))
+    def test_resolve_batch_accel_follows_numpy(self, monkeypatch):
+        monkeypatch.setattr(traversal, "HAVE_NUMPY", False)
+        assert traversal.resolve_batch_accel() == "stdlib"
+        if HAVE_NUMPY:
+            monkeypatch.setattr(traversal, "HAVE_NUMPY", True)
+            assert traversal.resolve_batch_accel() == "numpy"

@@ -319,78 +319,90 @@ class TestInfoAndDemo:
         assert "OK" in out
 
 
-class TestSearchFlag:
-    @pytest.fixture
-    def weighted_file(self, tmp_path):
+class TestEnginePolicyOnCli:
+    @pytest.fixture(params=["int", "float"])
+    def weighted_file(self, request, tmp_path):
         g = generators.ensure_connected(
-            generators.weighted_gnp(20, 0.3, seed=5), seed=5
+            generators.with_random_weights(
+                generators.gnp_random_graph(20, 0.3, seed=5),
+                low=1.0, high=8.0, seed=5,
+                integral=request.param == "int",
+            ),
+            seed=5,
         )
         path = tmp_path / "wg.txt"
         graph_io.save(g, path)
         return path
 
-    @pytest.fixture
-    def int_weighted_file(self, tmp_path):
-        g = generators.ensure_connected(
-            generators.with_random_weights(
-                generators.gnp_random_graph(20, 0.3, seed=5),
-                low=1.0, high=8.0, seed=5, integral=True,
-            ),
-            seed=5,
-        )
-        path = tmp_path / "ig.txt"
-        graph_io.save(g, path)
-        return path
-
-    @pytest.mark.parametrize("search", ["auto", "heap", "bucket", "bidir"])
-    def test_build_verify_with_every_engine(self, search, capsys):
-        rc = main([
-            "build", "--random", "25", "--p", "0.25", "-k", "2", "-f", "1",
-            "--verify", "--search", search,
-        ])
+    @pytest.mark.parametrize("mode", ["sweep", "witness"])
+    def test_build_verify_and_verify_on_weighted_files(
+        self, weighted_file, mode, tmp_path, capsys
+    ):
+        out_path = tmp_path / "spanner.txt"
+        rc = main(["build", "--input", str(weighted_file), "-k", "2",
+                   "-f", "1", "--verify", "--output", str(out_path)])
+        assert rc == 0
+        assert "OK" in capsys.readouterr().out
+        rc = main(["verify", str(weighted_file), str(out_path),
+                   "-t", "3", "-f", "1", "--mode", mode])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_verify_engines_agree_on_integral_weights(
-        self, int_weighted_file, tmp_path, capsys
-    ):
-        out_path = tmp_path / "spanner.txt"
-        main(["build", "--input", str(int_weighted_file), "-k", "2",
-              "-f", "1", "--output", str(out_path)])
-        capsys.readouterr()  # drain the build output
-        outputs = {}
-        for search in ("heap", "bucket", "bidir"):
-            rc = main([
-                "verify", str(int_weighted_file), str(out_path),
-                "-t", "3", "-f", "1", "--search", search,
-            ])
-            assert rc == 0
-            outputs[search] = capsys.readouterr().out
-        assert outputs["heap"] == outputs["bucket"] == outputs["bidir"]
-
-    def test_integral_engine_on_float_weights_is_clean_error(
-        self, weighted_file, tmp_path
-    ):
-        out_path = tmp_path / "spanner.txt"
-        main(["build", "--input", str(weighted_file), "-k", "2", "-f", "1",
-              "--output", str(out_path)])
-        with pytest.raises(SystemExit, match="float"):
-            main([
-                "verify", str(weighted_file), str(out_path),
-                "-t", "3", "-f", "1", "--search", "bucket",
-            ])
-
-    def test_oracle_search_flag(self, capsys):
-        rc = main([
-            "oracle", "--random", "25", "--p", "0.25", "-f", "1",
-            "--search", "bucket", "--pairs", "10", "--scenarios", "2",
-        ])
+    def test_oracle_on_weighted_file(self, weighted_file, capsys):
+        rc = main(["oracle", "--input", str(weighted_file), "-f", "1",
+                   "--pairs", "10", "--scenarios", "2"])
         assert rc == 0
         assert "reachable under faults" in capsys.readouterr().out
 
-    def test_unknown_engine_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["build", "--random", "10", "--search", "dial"])
+    def test_serve_on_weighted_file(self, weighted_file, capsys):
+        # The workers adopt the weighted snapshot and must answer like
+        # the in-process sweep (the command's own parity audit).
+        rc = main(["serve", "--input", str(weighted_file), "-f", "1",
+                   "--workers", "2", "--requests", "8", "--rate", "200",
+                   "--pairs", "8"])
+        assert rc == 0
+        assert "parity vs in-process sweep: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weights", ["unit", "int", "float"])
+    def test_churn_across_profiles(self, weights, capsys):
+        # Weighted churn on a unit base moves the held oracle's
+        # snapshot to another policy row mid-stream.
+        rc = main(["churn", "--random", "40", "--p", "0.15",
+                   "--steps", "30", "--window", "8", "--batch", "10",
+                   "--probes", "3", "--weights", weights])
+        assert rc == 0
+        assert "identical (OK)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["build", "--random", "10"],
+        ["verify", "g.txt", "h.txt", "-t", "3"],
+        ["oracle", "--random", "10"],
+        ["serve", "--random", "10"],
+        ["churn", "--random", "10"],
+    ])
+    def test_search_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--search", "auto"])
+        assert exc.value.code == 2
+        assert "--search" in capsys.readouterr().err
+
+    def test_algorithms_prints_the_policy_table(self, capsys):
+        from repro.graph.traversal import HAVE_NUMPY
+
+        assert main(["algorithms"]) == 0
+        out = capsys.readouterr().out
+        assert "engine policy" in out
+        rows = {
+            line.split()[0]: line.split()[1:] for line in out.splitlines()
+            if line.split()[:1] in (["unit"], ["int"], ["float"])
+        }
+        assert rows == {
+            "unit": ["bfs", "bfs", "bucket", "bfs"],
+            "int": ["bucket", "bidir", "bucket", "bucket"],
+            "float": ["heap", "heap", "heap", "loop"],
+        }
+        assert ("numpy: importable" if HAVE_NUMPY
+                else "numpy: NOT importable") in out
 
 
 class TestWeightedCapabilityOnCli:

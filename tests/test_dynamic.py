@@ -28,12 +28,12 @@ from repro.dynamic import (
 )
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.graph.snapshot import CSRSnapshot, ScenarioSweep, UnsupportedSearch
+from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
+from repro.graph.traversal import dijkstra
 from repro.session import SpannerSession
 
 INFINITY = math.inf
 
-ENGINES = ["auto", "heap", "bucket", "bidir", "batch"]
 PROFILES = ["unit", "int", "float"]
 
 
@@ -83,11 +83,14 @@ def _random_ops(g: Graph, rng: random.Random, count: int, profile: str):
     return ops
 
 
-def _assert_query_parity(dyn: DynamicSnapshot, search: str,
-                         fault_model: str = "vertex", faults=()) -> None:
+def _assert_query_parity(dyn: DynamicSnapshot, fault_model: str = "vertex",
+                         faults=()) -> None:
     """Every sweep query on ``dyn`` equals a fresh freeze of its graph."""
-    fresh = ScenarioSweep(CSRSnapshot(dyn.g), search=search)
-    live = dyn.sweep(search=search)
+    fresh = ScenarioSweep(CSRSnapshot(dyn.g))
+    live = dyn.sweep()
+    # Same profile, so the live sweep runs the kernels a fresh freeze
+    # would pick.
+    assert live.snap.profile == fresh.snap.profile
     if faults:
         if fault_model == "vertex":
             fresh.set_vertex_faults(faults)
@@ -168,7 +171,7 @@ class TestUpdateLog:
             dyn.apply([("insert", 0, 4), ("delete", 1, 3), ("insert", 0, 2)])
         assert g.has_edge(0, 4)      # prefix applied
         assert not g.has_edge(0, 2)  # suffix never reached
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
 
 # --------------------------------------------------------------------- #
@@ -177,39 +180,39 @@ class TestUpdateLog:
 
 
 @pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("search", ENGINES)
+@pytest.mark.parametrize("churn", PROFILES)
 class TestOverlayRefreezeEquivalence:
-    def test_random_stream_bit_identical(self, profile, search):
-        if search in ("bucket", "bidir", "batch") and profile == "float":
-            pytest.skip("integral-only engine")
+    """Base profile x churn profile: a stream whose inserts carry another
+    profile moves the live snapshot to another row of the engine
+    policy, so the held sweep must switch kernels mid-stream and still
+    match a fresh freeze."""
+
+    def test_random_stream_bit_identical(self, profile, churn):
         g = _base_graph(profile)
-        rng = random.Random(hash((profile, search)) & 0xFFFF)
+        rng = random.Random(f"stream-{profile}-{churn}")
         dyn = DynamicSnapshot(g, compact_every=13)
-        ops = _random_ops(g, rng, 60, profile)
+        ops = _random_ops(g, rng, 60, churn)
+        _assert_query_parity(dyn)  # the sweep is held from here on
         for lo in range(0, len(ops), 15):
             dyn.apply(ops[lo:lo + 15])
-            _assert_query_parity(dyn, search)
+            _assert_query_parity(dyn)
         assert dyn.compactions >= 1  # the stream crossed a refreeze
 
-    def test_faults_intersecting_overlay_edges(self, profile, search):
-        if search in ("bucket", "bidir", "batch") and profile == "float":
-            pytest.skip("integral-only engine")
+    def test_faults_intersecting_overlay_edges(self, profile, churn):
         g = _base_graph(profile)
         rng = random.Random(77)
         dyn = DynamicSnapshot(g, max_density=None)
-        ops = [op for op in _random_ops(g, rng, 30, profile)]
+        ops = [op for op in _random_ops(g, rng, 30, churn)]
         dyn.apply(ops)
         inserted = [
             (op[1], op[2]) for op in ops
             if op[0] == "insert" and g.has_edge(op[1], op[2])
         ]
         # Edge faults right on overlay-inserted edges...
-        _assert_query_parity(
-            dyn, search, fault_model="edge", faults=inserted[:3]
-        )
+        _assert_query_parity(dyn, fault_model="edge", faults=inserted[:3])
         # ...and vertex faults on their endpoints.
         _assert_query_parity(
-            dyn, search, fault_model="vertex",
+            dyn, fault_model="vertex",
             faults=[inserted[0][0], inserted[-1][1]],
         )
 
@@ -225,7 +228,7 @@ class TestOverlayMechanics:
             ov.neighbors[i] is snap.csr.neighbors[i]
             for i in range(ov.num_nodes)
         )
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_delete_retires_edge_ids_without_renumbering(self):
         g = generators.cycle_graph(6)
@@ -246,7 +249,7 @@ class TestOverlayMechanics:
         dyn = DynamicSnapshot(g)
         dyn.apply([("insert", 3, "new-a"), ("insert", "new-a", "new-b")])
         assert dyn.view.csr.num_nodes == 6
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_incremental_profile_tracks_weight_classes(self):
         g = generators.path_graph(5)
@@ -290,7 +293,7 @@ class TestCompaction:
         assert dyn.compactions == 1 and dyn.overlay_depth == 0
         dyn.apply(ops[K:K + 1])
         assert dyn.compactions == 1 and dyn.overlay_depth == 1
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_fires_mid_batch(self):
         K = 5
@@ -298,7 +301,7 @@ class TestCompaction:
         ops = _random_ops(g, random.Random(2), 2 * K, "unit")
         dyn.apply(ops)  # one call, two boundary crossings
         assert dyn.compactions == 2
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_density_trigger(self):
         g = generators.gnp_random_graph(24, 0.15, seed=4)
@@ -315,7 +318,7 @@ class TestCompaction:
         assert dyn.compactions == 0
         dyn.compact()
         assert dyn.compactions == 1 and dyn.overlay_depth == 0
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_rebase_keeps_holders_valid(self):
         g = generators.gnp_random_graph(24, 0.15, seed=4)
@@ -328,7 +331,7 @@ class TestCompaction:
         assert dyn.overlay is ov          # same object, rebased in place
         assert dyn.version > v            # version moved past the rebase
         assert dyn.sweep() is sweep
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -416,16 +419,19 @@ class TestSessionChurn:
         assert oracle.distance(0, 29) == 1.0
         assert router.route(0, 29) == [0, 29]
 
-    def test_churn_can_invalidate_forced_engine(self):
-        # A float insert makes the bucket queue illegal; the sweep's
-        # refresh must surface UnsupportedSearch, not a wrong answer.
+    def test_churn_moves_the_engine_with_the_profile(self):
+        # A float insert moves a unit snapshot to the float profile:
+        # the held sweep must switch from hop-BFS to the heap engine
+        # (queries read the live profile), not keep answering in hops.
         g = generators.gnp_random_graph(20, 0.2, seed=10)
         dyn = DynamicSnapshot(g, max_density=None)
-        sw = dyn.sweep(search="bucket")
+        sw = dyn.sweep()
         sw.distances_from(0)
         dyn.apply([("insert", 0, 19, 2.5)])
-        with pytest.raises(UnsupportedSearch):
-            sw.distances_from(0)
+        assert dyn.view.profile == "float"
+        assert sw.distance(0, 19) == \
+            dijkstra(dyn.g, 0, target=19)[19]
+        _assert_query_parity(dyn)
 
 
 # --------------------------------------------------------------------- #
@@ -538,4 +544,4 @@ class TestTemporalGenerators:
         )
         dyn = DynamicSnapshot(g, compact_every=11)
         dyn.apply(ops)
-        _assert_query_parity(dyn, "auto")
+        _assert_query_parity(dyn)

@@ -14,8 +14,9 @@ are deterministic) for the three CSR weighted engines:
   s-t distance as the unidirectional engines on integral weights
   (sums are exact regardless of association order), including under
   masks and truncation budgets.
-* **selection rules** -- the freeze-time weight profile, the auto
-  policy, and the typed :class:`UnsupportedSearch` rejections.
+* **selection rules** -- the freeze-time weight profile, the
+  profile-keyed engine policy, and the retired ``search=`` keyword
+  (a ``TypeError`` on every former entry point).
 """
 
 from __future__ import annotations
@@ -25,19 +26,25 @@ import random
 
 import pytest
 
+from repro.applications import (
+    FaultTolerantDistanceOracle,
+    SpannerRouter,
+    availability_analysis,
+    degradation_profile,
+)
+from repro.core.greedy_modified import fault_tolerant_spanner
+from repro.dynamic import DynamicSnapshot
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.snapshot import (
+    ENGINE_POLICY,
     CSRSnapshot,
     ScenarioSweep,
-    SEARCH_MODES,
-    UnsupportedSearch,
     pair_engine,
     path_engine,
-    resolve_search,
     sssp_engine,
-    validate_search,
+    weighted_pair_engine,
 )
 from repro.graph.traversal import (
     BUCKET_MAX_WEIGHT,
@@ -51,6 +58,16 @@ from repro.graph.traversal import (
     weight_profile,
 )
 from repro.graph.views import EdgeFaultView, VertexFaultView
+from repro.serving import SpannerServer, WorkerPool
+from repro.serving.pool import sweep_executor
+from repro.session import SpannerSession
+from repro.verification import (
+    is_spanner,
+    max_stretch,
+    max_stretch_under_faults,
+    pairwise_stretch,
+    verify_ft_spanner,
+)
 
 INF = math.inf
 
@@ -63,7 +80,8 @@ def _int_weighted(n, p, seed, high=9):
 
 
 class TestBucketEngineParity:
-    """Bucket vs heap vs dict on random integer-weight graphs."""
+    """Bucket vs heap vs dict on random integer-weight graphs (the
+    re-stamp test also runs the unit and float rows)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_distances_and_parents_identical(self, seed):
@@ -103,17 +121,29 @@ class TestBucketEngineParity:
             if pb is not None:
                 assert [nodes[i] for i in pb] == ref
 
+    @pytest.mark.parametrize("profile", ["unit", "int", "float"])
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-    def test_identical_under_fault_mask_restamps(self, fault_model):
+    def test_identical_under_fault_mask_restamps(self, profile, fault_model):
         # The sweep pattern: one workspace, many re-stamped scenarios.
         # Any bucket left dirty by a previous call (the early-exit
-        # cleanup path) would corrupt a later scenario.
-        g = _int_weighted(32, 0.16, seed=42)
+        # cleanup path) would corrupt a later scenario.  Every kernel
+        # legal on the profile runs against the policy sweep's own
+        # masks.
+        g = generators.gnp_random_graph(32, 0.16, seed=42)
+        if profile != "unit":
+            g = generators.with_random_weights(
+                g, low=1.0, high=9.0, seed=42, integral=profile == "int"
+            )
+        sssp = ("heap",) if profile == "float" else ("heap", "bucket")
+        pair = ("heap",) if profile == "float" else (
+            "heap", "bucket", "bidir")
         snap = CSRSnapshot(g)
-        sweeps = {
-            s: ScenarioSweep(snap, search=s)
-            for s in ("heap", "bucket", "bidir", "batch")
-        }
+        assert snap.profile == profile
+        csr = snap.csr
+        index = snap.indexer.index
+        label = snap.indexer.node
+        sweep = ScenarioSweep(snap)
+        ws = DijkstraWorkspace(csr.num_nodes)
         nodes = sorted(g.nodes())
         edges = list(g.edges())
         rng = random.Random(7)
@@ -121,31 +151,41 @@ class TestBucketEngineParity:
             if fault_model == "vertex":
                 faults = rng.sample(nodes, 3)
                 view = VertexFaultView(g, set(faults))
-                for sweep in sweeps.values():
-                    sweep.set_vertex_faults(faults)
+                masks = {"vertex_mask": sweep.set_vertex_faults(faults)}
             else:
                 faults = rng.sample(edges, 3)
                 view = EdgeFaultView(
                     g, {tuple(sorted(e, key=repr)) for e in faults}
                 )
-                for sweep in sweeps.values():
-                    sweep.set_edge_faults(faults)
+                masks = {"edge_mask": sweep.set_edge_faults(faults)}
             survivors = [x for x in nodes if view.has_node(x)]
             src = rng.choice(survivors)
             ref = dijkstra(view, src)
-            assert sweeps["heap"].distances_from(src) == ref
-            assert sweeps["bucket"].distances_from(src) == ref
+            assert sweep.distances_from(src) == ref
+            for engine in sssp:
+                raw = csr_dijkstra(csr, index(src), workspace=ws,
+                                   search=engine, **masks)
+                assert {label(i): d for i, d in raw.items()} == ref
             for _ in range(4):
                 u, v = rng.sample(survivors, 2)
                 want = ref if u == src else dijkstra(view, u, target=v)
                 expected = want.get(v, INF)
-                for sweep in sweeps.values():
-                    assert sweep.distance(u, v) == expected
-            # Parent trees agree across engines (bidir maps to bucket
-            # for single-source queries).
-            ph = sweeps["heap"].parents_toward(src)
-            assert sweeps["bucket"].parents_toward(src) == ph
-            assert sweeps["bidir"].parents_toward(src) == ph
+                assert sweep.distance(u, v) == expected
+                for engine in pair:
+                    assert csr_weighted_distance(
+                        csr, index(u), index(v), workspace=ws,
+                        search=engine, **masks,
+                    ) == expected
+            # Parent trees agree across engines and with the sweep.
+            trees = [
+                csr_dijkstra_parents(csr, index(src), workspace=ws,
+                                     search=engine, **masks)
+                for engine in sssp
+            ]
+            assert all(t == trees[0] for t in trees)
+            assert sweep.parents_toward(src) == {
+                label(i): label(p) for i, p in trees[0].items()
+            }
 
     def test_truncation_budgets_identical(self):
         g = _int_weighted(34, 0.15, seed=3)
@@ -238,56 +278,94 @@ class TestWeightProfile:
         assert (floats.profile, floats.max_weight) == ("float", 0)
 
 
-class TestEngineSelection:
-    def test_resolve_and_validate(self):
-        assert resolve_search(None) == "auto"
-        for s in SEARCH_MODES:
-            assert resolve_search(s) == s
-        with pytest.raises(UnsupportedSearch, match="unknown"):
-            resolve_search("dial")
-        assert validate_search("bucket", "int", "unit") == "bucket"
-        for s in ("bucket", "bidir", "batch"):
-            with pytest.raises(UnsupportedSearch, match="float"):
-                validate_search(s, "int", "float")
-        # The heap and auto engines run anywhere.
-        assert validate_search("heap", "float") == "heap"
-        assert validate_search("auto", "float") == "auto"
+class TestEnginePolicy:
+    def test_policy_table(self):
+        assert sssp_engine("unit") == "bfs"
+        assert sssp_engine("int") == "bucket"
+        assert sssp_engine("float") == "heap"
+        assert pair_engine("unit") == "bfs"
+        assert pair_engine("int") == "bidir"
+        assert pair_engine("float") == "heap"
+        assert weighted_pair_engine("unit") == "bidir"
+        assert weighted_pair_engine("int") == "bidir"
+        assert weighted_pair_engine("float") == "heap"
+        assert path_engine("unit") == "bucket"
+        assert path_engine("int") == "bucket"
+        assert path_engine("float") == "heap"
+        assert {p: k["batch"] for p, k in ENGINE_POLICY.items()} == {
+            "unit": "bfs", "int": "bucket", "float": "loop",
+        }
 
-    def test_auto_policy(self):
-        assert sssp_engine("auto", "unit") == "bfs"
-        assert sssp_engine("auto", "int") == "bucket"
-        assert sssp_engine("auto", "float") == "heap"
-        assert pair_engine("auto", "unit") == "bfs"
-        assert pair_engine("auto", "int") == "bidir"
-        assert pair_engine("auto", "float") == "heap"
-        assert path_engine("auto", "unit") == "bucket"
-        assert path_engine("auto", "int") == "bucket"
-        assert path_engine("auto", "float") == "heap"
-
-    def test_forced_engines(self):
-        for profile in ("unit", "int", "float"):
-            assert sssp_engine("heap", profile) == "heap"
-            assert pair_engine("heap", profile) == "heap"
-        for profile in ("unit", "int"):
-            assert sssp_engine("bucket", profile) == "bucket"
-            assert pair_engine("bidir", profile) == "bidir"
-            # bidir is point-to-point only; single-source falls back to
-            # the bucket engine (legal whenever bidir is).
-            assert sssp_engine("bidir", profile) == "bucket"
-            assert path_engine("bidir", profile) == "bucket"
-
-    def test_sweep_rejects_integral_engines_on_float_snapshot(self):
-        snap = CSRSnapshot(generators.weighted_gnp(10, 0.5, seed=2))
-        for s in ("bucket", "bidir", "batch"):
-            with pytest.raises(UnsupportedSearch, match="float"):
-                ScenarioSweep(snap, search=s)
-        ScenarioSweep(snap, search="heap")  # fine
-
-    def test_sweep_unit_auto_still_uses_bfs(self):
-        # The unit fast path survives: auto on a unit snapshot answers
-        # with hop-BFS, identical values to the weighted engines.
+    def test_sweep_unit_bfs_matches_weighted_kernels(self):
+        # The unit fast path answers with hop-BFS; the values equal
+        # every weighted kernel's.
         snap = CSRSnapshot(generators.cycle_graph(8))
-        auto = ScenarioSweep(snap, search="auto")
-        forced = ScenarioSweep(snap, search="heap")
+        sweep = ScenarioSweep(snap)
         for v in range(1, 8):
-            assert auto.distance(0, v) == forced.distance(0, v)
+            for engine in ("heap", "bucket", "bidir"):
+                assert sweep.distance(0, v) == csr_weighted_distance(
+                    snap.csr, 0, v, search=engine
+                )
+
+
+def _small_pair():
+    g = generators.ensure_connected(
+        generators.gnp_random_graph(12, 0.3, seed=5), seed=5
+    )
+    return g, fault_tolerant_spanner(g, 2, 1)
+
+
+#: Every public entry point that took ``search=`` before the engine
+#: choice became the profile-keyed policy.  Each call binds ``search``
+#: as an unknown keyword, so it fails before any work (or process
+#: spawn) happens.
+_RETIRED_SEARCH_CALLS = {
+    "SpannerSession": lambda g, r: SpannerSession(g, search="heap"),
+    "FaultTolerantDistanceOracle": lambda g, r: FaultTolerantDistanceOracle(
+        g, 2, 1, prebuilt=r, search="heap"),
+    "SpannerRouter": lambda g, r: SpannerRouter(
+        g, 2, 1, prebuilt=r, search="heap"),
+    "availability_analysis": lambda g, r: availability_analysis(
+        g, r.spanner, 1, 3.0, search="heap"),
+    "degradation_profile": lambda g, r: degradation_profile(
+        g, r.spanner, 3.0, 1, search="heap"),
+    "is_spanner": lambda g, r: is_spanner(g, r.spanner, 3, search="heap"),
+    "verify_ft_spanner": lambda g, r: verify_ft_spanner(
+        g, r.spanner, 3, 1, search="heap"),
+    "pairwise_stretch": lambda g, r: pairwise_stretch(
+        g, r.spanner, search="heap"),
+    "max_stretch": lambda g, r: max_stretch(g, r.spanner, search="heap"),
+    "max_stretch_under_faults": lambda g, r: max_stretch_under_faults(
+        g, r.spanner, [0], search="heap"),
+    "DynamicSnapshot.sweep": lambda g, r: DynamicSnapshot(g).sweep(
+        search="heap"),
+    "SpannerServer": lambda g, r: SpannerServer(g, search="heap"),
+    "WorkerPool": lambda g, r: WorkerPool("unused", 1, search="heap"),
+    "sweep_executor": lambda g, r: sweep_executor("unused", search="heap"),
+}
+
+
+class TestSearchKnobRetired:
+    """The engine is execution policy, not an option."""
+
+    @pytest.mark.parametrize("entry", sorted(_RETIRED_SEARCH_CALLS))
+    def test_search_keyword_is_rejected(self, entry):
+        g, result = _small_pair()
+        with pytest.raises(TypeError, match="search"):
+            _RETIRED_SEARCH_CALLS[entry](g, result)
+
+    def test_scenario_sweep_keeps_only_auto(self):
+        snap = CSRSnapshot(generators.cycle_graph(6))
+        for search in (None, "auto"):
+            assert ScenarioSweep(snap, search=search).distance(0, 3) == 3.0
+        for search in ("heap", "bucket", "bidir", "batch"):
+            with pytest.raises(ValueError, match="weight profile"):
+                ScenarioSweep(snap, search=search)
+
+    def test_environment_is_ignored(self, monkeypatch):
+        # The retired environment switches no longer steer anything.
+        monkeypatch.setenv("REPRO_SEARCH", "warp")
+        monkeypatch.setenv("REPRO_BATCH_ACCEL", "warp")
+        g = generators.weighted_gnp(10, 0.4, seed=8)
+        sweep = ScenarioSweep(CSRSnapshot(g))
+        assert sweep.distances_multi([0]) == [sweep.distances_from(0)]

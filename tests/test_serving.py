@@ -203,12 +203,72 @@ class TestHealthyServer:
             server.ping()
 
 
+
+@pytest.fixture(scope="module", params=["int", "float"])
+def weighted_served(request):
+    """A healthy server over a weighted ring: the workers adopt the
+    snapshot from shared memory and must land on the same engine-policy
+    row (bucket / bidir on int weights, the heap on float) as the
+    in-process sweep."""
+    g = generators.with_random_weights(
+        ring_graph(), low=1.0, high=9.0, seed=3,
+        integral=request.param == "int",
+    )
+    snap = CSRSnapshot(g)
+    assert snap.profile == request.param
+    with SpannerServer(
+        snap, config=ServingConfig(workers=2, deadline=30.0, shard_min=4)
+    ) as server:
+        yield g, snap, server
+
+
+class TestWeightedServer:
+    def test_pairs_parity(self, weighted_served):
+        g, snap, served = weighted_served
+        faults, pairs = scenario(g)
+        sweep = ScenarioSweep(snap)
+        sweep.stamp(faults)
+        expect = [sweep.distance(u, v) for u, v in pairs]
+        assert served.distances(pairs, faults) == expect
+
+    def test_sssp_parity(self, weighted_served):
+        g, snap, served = weighted_served
+        faults, _ = scenario(g)
+        sweep = ScenarioSweep(snap)
+        sweep.stamp(faults)
+        assert served.distances_from(5, faults) == sweep.distances_from(5)
+
+    def test_tables_parity(self, weighted_served):
+        g, snap, served = weighted_served
+        faults, _ = scenario(g)
+        sweep = ScenarioSweep(snap)
+        sweep.stamp(faults)
+        roots = [1, 2, 9, 30]
+        assert served.tables(roots, faults) == sweep.parents_multi(roots)
+        assert served.tables(roots, faults) == \
+            [sweep.parents_toward(r) for r in roots]
+
+    def test_load_run_parity(self, weighted_served):
+        # run_load audits every answer against an in-process sweep.
+        _, _, served = weighted_served
+        report = run_load(
+            served, requests=10, rate=500.0, pairs_per_request=5,
+            failures=2, seed=3,
+        )
+        assert report.parity_ok
+        assert report.completed == report.requests == 10
+
 class TestSessionServe:
     @pytest.mark.parametrize("oracle_kind", ["csr", "dict"])
-    def test_serve_matches_oracle(self, oracle_kind):
+    @pytest.mark.parametrize("profile", ["unit", "int", "float"])
+    def test_serve_matches_oracle(self, oracle_kind, profile):
         from tests import reference as ref
 
         g = generators.gnp_random_graph(40, 0.2, seed=0)
+        if profile != "unit":
+            g = generators.with_random_weights(
+                g, low=1.0, high=9.0, seed=0, integral=profile == "int"
+            )
         session = SpannerSession(g, k=2, f=1, seed=1)
         result = session.build("greedy")
         if oracle_kind == "csr":

@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.applications import (
     FaultTolerantDistanceOracle,
+    SpannerRouter,
     availability_analysis,
     degradation_profile,
 )
@@ -375,52 +376,50 @@ class TestDeprecationShims:
             session.verify(samples=10)
 
 
-class TestSearchConfig:
-    """The session's search= engine travels to every consumer."""
+class TestEnginePolicyInSession:
+    """Each weight profile's kernels serve the whole workflow."""
 
-    @pytest.fixture
-    def ig(self):
-        return generators.ensure_connected(
-            generators.with_random_weights(
-                generators.gnp_random_graph(24, 0.3, seed=11),
-                low=1.0, high=8.0, seed=11, integral=True,
-            ),
-            seed=11,
+    @pytest.mark.parametrize("profile", ["unit", "int", "float"])
+    @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
+    def test_workflow_matches_free_functions_with_one_freeze_each(
+        self, profile, fault_model
+    ):
+        g = generators.gnp_random_graph(24, 0.3, seed=11)
+        if profile != "unit":
+            g = generators.with_random_weights(
+                g, low=1.0, high=8.0, seed=11, integral=profile == "int"
+            )
+        g = generators.ensure_connected(g, seed=11)
+        session = SpannerSession(
+            g, k=2, f=1, fault_model=fault_model, seed=0
         )
-
-    def test_engines_answer_identically_with_one_freeze_each(self, ig):
-        results = {}
-        for search in ("heap", "bucket", "bidir"):
-            session = SpannerSession(
-                ig, k=2, f=1, seed=0, search=search
+        result = session.build("greedy")
+        before = snapshot_mod.csr_freeze_count()
+        report = session.verify(samples=40)
+        oracle = session.oracle()
+        router = session.router()
+        avail = session.availability(scenarios=6, pairs_per_scenario=6)
+        # The whole workflow still shares one freeze per graph.
+        assert snapshot_mod.csr_freeze_count() - before == 2
+        assert snapshot_mod.CSRSnapshot(g).profile == profile
+        h = result.spanner
+        nodes = sorted(g.nodes())
+        pairs = [(nodes[0], nodes[-1]), (nodes[1], nodes[-2])]
+        faults = (
+            [nodes[5]] if fault_model == "vertex"
+            else sorted(g.edges(), key=repr)[:1]
+        )
+        kwargs = dict(fault_model=fault_model, prebuilt=result)
+        assert report == verify_ft_spanner(
+            g, h, t=3, f=1, fault_model=fault_model, samples=40, seed=0
+        )
+        assert oracle.distances(pairs, faults=faults) == \
+            FaultTolerantDistanceOracle(g, 2, 1, **kwargs).distances(
+                pairs, faults=faults
             )
-            session.build("greedy")
-            before = snapshot_mod.csr_freeze_count()
-            report = session.verify(samples=40)
-            oracle = session.oracle()
-            router = session.router()
-            avail = session.availability(scenarios=6, pairs_per_scenario=6)
-            # The whole workflow still shares one freeze per graph.
-            assert snapshot_mod.csr_freeze_count() - before == 2
-            nodes = sorted(ig.nodes())
-            results[search] = (
-                report.ok,
-                report.fault_sets_checked,
-                oracle.distances(
-                    [(nodes[0], nodes[-1]), (nodes[1], nodes[-2])],
-                    faults=[nodes[5]],
-                ),
-                router.table(nodes[0]),
-                avail,
-            )
-        assert results["heap"] == results["bucket"] == results["bidir"]
-
-    def test_search_validated_eagerly(self, g):
-        from repro.graph.snapshot import UnsupportedSearch
-
-        with pytest.raises(UnsupportedSearch, match="unknown"):
-            SpannerSession(g, search="dial")
-
-    def test_search_default_is_auto(self, g):
-        assert SpannerSession(g).search == "auto"
-        assert SpannerSession(g, search=None).search == "auto"
+        assert router.table(nodes[0], faults=faults) == \
+            SpannerRouter(g, 2, 1, **kwargs).table(nodes[0], faults=faults)
+        assert avail == availability_analysis(
+            g, h, failures=1, guarantee=3.0, scenarios=6,
+            pairs_per_scenario=6, seed=0,
+        )

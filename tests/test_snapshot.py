@@ -23,9 +23,17 @@ from repro.graph.views import EdgeFaultView, VertexFaultView
 INFINITY = math.inf
 
 
-def _graph(weighted: bool, seed: int = 404, n: int = 28, p: float = 0.2):
-    gen = generators.weighted_gnp if weighted else generators.gnp_random_graph
-    return generators.ensure_connected(gen(n, p, seed=seed), seed=seed)
+def _graph(profile: str, seed: int = 404, n: int = 28, p: float = 0.2):
+    """A connected G(n, p) on one row of the engine policy."""
+    if profile == "float":
+        g = generators.weighted_gnp(n, p, seed=seed)
+    else:
+        g = generators.gnp_random_graph(n, p, seed=seed)
+        if profile == "int":
+            g = generators.with_random_weights(
+                g, low=1.0, high=9.0, seed=seed, integral=True
+            )
+    return generators.ensure_connected(g, seed=seed)
 
 
 class TestCSRSnapshot:
@@ -45,12 +53,12 @@ class TestCSRSnapshot:
         assert again.indexer is snap.indexer
 
 
-@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("profile", ["unit", "int", "float"])
 class TestScenarioSweepParity:
     """One sweep, many scenarios vs fresh dict views every time."""
 
-    def test_vertex_fault_scenarios(self, weighted):
-        g = _graph(weighted)
+    def test_vertex_fault_scenarios(self, profile):
+        g = _graph(profile)
         sweep = ScenarioSweep(g)
         rng = random.Random(1)
         nodes = sorted(g.nodes())
@@ -67,8 +75,8 @@ class TestScenarioSweepParity:
                 assert sweep.distance(u, v) == expect
                 assert sweep.path(u, v) == shortest_path(view, u, v)
 
-    def test_edge_fault_scenarios(self, weighted):
-        g = _graph(weighted)
+    def test_edge_fault_scenarios(self, profile):
+        g = _graph(profile)
         sweep = ScenarioSweep(g)
         rng = random.Random(2)
         nodes = sorted(g.nodes())
@@ -83,10 +91,10 @@ class TestScenarioSweepParity:
                 assert sweep.distance(u, v) == expect
                 assert sweep.path(u, v) == shortest_path(view, u, v)
 
-    def test_parents_toward(self, weighted):
+    def test_parents_toward(self, profile):
         from tests.reference import dijkstra_parents as _dijkstra_parents
 
-        g = _graph(weighted)
+        g = _graph(profile)
         sweep = ScenarioSweep(g)
         rng = random.Random(3)
         nodes = sorted(g.nodes())

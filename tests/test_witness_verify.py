@@ -52,6 +52,16 @@ def small_graphs():
         ("gnp14", generators.ensure_connected(
             generators.gnp_random_graph(14, 0.3, seed=12), seed=12)),
         ("weighted5", weighted),
+        # One graph per weighted row of the engine policy: bucket /
+        # bidir probes on integral weights, heap probes on float ones.
+        ("gnp12-int", generators.with_random_weights(
+            generators.ensure_connected(
+                generators.gnp_random_graph(12, 0.35, seed=13), seed=13),
+            low=1.0, high=6.0, seed=13, integral=True)),
+        ("gnp12-float", generators.with_random_weights(
+            generators.ensure_connected(
+                generators.gnp_random_graph(12, 0.35, seed=14), seed=14),
+            low=1.0, high=6.0, seed=14)),
     ]
 
 
