@@ -19,12 +19,7 @@ instead of O(n) clears.
 Networks use the paired-arc residual layout: arcs are appended in
 pairs, arc ``a`` and ``a ^ 1`` are mutual reverses, and pushing ``x``
 units over ``a`` means ``cap[a] -= x; cap[a ^ 1] += x``.  Capacities
-are integers; the *unit* blocking flow (``unit=True``) exploits
-all-capacities-{0,1} networks -- every augmentation pushes exactly one
-unit and saturates its whole path -- while the *general* path computes
-the bottleneck explicitly.  Both take the same augmenting paths in the
-same order, so on a unit-capacity network their final residual arrays
-are bit-identical (``tests/test_flow.py`` asserts this).
+are integers, and every augmentation pushes its path's bottleneck.
 
 :class:`DisjointPathNetwork` is the consumer this subsystem exists for:
 it builds, straight from :class:`~repro.graph.csr.CSRGraph` rows, the
@@ -39,7 +34,8 @@ value into a checkable fault-tolerance certificate.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.csr import CSRLike
 
@@ -102,6 +98,10 @@ class FlowNetwork:
     recover the (antisymmetric) flow value per arc.  Arcs disabled for
     the current query via :meth:`ban_arc` are tracked so flow
     accounting treats their capacity as 0, not as saturated.
+
+    ``adj`` maps a node to its row of leaving arc ids: a list of rows
+    as built, or any mapping with the same rows on a view from
+    :meth:`restricted`.
     """
 
     __slots__ = ("num_nodes", "head", "cap", "base", "adj", "banned")
@@ -143,6 +143,21 @@ class FlowNetwork:
         self.cap[a] = 0
         self.banned.append(a)
 
+    def restricted(self, rows) -> "FlowNetwork":
+        """A view of this network whose adjacency is ``rows``.
+
+        The view shares ``head``, ``cap`` and ``base`` (pushes on it are
+        pushes on this network) and starts with no bans.  ``rows`` maps
+        each node the view can reach to its row of arcs; an arc left out
+        of every row is invisible to max-flow and decomposition alike.
+        """
+        view = object.__new__(FlowNetwork)
+        view.num_nodes = self.num_nodes
+        view.head, view.cap, view.base = self.head, self.cap, self.base
+        view.adj = rows
+        view.banned = []
+        return view
+
     def flow_on(self, a: int) -> int:
         """Net flow currently carried by arc ``a`` (negative = reverse)."""
         if a in self.banned:
@@ -158,8 +173,16 @@ def _bfs_phase(net: FlowNetwork, s: int, t: int, ws: FlowWorkspace) -> bool:
     """Assign residual-graph levels from ``s``; True when ``t`` is reached.
 
     Stamping a node also resets its current-arc pointer -- BFS touches
-    each reachable node exactly once per phase, so this is where the
+    each node it reaches exactly once per phase, so this is where the
     blocking-flow DFS's iterators are (lazily) initialized.
+
+    The search stops as soon as it stamps ``t``.  Every node on a
+    level below ``t``'s is stamped by then, and no node on ``t``'s
+    level or deeper leads back to ``t`` through level-increasing arcs,
+    so the blocking-flow DFS could only enter such a node to find it a
+    dead end.  Leaving those nodes unstamped makes the DFS skip their
+    arcs instead -- the same pushes in the same order, minus the
+    detours.
     """
     gen = ws.next_generation()
     stamp, level, arc_it, queue = ws.stamp, ws.level, ws.arc_it, ws.queue
@@ -169,7 +192,6 @@ def _bfs_phase(net: FlowNetwork, s: int, t: int, ws: FlowWorkspace) -> bool:
     arc_it[s] = 0
     queue[0] = s
     qhead, qtail = 0, 1
-    reached_t = False
     while qhead < qtail:
         x = queue[qhead]
         qhead += 1
@@ -184,10 +206,10 @@ def _bfs_phase(net: FlowNetwork, s: int, t: int, ws: FlowWorkspace) -> bool:
             level[y] = d
             arc_it[y] = 0
             if y == t:
-                reached_t = True
+                return True
             queue[qtail] = y
             qtail += 1
-    return reached_t
+    return False
 
 
 def _augment(
@@ -196,16 +218,13 @@ def _augment(
     t: int,
     ws: FlowWorkspace,
     limit: float,
-    unit: bool,
 ) -> int:
     """Push one augmenting path through the current level graph.
 
     Returns the units pushed (0 when the phase's level graph is
-    exhausted).  The traversal is identical for both specializations --
-    advance via the current-arc pointer into the next level, retreat and
-    dead-mark on failure -- they differ only in the push: the unit path
-    pushes exactly 1 and knows every path arc saturates, the general
-    path computes the bottleneck (capped at ``limit``).
+    exhausted): advance via the current-arc pointer into the next
+    level, retreat and dead-mark on failure, and at ``t`` push the
+    path's bottleneck (capped at ``limit``).
     """
     head, cap, adj = net.head, net.cap, net.adj
     level, arc_it, stamp, gen = ws.level, ws.arc_it, ws.stamp, ws.gen
@@ -214,15 +233,12 @@ def _augment(
     x = s
     while True:
         if x == t:
-            if unit:
-                push = 1
-            else:
-                push = limit
-                for a in stack:
-                    ca = cap[a]
-                    if ca < push:
-                        push = ca
-                push = int(push)
+            push = limit
+            for a in stack:
+                ca = cap[a]
+                if ca < push:
+                    push = ca
+            push = int(push)
             for a in stack:
                 cap[a] -= push
                 cap[a ^ 1] += push
@@ -260,17 +276,13 @@ def dinitz_max_flow(
     t: int,
     workspace: Optional[FlowWorkspace] = None,
     limit: Optional[int] = None,
-    unit: Optional[bool] = None,
 ) -> int:
     """Max s-t flow of ``net``'s *current* residual state.
 
     Mutates ``net.cap`` in place (call :meth:`FlowNetwork.reset` to
     reuse the network).  ``limit`` stops early once that much flow is
     routed -- for disjoint-path queries that only need to reach f+1,
-    the remaining phases are pure waste.  ``unit`` forces the
-    unit-capacity or general blocking-flow specialization; ``None``
-    auto-detects from the as-built capacities.  Both specializations
-    produce bit-identical residual arrays on unit-capacity networks.
+    the remaining phases are pure waste.
     """
     if not (0 <= s < net.num_nodes and 0 <= t < net.num_nodes):
         raise ValueError(f"terminals ({s}, {t}) outside the network")
@@ -278,13 +290,11 @@ def dinitz_max_flow(
         raise ValueError("source equals sink")
     ws = workspace if workspace is not None else FlowWorkspace()
     ws.ensure(net.num_nodes)
-    if unit is None:
-        unit = all(c <= 1 for c in net.base)
     remaining = INFINITY if limit is None else limit
     flow = 0
     while remaining > 0 and _bfs_phase(net, s, t, ws):
         while remaining > 0:
-            pushed = _augment(net, s, t, ws, remaining, unit)
+            pushed = _augment(net, s, t, ws, remaining)
             if pushed == 0:
                 break
             flow += pushed
@@ -300,29 +310,38 @@ def decompose_paths(net: FlowNetwork, s: int, t: int) -> List[List[int]]:
     node sequence per flow unit (so ``len(result)`` equals the flow
     value).  Flow cycles not on any s-t path are simply left
     unconsumed; loops a walk does pick up are spliced out, so every
-    returned path is simple.
+    returned path is simple.  Flow is read only on the arcs the walks
+    scan, so the cost does not grow with the arcs the flow never
+    reached.
     """
     head, cap, base, adj = net.head, net.cap, net.base, net.adj
-    flow = [base[a] - cap[a] for a in range(len(base))]
-    for a in net.banned:
-        # A banned arc's effective capacity is 0: it carries no flow, it
-        # is not a saturated unit.
-        flow[a] = -cap[a]
-    value = sum(flow[a] for a in adj[s])
-    it = [0] * net.num_nodes
+    # A banned arc's effective capacity is 0: it carries no flow, it is
+    # not a saturated unit.
+    banned = set(net.banned)
+    # Units already walked, per arc (the partner gets them back).
+    consumed: Dict[int, int] = {}
+    value = sum(
+        (-cap[a] if a in banned else base[a] - cap[a]) for a in adj[s]
+    )
+    it: Dict[int, int] = {}
     paths: List[List[int]] = []
     for _ in range(value):
         walk = [s]
         x = s
         while x != t:
             row = adj[x]
-            i = it[x]
-            while flow[row[i]] <= 0:
+            i = it.get(x, 0)
+            while True:
+                a = row[i]
+                carried = -cap[a] if a in banned else base[a] - cap[a]
+                if a in consumed:
+                    carried -= consumed[a]
+                if carried > 0:
+                    break
                 i += 1
             it[x] = i
-            a = row[i]
-            flow[a] -= 1
-            flow[a ^ 1] += 1
+            consumed[a] = consumed.get(a, 0) + 1
+            consumed[a ^ 1] = consumed.get(a ^ 1, 0) - 1
             x = head[a]
             walk.append(x)
         paths.append(_splice_loops(walk))
@@ -348,10 +367,20 @@ def _splice_loops(walk: List[int]) -> List[int]:
 class DisjointPathNetwork:
     """Disjoint-path counting over a frozen CSR graph, via max-flow.
 
-    Built once per (graph, fault model) and reused across queries: each
-    call to :meth:`disjoint_paths` resets the residual capacities
-    (O(arcs) slice copy), re-applies the banned elements, and runs
-    Dinic's from one terminal to the other.
+    Built once per (graph, fault model) and reused across queries.  A
+    query runs Dinic's from one terminal to the other in one of two
+    forms:
+
+    * *banned* (the default) -- reset every residual capacity, ban the
+      given vertices / edge ids, run on the whole network (the router's
+      fault sets).
+    * *restricted* (``allowed_edges=``) -- run on a view holding only
+      the allowed edges' arcs plus the node-splitting arcs, each row
+      filtered on first visit in as-built order.  It runs exactly as
+      the whole network with every other edge banned (a banned arc has
+      residual 0 both ways, and dropping it moves no other arc in its
+      row), and it resets only the rows the previous view built, so a
+      query costs what it visits (witness verification's ellipses).
 
     ``fault_model="edge"`` -- flow nodes are the graph's node indices;
     each undirected edge {a, b} becomes ONE arc pair with capacity 1 in
@@ -368,7 +397,10 @@ class DisjointPathNetwork:
     flow and never constrain it.
     """
 
-    __slots__ = ("csr", "fault_model", "net", "edge_arcs", "node_arcs")
+    __slots__ = (
+        "csr", "fault_model", "net", "edge_arcs", "node_arcs", "row_edges",
+        "dirty", "residual",
+    )
 
     def __init__(self, csr: CSRLike, fault_model: str = "vertex") -> None:
         if fault_model not in FLOW_FAULT_MODELS:
@@ -407,6 +439,21 @@ class DisjointPathNetwork:
                 q = net.add_arc(2 * b + 1, 2 * a, 1)
                 self.edge_arcs.append((p, q))
         self.net = net
+        # Per flow node, the edge id behind each arc of its row, for the
+        # restricted queries' row filter; node-splitting arcs map to the
+        # extra id ``m``, which every restricted query allows.
+        arc_edge = [m] * net.num_arcs
+        for eid, arcs in enumerate(self.edge_arcs):
+            for a in arcs:
+                arc_edge[a] = arc_edge[a ^ 1] = eid
+        self.row_edges = [[arc_edge[a] for a in row] for row in net.adj]
+        # The rows of the last restricted query (the only arcs it can
+        # have pushed on), or None when the last query may have changed
+        # any arc.
+        self.dirty: Optional[dict] = {}
+        # The network the last query ran on, whose residual state
+        # decompose_paths reads: ``net`` or a restricted view of it.
+        self.residual = net
 
     # ------------------------------------------------------------- #
 
@@ -446,32 +493,67 @@ class DisjointPathNetwork:
 
     # ------------------------------------------------------------- #
 
+    def _restrict(self, allowed_edges: Iterable[int]) -> FlowNetwork:
+        """Reset what the last query touched; view ``allowed_edges``."""
+        net = self.net
+        dirty = self.dirty
+        # One slice copy beats the per-arc loop (two stores per row arc)
+        # once the rows cover a sixteenth of the arcs.
+        if dirty is None or 16 * sum(map(len, dirty.values())) > net.num_arcs:
+            net.reset()
+        else:
+            # Every pushed arc lies in a materialized row (its tail's);
+            # its partner gets the other half of the push.
+            cap, base = net.cap, net.base
+            for row in dirty.values():
+                for a in row:
+                    cap[a] = base[a]
+                    cap[a ^ 1] = base[a ^ 1]
+        allowed = set(allowed_edges)
+        allowed.add(len(self.edge_arcs))  # the node-splitting arcs' id
+        rows = _AllowedRows(net.adj, self.row_edges, allowed)
+        self.dirty = rows
+        return net.restricted(rows)
+
     def max_flow(
         self,
         u: int,
         v: int,
         workspace: Optional[FlowWorkspace] = None,
         limit: Optional[int] = None,
-        unit: Optional[bool] = True,
         banned_vertices: Iterable[int] = (),
         banned_edges: Iterable[int] = (),
+        allowed_edges: Optional[Iterable[int]] = None,
     ) -> int:
         """The disjoint-path count from graph index ``u`` to ``v``.
 
-        Resets the network, bans the given vertices / edge ids, and
-        runs Dinic's.  The residual state is left in place afterwards so
-        :meth:`disjoint_paths` (which calls this) can decompose it.
+        Either resets the network and bans the given vertices / edge
+        ids, or -- with ``allowed_edges`` (edge ids; not combinable with
+        bans) -- runs on the view of those edges only; either way the
+        answer is the count with every other edge banned.  The residual
+        state is left in place afterwards so :meth:`disjoint_paths`
+        (which calls this) can decompose it.
         """
         if u == v:
             raise ValueError("disjoint paths need distinct endpoints")
-        self.net.reset()
-        for x in banned_vertices:
-            self._ban_vertex(x)
-        for eid in banned_edges:
-            self._ban_edge_id(eid)
+        if allowed_edges is not None:
+            if banned_vertices or banned_edges:
+                raise ValueError(
+                    "allowed_edges= runs without bans; pass one or the "
+                    "other"
+                )
+            self.residual = self._restrict(allowed_edges)
+        else:
+            self.net.reset()
+            self.dirty = None
+            self.residual = self.net
+            for x in banned_vertices:
+                self._ban_vertex(x)
+            for eid in banned_edges:
+                self._ban_edge_id(eid)
         return dinitz_max_flow(
-            self.net, self.source_of(u), self.sink_of(v),
-            workspace=workspace, limit=limit, unit=unit,
+            self.residual, self.source_of(u), self.sink_of(v),
+            workspace=workspace, limit=limit,
         )
 
     def disjoint_paths(
@@ -480,9 +562,9 @@ class DisjointPathNetwork:
         v: int,
         workspace: Optional[FlowWorkspace] = None,
         limit: Optional[int] = None,
-        unit: Optional[bool] = True,
         banned_vertices: Iterable[int] = (),
         banned_edges: Iterable[int] = (),
+        allowed_edges: Optional[Iterable[int]] = None,
     ) -> List[List[int]]:
         """Pairwise disjoint u-v paths, as graph-index node sequences.
 
@@ -490,15 +572,39 @@ class DisjointPathNetwork:
         internally vertex-disjoint (only ``u`` and ``v`` shared).  The
         returned list realizes the max flow (all of it, or ``limit``
         paths when given) and is deterministic: arcs are scanned in CSR
-        construction order.
+        construction order.  The restriction (``allowed_edges``) and the
+        bans are those of :meth:`max_flow`.
         """
         value = self.max_flow(
-            u, v, workspace=workspace, limit=limit, unit=unit,
+            u, v, workspace=workspace, limit=limit,
             banned_vertices=banned_vertices, banned_edges=banned_edges,
+            allowed_edges=allowed_edges,
         )
         if value == 0:
             return []
         flow_paths = decompose_paths(
-            self.net, self.source_of(u), self.sink_of(v)
+            self.residual, self.source_of(u), self.sink_of(v)
         )
         return [self._to_graph_path(p) for p in flow_paths]
+
+
+class _AllowedRows(dict):
+    """A restricted view's adjacency: node -> its allowed arcs.
+
+    A row is filtered from the full one on first access and keeps the
+    as-built arc order, so only the nodes a query reaches pay for a row.
+    """
+
+    __slots__ = ("full", "row_edges", "is_allowed")
+
+    def __init__(self, full, row_edges, allowed) -> None:
+        super().__init__()
+        self.full = full
+        self.row_edges = row_edges
+        self.is_allowed = allowed.__contains__
+
+    def __missing__(self, x: int) -> List[int]:
+        row = self[x] = list(
+            compress(self.full[x], map(self.is_allowed, self.row_edges[x]))
+        )
+        return row

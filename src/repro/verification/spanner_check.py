@@ -84,7 +84,11 @@ from repro.graph.traversal import (
     csr_weighted_distance,
 )
 from repro.lbc.approx import lbc_edge, lbc_vertex
-from repro.graph.snapshot import DualCSRSnapshot, weighted_pair_engine
+from repro.graph.snapshot import (
+    DualCSRSnapshot,
+    sssp_engine,
+    weighted_pair_engine,
+)
 
 INFINITY = math.inf
 
@@ -498,11 +502,19 @@ def _verify_witness(
        leaves the H-edge as the bounded path.
     2. *Flow witness* -- f+1 pairwise disjoint u-v paths in H, each of
        weighted length <= t*w, from the Dinic engine run on the
-       ellipse restriction of H (edges on *some* length-<= t*w route;
-       a cheap overapproximation that keeps the decomposed paths
-       short).  At most f of the paths can be faulted, and under the
-       vertex model the endpoints -- the only shared vertices -- cannot
-       be, so a surviving path bounds d_{H\\F}(u, v) for every legal F.
+       length ellipse of H only: the edges {x, y} on *some* u-v route
+       of length <= t*w, i.e. d_u(x) + w(x, y) + d_v(y) <= t*w in
+       either orientation (a cheap overapproximation that keeps the
+       decomposed paths short).  Both endpoints of an ellipse edge lie
+       on the vertex ellipse d_u(x) + d_v(x) <= t*w, so the edges are
+       collected from those vertices' rows, each orientation from its
+       tail's row, and the flow runs on a view of just their arcs
+       (:meth:`~repro.flow.dinitz.DisjointPathNetwork.max_flow`'s
+       ``allowed_edges``) -- the same flow and paths as banning every
+       other edge of H, at a cost that follows the ellipse, not H.  At
+       most f of the paths can be faulted, and under the vertex model
+       the endpoints -- the only shared vertices -- cannot be, so a
+       surviving path bounds d_{H\\F}(u, v) for every legal F.
     3. *Fallback* -- length-bounded Menger is not exact, so a missing
        witness is not a violation: the pair is decided by the exact
        per-pair fault sweep (exhaustive within ``exhaustive_budget``,
@@ -523,27 +535,37 @@ def _verify_witness(
         full_coverage = False
     csr_h = snap.csr_h
     indexer = snap.indexer
-    unit_h = h.is_unit_weighted()
     network = DisjointPathNetwork(csr_h, fault_model)
     flow_ws = FlowWorkspace(network.net.num_nodes)
+    # Full labels, cached for the whole run (every endpoint serves as a
+    # label source for each of its G-edges), as lists indexed by node.
+    n_h = csr_h.num_nodes
+    engine = sssp_engine(snap.snap_h.profile)
+    max_weight = snap.snap_h.max_weight
     dist_ws: Union[BFSWorkspace, DijkstraWorkspace] = (
-        BFSWorkspace(csr_h.num_nodes) if unit_h
-        else DijkstraWorkspace(csr_h.num_nodes)
+        BFSWorkspace(n_h) if engine == "bfs" else DijkstraWorkspace(n_h)
     )
     dist_cache: dict = {}
 
-    def distances(i: int) -> dict:
+    def distances(i: int) -> List[float]:
         d = dist_cache.get(i)
         if d is None:
-            if unit_h:
-                d = csr_bfs_distances(csr_h, i, workspace=dist_ws)
+            if engine == "bfs":
+                reached = csr_bfs_distances(csr_h, i, workspace=dist_ws)
             else:
-                d = csr_dijkstra(csr_h, i, workspace=dist_ws)
+                reached = csr_dijkstra(
+                    csr_h, i, workspace=dist_ws, search=engine,
+                    max_weight=max_weight,
+                )
+            d = [INFINITY] * n_h
+            for x, dx in reached.items():
+                d[x] = dx
             dist_cache[i] = d
         return d
 
-    h_eu, h_ev, h_w = csr_h.edge_u, csr_h.edge_v, csr_h.weights
-    m_h = csr_h.num_edges
+    h_nbrs, h_eids, h_w = (
+        csr_h.neighbors, csr_h.edge_id_rows, csr_h.weights.tolist()
+    )
     need = f + 1
     samples_eff = 300 if samples is None else samples
     checked = 0
@@ -558,18 +580,26 @@ def _verify_witness(
         du = distances(iu)
         dv = distances(iv)
         certified = False
-        if du.get(iv, INFINITY) <= bound:
-            banned = [
-                eid for eid in range(m_h)
-                if min(
-                    du.get(h_eu[eid], INFINITY) + h_w[eid]
-                    + dv.get(h_ev[eid], INFINITY),
-                    du.get(h_ev[eid], INFINITY) + h_w[eid]
-                    + dv.get(h_eu[eid], INFINITY),
-                ) > bound
+        if du[iv] <= bound:
+            # Each edge is tested in the orientation leaving x, from the
+            # rows of the vertex ellipse: an edge passing either
+            # orientation has both endpoints there.  The vertex test is
+            # only a prefilter; its 1e-9 slack keeps float rounding (the
+            # sums associate differently) from dropping an endpoint.
+            vertex_bound = bound + bound * 1e-9
+            ellipse = [
+                x for x, dux, dvx in zip(range(n_h), du, dv)
+                if dux + dvx <= vertex_bound
             ]
+            allowed = []
+            for x in ellipse:
+                dux = du[x]
+                allowed += [
+                    eid for y, eid in zip(h_nbrs[x], h_eids[x])
+                    if dux + h_w[eid] + dv[y] <= bound
+                ]
             paths = network.disjoint_paths(
-                iu, iv, workspace=flow_ws, banned_edges=banned
+                iu, iv, workspace=flow_ws, allowed_edges=allowed
             )
             short = 0
             for path in paths:

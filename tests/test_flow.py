@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+import repro.flow.dinitz as dinitz
 from repro.flow.dinitz import (
     DisjointPathNetwork,
     FlowNetwork,
@@ -171,34 +172,51 @@ class TestFlowInvariants:
             dinitz_max_flow(net, 0, 5)
 
 
-class TestUnitSpecialization:
-    """The unit-capacity fast path must be bit-identical to the general
-    path: same flow value AND the same residual capacity array, arc for
-    arc (both restart augmentation from the source, so they trace the
-    same paths in the same order)."""
+def full_bfs_phase(net, s, t, ws):
+    """The textbook level phase: label every residual-reachable node.
 
-    @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
-    def test_bit_identical_residuals(self, seed):
-        rng = random.Random(seed)
-        edges = [
-            e for e in itertools.combinations(range(12), 2)
-            if rng.random() < 0.3
-        ]
-        a = undirected_unit_net(12, edges)
-        b = undirected_unit_net(12, edges)
-        flow_unit = dinitz_max_flow(a, 0, 11, unit=True)
-        flow_general = dinitz_max_flow(b, 0, 11, unit=False)
-        assert flow_unit == flow_general
-        assert a.cap == b.cap
-        assert decompose_paths(a, 0, 11) == decompose_paths(b, 0, 11)
+    The engine's phase stops expanding at ``t``'s level; this one does
+    not, so running both proves the cut-off changes no push.
+    """
+    gen = ws.next_generation()
+    ws.stamp[s], ws.level[s], ws.arc_it[s] = gen, 0, 0
+    queue = [s]
+    for x in queue:
+        for a in net.adj[x]:
+            y = net.head[a]
+            if net.cap[a] > 0 and ws.stamp[y] != gen:
+                ws.stamp[y], ws.level[y], ws.arc_it[y] = gen, ws.level[x] + 1, 0
+                queue.append(y)
+    return ws.stamp[t] == gen
 
-    def test_auto_detection_matches_explicit(self):
-        net1 = undirected_unit_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        net2 = undirected_unit_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert dinitz_max_flow(net1, 0, 2) == dinitz_max_flow(
-            net2, 0, 2, unit=True
-        )
-        assert net1.cap == net2.cap
+
+class TestLevelCutoff:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_pushes_as_the_full_level_graph(self, monkeypatch, seed):
+        rng = random.Random(300 + seed)
+        for trial in range(10):
+            net_seed = rng.getrandbits(32)
+            unit = trial % 2 == 0
+            s, t = rng.sample(range(14), 2)
+            limit = rng.choice([None, 1, 2])
+
+            def build():
+                r = random.Random(net_seed)
+                if not unit:
+                    return random_directed_net(14, r)
+                return undirected_unit_net(14, [
+                    e for e in itertools.combinations(range(14), 2)
+                    if r.random() < 0.3
+                ])
+
+            results = []
+            for phase in (dinitz._bfs_phase, full_bfs_phase):
+                net = build()
+                monkeypatch.setattr(dinitz, "_bfs_phase", phase)
+                value = dinitz_max_flow(net, s, t, limit=limit)
+                results.append((value, net.cap, decompose_paths(net, s, t)))
+            monkeypatch.undo()
+            assert results[0] == results[1], f"trial {trial}"
 
 
 class TestDeterminism:
@@ -257,3 +275,118 @@ class TestDisjointPathNetwork:
             )
         assert len(paths) == 1
         assert paths[0] == [0, 5, 4, 3]
+
+
+def random_csr(seed: int, n: int = 14, p: float = 0.35) -> CSRGraph:
+    g = generators.ensure_connected(
+        generators.gnp_random_graph(n, p, seed=seed), seed=seed
+    )
+    return CSRGraph.from_graph(g)
+
+
+class TestRestrictedQueries:
+    """``allowed_edges=`` runs on a view of those edges only; it must
+    answer exactly as the whole network with every other edge banned --
+    the same value and the same paths, arc order included."""
+
+    @pytest.mark.parametrize("model", ["vertex", "edge"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restricted_equals_banned_complement(self, model, seed):
+        rng = random.Random(seed)
+        csr = random_csr(seed)
+        m = csr.num_edges
+        restricted = DisjointPathNetwork(csr, model)
+        for _ in range(15):
+            u, v = rng.sample(range(csr.num_nodes), 2)
+            keep = rng.choice([0.05, 0.3, 0.7, 1.0])
+            allowed = [e for e in range(m) if rng.random() < keep]
+            others = sorted(set(range(m)) - set(allowed))
+            # Order and repeats of the allowed ids do not matter.
+            given = allowed + allowed[: len(allowed) // 2]
+            rng.shuffle(given)
+            limit = rng.choice([None, 1, 2])
+            banned = DisjointPathNetwork(csr, model)
+            assert restricted.max_flow(
+                u, v, limit=limit, allowed_edges=given
+            ) == banned.max_flow(u, v, limit=limit, banned_edges=others)
+            assert restricted.disjoint_paths(
+                u, v, limit=limit, allowed_edges=given
+            ) == banned.disjoint_paths(
+                u, v, limit=limit, banned_edges=others
+            )
+
+    @pytest.mark.parametrize("model", ["vertex", "edge"])
+    def test_no_allowed_edges_no_paths(self, model):
+        csr = CSRGraph.from_graph(generators.complete_graph(5))
+        network = DisjointPathNetwork(csr, model)
+        assert network.max_flow(0, 4, allowed_edges=[]) == 0
+        assert network.disjoint_paths(0, 4, allowed_edges=[]) == []
+        assert network.disjoint_paths(
+            0, 4, allowed_edges=[csr.edge_id(0, 4)]
+        ) == [[0, 4]]
+
+    def test_allowed_edges_exclude_bans(self):
+        csr = CSRGraph.from_graph(generators.cycle_graph(6))
+        network = DisjointPathNetwork(csr, "vertex")
+        with pytest.raises(ValueError):
+            network.max_flow(0, 3, allowed_edges=[0], banned_vertices=[1])
+        with pytest.raises(ValueError):
+            network.disjoint_paths(0, 3, allowed_edges=[0], banned_edges=[1])
+
+    @pytest.mark.parametrize("model", ["vertex", "edge"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reset_hygiene_across_query_kinds(self, model, seed):
+        # One network serves restricted, banned (router-style) and
+        # unrestricted queries in random order; each answer must equal
+        # a freshly built network's.  After a restricted query on a
+        # small view (a 4x4 block of a 16x16 grid) the next restricted
+        # query resets only that view's rows, so residual capacity a
+        # partial reset leaves stale shows up here; repeated and
+        # reversed queries make sure stale arcs get used.
+        rng = random.Random(100 + seed)
+        side = 16
+        csr = CSRGraph.from_graph(generators.grid_graph(side, side))
+        index = csr.indexer.index
+        n, m = csr.num_nodes, csr.num_edges
+        shared = DisjointPathNetwork(csr, model)
+        workspace = FlowWorkspace()
+        history = []
+        query = None
+        for _ in range(60):
+            roll = rng.random()
+            if query is not None and roll < 0.2:
+                u, v, kind, kwargs = query
+            elif query is not None and roll < 0.35:
+                v, u, kind, kwargs = query
+            else:
+                kind = rng.choice(
+                    ["block", "block", "block", "large", "banned", "full"]
+                )
+                u, v = rng.sample(range(n), 2)
+                kwargs = {}
+                if kind == "block":
+                    r, c = rng.randrange(side - 3), rng.randrange(side - 3)
+                    block = {
+                        index((r + i, c + j))
+                        for i in range(4) for j in range(4)
+                    }
+                    u, v = rng.sample(sorted(block), 2)
+                    kwargs["allowed_edges"] = [
+                        e for e in range(m)
+                        if csr.edge_u[e] in block and csr.edge_v[e] in block
+                    ]
+                elif kind == "large":
+                    kwargs["allowed_edges"] = [
+                        e for e in range(m) if rng.random() < 0.5
+                    ]
+                elif kind == "banned":
+                    others = [x for x in range(n) if x not in (u, v)]
+                    kwargs["banned_vertices"] = rng.sample(others, 2)
+                    kwargs["banned_edges"] = rng.sample(range(m), 3)
+            query = (u, v, kind, kwargs)
+            history.append(kind)
+            got = shared.disjoint_paths(u, v, workspace=workspace, **kwargs)
+            fresh = DisjointPathNetwork(csr, model).disjoint_paths(
+                u, v, **kwargs
+            )
+            assert got == fresh, f"query {len(history)} after {history}"

@@ -10,7 +10,12 @@ and sweeps from both the production path and the dict reference in
 ``tests/reference/`` -- and any disagreement fails with the offending
 configuration spelled out in the assertion message.
 
-The second half checks the certificates themselves: a disjoint-path
+The middle part pins the flows themselves: every witness flow runs on
+the pair's length ellipse only, and must return the paths the whole of
+H returns with every edge off the ellipse banned; and full reports are
+pinned on fixed instances, fallback pairs included.
+
+The last part checks the certificates themselves: a disjoint-path
 witness returned by the public API really is ``count`` pairwise
 disjoint u-v paths inside the length bound, verified *in the test* with
 no flow-engine code in the loop.
@@ -25,10 +30,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy_modified import fault_tolerant_spanner
+from repro.flow.dinitz import DisjointPathNetwork
 from repro.graph import generators
 from repro.graph.graph import Graph, edge_key
+from repro.graph.traversal import dijkstra
 from repro.verification import disjoint_paths, verify_ft_spanner
 from tests import reference as ref
+
+INF = float("inf")
 
 MODELS = ["vertex", "edge"]
 #: Which sweep the witness verdict is checked against: the production
@@ -151,6 +160,103 @@ class TestAgreementMatrix:
         assert_reports_agree(
             f"gnp11-seed{seed}", g, result.spanner, 3, 1, "vertex", "csr"
         )
+
+
+def pinned_instance(seed, profile):
+    """G(18, 0.3), unit-weighted or with weights in [1, 6]."""
+    g = generators.ensure_connected(
+        generators.gnp_random_graph(18, 0.3, seed=seed), seed=seed
+    )
+    if profile != "unit":
+        g = generators.with_random_weights(
+            g, low=1.0, high=6.0, seed=seed, integral=profile == "int"
+        )
+    return g
+
+
+class TestEllipseFlows:
+    """Each witness flow runs on the pair's length ellipse only: the
+    edges {x, y} of H with d_u(x) + w(x, y) + d_v(y) <= t * w(u, v) in
+    either orientation.  Checked per pair against that definition
+    evaluated over every edge of H, and against the flow on all of H
+    with every other edge banned."""
+
+    @pytest.mark.parametrize("profile", ["unit", "int", "float"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_paths_match_the_ban_formulation(
+        self, monkeypatch, model, profile
+    ):
+        t, f = 3, 2
+        g = pinned_instance(0, profile)
+        h = fault_tolerant_spanner(g, 2, f, fault_model=model).spanner
+        calls = []
+        restricted = DisjointPathNetwork.disjoint_paths
+
+        def record(self, u, v, **kwargs):
+            paths = restricted(self, u, v, **kwargs)
+            calls.append((self.csr, u, v, kwargs, paths))
+            return paths
+
+        monkeypatch.setattr(DisjointPathNetwork, "disjoint_paths", record)
+        report = verify_ft_spanner(
+            g, h, t=t, f=f, fault_model=model, mode="witness"
+        )
+        monkeypatch.undo()
+        assert report.ok and calls
+        for csr, iu, iv, kwargs, paths in calls:
+            assert set(kwargs) == {"workspace", "allowed_edges"}
+            u, v = csr.indexer.node(iu), csr.indexer.node(iv)
+            bound = t * g.weight(u, v)
+            du, dv = dijkstra(h, u), dijkstra(h, v)
+            ellipse = set()
+            for eid in range(csr.num_edges):
+                a = csr.indexer.node(csr.edge_u[eid])
+                b = csr.indexer.node(csr.edge_v[eid])
+                w = csr.weights[eid]
+                if min(
+                    du.get(a, INF) + w + dv.get(b, INF),
+                    du.get(b, INF) + w + dv.get(a, INF),
+                ) <= bound:
+                    ellipse.add(eid)
+            assert set(kwargs["allowed_edges"]) == ellipse, (u, v)
+            banned = sorted(set(range(csr.num_edges)) - ellipse)
+            assert DisjointPathNetwork(csr, model).disjoint_paths(
+                iu, iv, banned_edges=banned
+            ) == paths, (u, v)
+
+
+#: (seed, weight profile, fault model, index of the H-edge removed in
+#: sorted order, or None) ->
+#: (ok, exhaustive, pairs_checked, pairs_witnessed, fault_sets_checked)
+#: of witness mode on the f=2 greedy spanner of ``pinned_instance``,
+#: t=3, exhaustive_budget=2000.  The two fallback rows leave one pair
+#: without a witness; the last row plants a violation.
+PINNED_REPORTS = {
+    (0, "unit", "vertex", None): (True, True, 40, 40, 0),
+    (1, "int", "edge", None): (True, True, 48, 48, 0),
+    (1, "float", "vertex", None): (True, True, 48, 48, 0),
+    (3, "float", "edge", None): (True, True, 42, 41, 904),
+    (12, "unit", "edge", None): (True, True, 48, 47, 1177),
+    (0, "int", "vertex", 3): (False, True, 40, 3, 1),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("key", list(PINNED_REPORTS))
+    def test_report_is_pinned(self, key):
+        seed, profile, model, drop = key
+        g = pinned_instance(seed, profile)
+        h = fault_tolerant_spanner(g, 2, 2, fault_model=model).spanner
+        if drop is not None:
+            h.remove_edge(*sorted(h.edges())[drop])
+        r = verify_ft_spanner(
+            g, h, t=3, f=2, fault_model=model, mode="witness",
+            exhaustive_budget=2000, seed=0,
+        )
+        assert (
+            r.ok, r.exhaustive, r.pairs_checked, r.pairs_witnessed,
+            r.fault_sets_checked,
+        ) == PINNED_REPORTS[key]
 
 
 class TestWitnessCertificates:
