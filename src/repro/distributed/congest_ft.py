@@ -210,8 +210,12 @@ def congest_ft_spanner(
         participants = [v for v in nodes if i in selections[v]]
         if len(participants) < 2:
             continue
-        sub = g.subgraph(participants)
-        if sub.num_edges == 0:
+        # The instance runs only if its induced subgraph has an edge;
+        # the workers build that subgraph, the parent just scans.
+        members = set(participants)
+        if not any(
+            u in members for v in participants for u in g.neighbors(v)
+        ):
             continue
         instances.append((tuple(participants), rng.getrandbits(32)))
 

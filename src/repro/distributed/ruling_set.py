@@ -299,11 +299,7 @@ def deterministic_decomposition(
             current, congest_word_limit=congest_word_limit, workers=workers
         )
         stats.rounds += run_stats.rounds
-        stats.messages += run_stats.messages
-        stats.total_words += run_stats.total_words
-        stats.max_message_words = max(
-            stats.max_message_words, run_stats.max_message_words
-        )
+        stats.merge(run_stats)
         assignment.append(rs.assignment)
         parent.append(rs.parent)
         depth.append(rs.depth)

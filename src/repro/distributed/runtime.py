@@ -20,8 +20,15 @@ This engine runs protocols honestly under either model:
   CONGEST mode a message exceeding ``congest_word_limit`` raises
   :class:`CongestViolation` -- the simulator *enforces* the model rather
   than trusting the implementation.
+* Each message is measured exactly once, when it is sent: ``send``
+  measures its payload, and ``broadcast`` measures its one payload
+  once for all neighbors (every copy is the same object, so every copy
+  has the same size).  The context keeps that word count next to the
+  queued message.
 * The engine reports :class:`RunStats`: rounds used, message count,
-  total words, and the maximum single-message size.
+  total words, and the maximum single-message size.  The stats read
+  the counts stored at send time; nothing is measured again at
+  delivery.
 
 Determinism: each node's ``random.Random`` is seeded from a **stable
 hash of (engine seed, node ID)** (:func:`node_seed`), not from the
@@ -66,7 +73,7 @@ class CongestViolation(RuntimeError):
     """A protocol sent a message larger than the CONGEST budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A message in flight: ``sender -> receiver`` with a payload.
 
@@ -78,6 +85,11 @@ class Message:
     sender: Node
     receiver: Node
     payload: Any
+
+
+#: Exact types that always cost one word (the container fast path of
+#: :func:`message_words`; subclasses still take the general branch).
+_ONE_WORD = frozenset({int, float, bool, type(None)})
 
 
 def message_words(payload: Any) -> int:
@@ -95,7 +107,19 @@ def message_words(payload: Any) -> int:
         # A short tag is one word; long strings are charged per 8 chars.
         return max(1, (len(payload) + 7) // 8)
     if isinstance(payload, (tuple, list, frozenset, set)):
-        return sum(message_words(item) for item in payload)
+        # Flat containers are the common case: their atoms and strings
+        # are priced inline (same rules as above), only nested values
+        # recurse.
+        words = 0
+        for item in payload:
+            cls = item.__class__
+            if cls in _ONE_WORD:
+                words += 1
+            elif cls is str:
+                words += max(1, (len(item) + 7) // 8)
+            else:
+                words += message_words(item)
+        return words
     if isinstance(payload, dict):
         return sum(
             message_words(k) + message_words(v) for k, v in payload.items()
@@ -178,8 +202,9 @@ class NodeContext:
         "rng",
         "round",
         "_outbox",
+        "_words",
         "_halted",
-        "_network",
+        "_checker",
     )
 
     def __init__(
@@ -189,7 +214,7 @@ class NodeContext:
         neighbors: Tuple[Node, ...],
         edge_weights: Dict[Node, float],
         rng: random.Random,
-        network,
+        checker: _SizeChecker,
     ) -> None:
         self.node = node
         self.n = n
@@ -198,10 +223,10 @@ class NodeContext:
         self.rng = rng
         self.round = 0
         self._outbox: List[Message] = []
+        # _words[i] is the word count of _outbox[i], measured at send.
+        self._words: List[int] = []
         self._halted = False
-        # Anything with a _check_size method: the SyncNetwork in
-        # sequential runs, a _SizeChecker inside partition workers.
-        self._network = network
+        self._checker = checker
 
     def send(self, neighbor: Node, payload: Any) -> None:
         """Queue a message to ``neighbor`` for delivery next round."""
@@ -209,13 +234,20 @@ class NodeContext:
             raise ValueError(
                 f"node {self.node!r} has no edge to {neighbor!r}"
             )
-        self._network._check_size(payload)
+        words = self._checker.measure(payload)
         self._outbox.append(Message(self.node, neighbor, payload))
+        self._words.append(words)
 
     def broadcast(self, payload: Any) -> None:
-        """Send ``payload`` to every neighbor."""
-        for v in self.neighbors:
-            self.send(v, payload)
+        """Send ``payload`` to every neighbor (measured once for all)."""
+        if not self.neighbors:
+            return
+        words = self._checker.measure(payload)
+        node = self.node
+        self._outbox.extend(
+            [Message(node, v, payload) for v in self.neighbors]
+        )
+        self._words.extend([words] * len(self.neighbors))
 
     def halt(self) -> None:
         """Declare this node finished (it still receives messages)."""
@@ -224,6 +256,14 @@ class NodeContext:
     @property
     def halted(self) -> bool:
         return self._halted
+
+    def _take_outbox(self) -> Tuple[List[Message], List[int]]:
+        """Hand the queued messages and their word counts to the engine."""
+        sent = (self._outbox, self._words)
+        if self._outbox:
+            self._outbox = []
+            self._words = []
+        return sent
 
 
 @dataclass
@@ -236,18 +276,32 @@ class RunStats:
     max_message_words: int = 0
 
     def record(self, payload: Any) -> None:
-        words = message_words(payload)
-        self.messages += 1
-        self.total_words += words
-        self.max_message_words = max(self.max_message_words, words)
+        self.record_many([message_words(payload)])
+
+    def record_many(self, words: Sequence[int]) -> None:
+        """Count messages whose word counts are already known."""
+        if not words:
+            return
+        self.messages += len(words)
+        self.total_words += sum(words)
+        self.max_message_words = max(self.max_message_words, max(words))
+
+    def merge(self, other: "RunStats") -> None:
+        """Fold another run's message counts into this one (sums and
+        maxes, so the result is independent of merge order)."""
+        self.messages += other.messages
+        self.total_words += other.total_words
+        self.max_message_words = max(
+            self.max_message_words, other.max_message_words
+        )
 
 
 class _SizeChecker:
-    """CONGEST budget enforcement detached from the engine object.
+    """The message-size rule: measure a payload, enforce the budget.
 
-    Partition workers hold no :class:`SyncNetwork`; their contexts
-    check message sizes through one of these instead (same logic, same
-    exception).
+    Every context holds one (the sequential engine and each partition
+    worker build their own), so both engines apply the same rule and
+    raise the same exception at the same ``send``/``broadcast`` call.
     """
 
     __slots__ = ("model", "congest_word_limit")
@@ -256,14 +310,16 @@ class _SizeChecker:
         self.model = model
         self.congest_word_limit = congest_word_limit
 
-    def _check_size(self, payload: Any) -> None:
-        if self.model == "CONGEST":
-            words = message_words(payload)
-            if words > self.congest_word_limit:
-                raise CongestViolation(
-                    f"message of {words} words exceeds the CONGEST budget "
-                    f"of {self.congest_word_limit}"
-                )
+    def measure(self, payload: Any) -> int:
+        """The payload's word count; raises :class:`CongestViolation`
+        in CONGEST mode when it exceeds the budget."""
+        words = message_words(payload)
+        if words > self.congest_word_limit and self.model == "CONGEST":
+            raise CongestViolation(
+                f"message of {words} words exceeds the CONGEST budget "
+                f"of {self.congest_word_limit}"
+            )
+        return words
 
 
 def _accepts_node(protocol_factory) -> bool:
@@ -321,8 +377,8 @@ class _PartitionExecutor:
     A round report is ``(bundles_out, sent_any, all_halted, stats)``:
     per-destination-worker pre-pickled bundles of the messages this
     partition just sent across partitions, whether it sent anything at
-    all, whether all its nodes have halted, and its
-    (messages, words, max_words) deltas for the canonical merge.
+    all, whether all its nodes have halted, and its :class:`RunStats`
+    delta (messages and words only) for the canonical merge.
     """
 
     def __init__(
@@ -357,7 +413,7 @@ class _PartitionExecutor:
                 neighbors=tuple(sorted(graph.neighbors(v), key=repr)),
                 edge_weights=dict(graph.neighbor_items(v)),
                 rng=random.Random(node_seed(engine_seed, v)),
-                network=checker,
+                checker=checker,
             )
             self.protocols[v] = (
                 protocol_factory(v) if with_node else protocol_factory()
@@ -407,10 +463,12 @@ class _PartitionExecutor:
         outgoing: Dict[int, List[Tuple[Node, Node, Any]]] = {}
         sent_any = False
         for v in self.mine:
-            ctx = self.contexts[v]
-            for msg in ctx._outbox:
-                stats.record(msg.payload)
-                sent_any = True
+            outbox, words = self.contexts[v]._take_outbox()
+            if not outbox:
+                continue
+            stats.record_many(words)
+            sent_any = True
+            for msg in outbox:
                 dest = self.owner[msg.receiver]
                 if dest == self.index:
                     self.local_pending.append(msg)
@@ -418,7 +476,6 @@ class _PartitionExecutor:
                     outgoing.setdefault(dest, []).append(
                         (msg.sender, msg.receiver, msg.payload)
                     )
-            ctx._outbox = []
         # Pre-pickle per-destination bundles so the parent routes opaque
         # bytes instead of re-pickling every message twice per hop.
         bundles_out = {
@@ -426,12 +483,7 @@ class _PartitionExecutor:
             for dest, triples in outgoing.items()
         }
         all_halted = all(self.contexts[v]._halted for v in self.mine)
-        return (
-            bundles_out,
-            sent_any,
-            all_halted,
-            (stats.messages, stats.total_words, stats.max_message_words),
-        )
+        return bundles_out, sent_any, all_halted, stats
 
 
 class SyncNetwork:
@@ -469,15 +521,6 @@ class SyncNetwork:
         self._contexts: Dict[Node, NodeContext] = {}
         self._protocols: Dict[Node, NodeProtocol] = {}
 
-    def _check_size(self, payload: Any) -> None:
-        if self.model == "CONGEST":
-            words = message_words(payload)
-            if words > self.congest_word_limit:
-                raise CongestViolation(
-                    f"message of {words} words exceeds the CONGEST budget "
-                    f"of {self.congest_word_limit}"
-                )
-
     def run(
         self,
         protocol_factory,
@@ -507,6 +550,7 @@ class SyncNetwork:
         n = g.num_nodes
         nodes = sorted(g.nodes(), key=repr)
         with_node = _accepts_node(protocol_factory)
+        checker = _SizeChecker(self.model, self.congest_word_limit)
         self._contexts = {}
         self._protocols = {}
         for v in nodes:
@@ -516,7 +560,7 @@ class SyncNetwork:
                 neighbors=tuple(sorted(g.neighbors(v), key=repr)),
                 edge_weights=dict(g.neighbor_items(v)),
                 rng=random.Random(node_seed(engine_seed, v)),
-                network=self,
+                checker=checker,
             )
             self._contexts[v] = ctx
             self._protocols[v] = (
@@ -531,12 +575,13 @@ class SyncNetwork:
             inboxes: Dict[Node, List[Message]] = {v: [] for v in nodes}
             any_message = False
             for v in nodes:
-                ctx = self._contexts[v]
-                for msg in ctx._outbox:
-                    self.stats.record(msg.payload)
+                outbox, words = self._contexts[v]._take_outbox()
+                if not outbox:
+                    continue
+                self.stats.record_many(words)
+                any_message = True
+                for msg in outbox:
                     inboxes[msg.receiver].append(msg)
-                    any_message = True
-                ctx._outbox = []
             if not any_message and all(
                 self._contexts[v]._halted for v in nodes
             ):
@@ -636,12 +681,8 @@ class SyncNetwork:
                 pool.workers.append(pool.spawn())
 
             reports = ask("init", [None] * workers)
-            for bundles, _sent, _halted, (m, w, mx) in reports:
-                self.stats.messages += m
-                self.stats.total_words += w
-                self.stats.max_message_words = max(
-                    self.stats.max_message_words, mx
-                )
+            for report in reports:
+                self.stats.merge(report[3])
             for round_no in range(1, max_rounds + 1):
                 any_message = any(r[1] for r in reports)
                 all_halted = all(r[2] for r in reports)
@@ -657,12 +698,8 @@ class SyncNetwork:
                         )
                     )
                 reports = ask("round", payloads)
-                for bundles, _sent, _halted, (m, w, mx) in reports:
-                    self.stats.messages += m
-                    self.stats.total_words += w
-                    self.stats.max_message_words = max(
-                        self.stats.max_message_words, mx
-                    )
+                for report in reports:
+                    self.stats.merge(report[3])
                 if all(r[2] for r in reports) and not any(
                     r[1] for r in reports
                 ):

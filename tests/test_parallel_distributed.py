@@ -15,9 +15,12 @@ Two contracts pinned here:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.distributed import (
+    SyncNetwork,
     congest_baswana_sen,
     congest_ft_spanner,
     deterministic_decomposition,
@@ -26,6 +29,12 @@ from repro.distributed import (
     padded_decomposition,
     verify_decomposition,
     verify_ruling_set,
+)
+from repro.distributed import (
+    congest_bs,
+    decomposition,
+    local_spanner,
+    ruling_set,
 )
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -93,6 +102,123 @@ class TestParityMatrix:
             assert dec.parent == dec0.parent, f"workers={w}"
             assert dec.rounds == dec0.rounds, f"workers={w}"
             assert st.__dict__ == st0.__dict__, f"workers={w}"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _spanner_digest(result) -> str:
+    return _digest(sorted((repr(u), repr(v)) for u, v in result.spanner.edges()))
+
+
+@pytest.fixture
+def engine_log(monkeypatch):
+    """Stats of every SyncNetwork run in this process, in run order, as
+    ``(rounds, messages, total_words, max_message_words)``."""
+    log = []
+
+    class Recording(SyncNetwork):
+        def run(self, *args, **kwargs):
+            out = super().run(*args, **kwargs)
+            st = self.stats
+            log.append(
+                (st.rounds, st.messages, st.total_words, st.max_message_words)
+            )
+            return out
+
+    for module in (congest_bs, decomposition, local_spanner, ruling_set):
+        monkeypatch.setattr(module, "SyncNetwork", Recording)
+    return log
+
+
+class TestPinnedStats:
+    """Absolute message accounting on small seeded graphs.
+
+    The parity matrix above compares parallel with sequential runs,
+    which share the accounting code; these values are fixed, so a
+    miscount on both sides still fails.  Each case runs sequentially
+    and with two workers.
+    """
+
+    @pytest.fixture(scope="class")
+    def gnp(self):
+        return generators.gnp_random_graph(36, 0.18, seed=4)
+
+    @pytest.fixture(scope="class")
+    def geo(self):
+        return generators.random_geometric_graph(40, radius=0.3, seed=9)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_congest_baswana_sen(self, gnp, engine_log, workers):
+        r = congest_baswana_sen(gnp, 3, seed=11, workers=workers)
+        assert _spanner_digest(r) == "d8be6d64484c2b78"
+        assert r.rounds == 11
+        assert engine_log == [(11, 1169, 3210, 4)]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_congest_ft(self, geo, engine_log, workers):
+        r = congest_ft_spanner(
+            geo, 2, 2, seed=5, iteration_constant=0.3, workers=workers
+        )
+        assert _spanner_digest(r) == "d4693ef263cf59a0"
+        assert r.rounds == 31
+        assert r.extra["instances_run"] == 9.0
+        assert r.extra["max_message_words"] == 4.0
+        if workers is None:
+            # Pooled instances run in worker processes, out of the log's
+            # reach; in-process they are the 9 instance networks.
+            assert len(engine_log) == 9
+            assert sum(s[1] for s in engine_log) == 1890
+            assert sum(s[2] for s in engine_log) == 5040
+            assert max(s[3] for s in engine_log) == 4
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_local_spanner(self, geo, engine_log, workers):
+        r = local_ft_spanner(geo, 2, 1, seed=5, workers=workers)
+        assert _spanner_digest(r) == "b338334ef0a7f474"
+        assert r.rounds == 44
+        # Decomposition flood, then the gather/compute phase.
+        assert engine_log == [(31, 8802, 35208, 4), (13, 3913, 484297, 176)]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_local_spanner_deterministic(self, geo, engine_log, workers):
+        r = local_ft_spanner(geo, 2, 1, deterministic=True, workers=workers)
+        assert _spanner_digest(r) == "3b39385d8a46ec35"
+        assert r.rounds == 85
+        assert engine_log == [
+            (13, 1368, 3028, 3),
+            (13, 471, 1034, 3),
+            (13, 297, 644, 3),
+            (13, 112, 242, 3),
+            (13, 50, 108, 3),
+            (13, 11, 24, 3),
+            (7, 410, 8237, 34),
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_ruling_set_decomposition(self, gnp, engine_log, workers):
+        dec, uncovered, st = deterministic_decomposition(gnp, workers=workers)
+        assignment = [
+            sorted((repr(v), repr(c)) for v, c in a.items())
+            for a in dec.assignment
+        ]
+        assert _digest(assignment) == "4af8b12f3ee7bca3"
+        assert _digest(sorted(map(repr, uncovered))) == "4f53cda18c2baa0c"
+        assert dec.rounds == 104
+        assert (st.rounds, st.messages, st.total_words, st.max_message_words) == (
+            104, 3011, 6620, 3,
+        )
+        assert engine_log == [
+            (13, 1110, 2456, 3),
+            (13, 780, 1714, 3),
+            (13, 531, 1164, 3),
+            (13, 321, 700, 3),
+            (13, 155, 338, 3),
+            (13, 66, 144, 3),
+            (13, 34, 74, 3),
+            (13, 14, 30, 3),
+        ]
 
 
 class TestRulingSet:

@@ -55,6 +55,24 @@ class _Chatter(NodeProtocol):
         ctx.halt()
 
 
+class _HubSends(NodeProtocol):
+    """Node 0 sends one 100-word payload, to every neighbor through
+    ``broadcast`` or to its first neighbor through ``send``."""
+
+    def __init__(self, how):
+        self.how = how
+
+    def init(self, ctx):
+        if ctx.node == 0:
+            if self.how == "broadcast":
+                ctx.broadcast(tuple(range(100)))
+            else:
+                ctx.send(ctx.neighbors[0], tuple(range(100)))
+
+    def receive(self, ctx, messages):
+        ctx.halt()
+
+
 class _NeverHalts(NodeProtocol):
     def receive(self, ctx, messages):
         ctx.broadcast(("ping",))
@@ -106,6 +124,9 @@ class TestEngine:
         g = generators.path_graph(3)
         net = SyncNetwork(g, model="LOCAL")
         net.run(_Chatter)  # no exception
+        # Every node broadcasts 100 words: one message per edge end.
+        assert net.stats.messages == 4
+        assert net.stats.total_words == 400
         assert net.stats.max_message_words == 100
 
     def test_max_rounds_guard(self):
@@ -186,6 +207,36 @@ class TestEngine:
         assert h.num_edges == 1
         assert h.weight(1, 2) == 2.0
         assert h.num_nodes == 3
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+class TestBudgetEnforcement:
+    """The CONGEST budget holds on every send path, in the sequential
+    and the partitioned engine alike."""
+
+    STAR = [(0, leaf, 1.0) for leaf in range(1, 6)]
+
+    @pytest.mark.parametrize("how", ["send", "broadcast"])
+    def test_oversize_payload_raises(self, workers, how):
+        net = SyncNetwork(Graph(self.STAR), model="CONGEST")
+        with pytest.raises(CongestViolation, match="100 words"):
+            net.run(lambda: _HubSends(how), workers=workers)
+
+    def test_isolated_broadcast_sends_nothing(self, workers):
+        g = Graph([(1, 2, 1.0)])
+        g.add_node(0)
+        net = SyncNetwork(g, model="CONGEST")
+        net.run(lambda: _HubSends("broadcast"), workers=workers)
+        assert (net.stats.messages, net.stats.total_words) == (0, 0)
+        assert net.stats.max_message_words == 0
+
+    def test_local_broadcast_counts_every_copy(self, workers):
+        net = SyncNetwork(Graph(self.STAR), model="LOCAL")
+        net.run(lambda: _HubSends("broadcast"), workers=workers)
+        degree = len(self.STAR)
+        assert net.stats.messages == degree
+        assert net.stats.total_words == 100 * degree
+        assert net.stats.max_message_words == 100
 
 
 class TestStableSeeding:
