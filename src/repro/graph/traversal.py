@@ -324,27 +324,67 @@ def _csr_search(
 ) -> bool:
     """Core hop-bounded BFS to a target over CSR adjacency.
 
+    The one hop-bounded target search: the greedy's LBC loop, the online
+    greedy, :func:`csr_bounded_bfs_path` / :func:`csr_bounded_bfs_path_edges`
+    and the verification sweeps all run it.  The caller sizes ``ws`` for
+    ``csr`` first.
+
     Level-synchronized: the two preallocated buffers ``ws.queue`` /
     ``ws.frontier`` ping-pong as current/next frontier, which keeps the
     inner loop free of per-node depth bookkeeping.  Visit order is
     identical to FIFO BFS, so paths match the dict path node for node.
+    Faulted *vertices* are pre-stamped into the visited array (O(|F|)
+    per call, |F| <= alpha * t), so the per-neighbor inner loop carries
+    no vertex-mask test at all; only edge masks are tested.
 
-    Two structural savings relative to a naive queue BFS:
+    The last two levels meet at the target's neighbourhood.  First
+    ``near`` maps each live neighbour of the target (faulted vertices
+    and faulted edges to the target dropped) to the id of its edge to
+    the target; if it is empty, no path exists and nothing is expanded.
+    The search then expands only up to depth t-2 and finishes on that
+    frontier, in queue order:
 
-    * Faulted *vertices* are pre-stamped into the visited array (O(|F|)
-      per call, |F| <= alpha * t), so the per-neighbor inner loop
-      carries no vertex-mask test at all; only edge masks are tested.
-    * The final level is never expanded, so its nodes are not stamped or
-      enqueued either -- they can only matter by *being* the target, and
-      a bare equality scan detects that.  For the hop bounds the LBC
-      loop uses, the final level dominates the edge traversals, so this
-      removes most of the per-neighbor work of a typical call.
+    * If a frontier node is in ``near``, the target is at depth t-1 and
+      its parent is the first such node.
+    * Otherwise it skips every frontier row disjoint from ``near`` (a
+      C-level set test); the first live pair (a, b) with b in ``near``
+      gives the path ... a -> b -> target.
+
+    No depth-(t-1) node is stamped or enqueued, so a search that fails
+    -- the last one of every YES answer -- never walks the (t-1)-ball.
+
+    The path is the one a full BFS returns.  The full BFS reaches the
+    target from the first depth-(t-1) node in queue order that is
+    adjacent to it.  Queue order is the order of first discovery, which
+    is lexicographic in (frontier position, row position); so the first
+    hit b is that node and its discoverer a is its BFS parent.  A b in
+    ``near`` that was already stamped would lie at depth <= t-2: one
+    shallower than the frontier would have discovered the target during
+    its own expansion, and one on the frontier is the first case.  So
+    the second case needs no seen test.
 
     Fills ``ws.parent`` (and ``ws.parent_eid`` when ``need_edge_ids``)
-    for every node stamped with the current generation; returns whether
-    ``target`` was reached within ``max_hops`` levels.
+    along the path from ``source`` to ``target``; returns whether
+    ``target`` was reached within ``max_hops`` levels.  A non-integral
+    budget acts as its floor (2.5 as 2).
     """
-    ws.ensure(csr.num_nodes, csr.num_edges)
+    eid_rows = csr.edge_id_rows
+    # near: each live neighbour of the target -> the id of its edge to
+    # the target.
+    if edge_mask is not None:
+        estamp, egen = edge_mask.stamp, edge_mask.gen
+        near = {
+            x: e
+            for x, e in zip(csr.neighbors[target], eid_rows[target])
+            if estamp[e] != egen
+        }
+    else:
+        near = dict(zip(csr.neighbors[target], eid_rows[target]))
+    if vertex_mask is not None:
+        for b in vertex_mask.members:
+            near.pop(b, None)
+    if not near:
+        return False
     gen = ws.next_generation()
     seen = ws.seen
     parent = ws.parent
@@ -360,11 +400,9 @@ def _csr_search(
     cur_len = 1
     remaining = max_hops
     if edge_mask is not None:
-        eid_rows = csr.edge_id_rows
         parent_eid = ws.parent_eid
         parent_eid[source] = -1
-        estamp, egen = edge_mask.stamp, edge_mask.gen
-        while cur_len and remaining > 1:
+        while cur_len and remaining > 2:
             remaining -= 1
             nxt_len = 0
             for qi in range(cur_len):
@@ -387,21 +425,10 @@ def _csr_search(
                     nxt_len += 1
             cur, nxt = nxt, cur
             cur_len = nxt_len
-        if cur_len and remaining == 1:
-            for qi in range(cur_len):
-                u = cur[qi]
-                row = rows[u]
-                erow = eid_rows[u]
-                for j in range(len(row)):
-                    if row[j] == target and estamp[erow[j]] != egen:
-                        parent[target] = u
-                        parent_eid[target] = erow[j]
-                        return True
     elif need_edge_ids:
-        eid_rows = csr.edge_id_rows
         parent_eid = ws.parent_eid
         parent_eid[source] = -1
-        while cur_len and remaining > 1:
+        while cur_len and remaining > 2:
             remaining -= 1
             nxt_len = 0
             for qi in range(cur_len):
@@ -421,17 +448,8 @@ def _csr_search(
                     nxt_len += 1
             cur, nxt = nxt, cur
             cur_len = nxt_len
-        if cur_len and remaining == 1:
-            for qi in range(cur_len):
-                u = cur[qi]
-                row = rows[u]
-                for j in range(len(row)):
-                    if row[j] == target:
-                        parent[target] = u
-                        parent_eid[target] = eid_rows[u][j]
-                        return True
     else:
-        while cur_len and remaining > 1:
+        while cur_len and remaining > 2:
             remaining -= 1
             nxt_len = 0
             for qi in range(cur_len):
@@ -447,12 +465,45 @@ def _csr_search(
                     nxt_len += 1
             cur, nxt = nxt, cur
             cur_len = nxt_len
-        if cur_len and remaining == 1:
+    # The frontier holds depth d = t-2 (t-1 when the budget allows no
+    # second level).  Target at depth d+1: a stamped member of near can
+    # only sit on the frontier.
+    if not cur_len or remaining < 1:
+        return False
+    edge_ids = need_edge_ids or edge_mask is not None
+    parent_eid = ws.parent_eid
+    for x in near:
+        if seen[x] == gen:
             for qi in range(cur_len):
-                u = cur[qi]
-                if target in rows[u]:
-                    parent[target] = u
+                a = cur[qi]
+                if a in near:
+                    parent[target] = a
+                    if edge_ids:
+                        parent_eid[target] = near[a]
                     return True
+    if remaining < 2:
+        return False
+    # Target at depth d+2: the first live (a, b) with b in near.
+    keys = near.keys()
+    for qi in range(cur_len):
+        a = cur[qi]
+        row = rows[a]
+        if keys.isdisjoint(row):
+            continue
+        erow = eid_rows[a]
+        for j in range(len(row)):
+            b = row[j]
+            if b not in near:
+                continue
+            e = erow[j]
+            if edge_mask is not None and estamp[e] == egen:
+                continue
+            parent[b] = a
+            parent[target] = b
+            if edge_ids:
+                parent_eid[b] = e
+                parent_eid[target] = near[b]
+            return True
     return False
 
 
@@ -613,6 +664,7 @@ def csr_bounded_bfs_path(
     if max_hops <= 0:
         return None
     ws = workspace if workspace is not None else BFSWorkspace()
+    ws.ensure(csr.num_nodes, csr.num_edges)
     found = _csr_search(
         csr, source, target, max_hops, ws, vertex_mask, edge_mask, False
     )
@@ -654,6 +706,7 @@ def csr_bounded_bfs_path_edges(
     if max_hops <= 0:
         return None
     ws = workspace if workspace is not None else BFSWorkspace()
+    ws.ensure(csr.num_nodes, csr.num_edges)
     found = _csr_search(
         csr, source, target, max_hops, ws, vertex_mask, edge_mask, True
     )

@@ -33,15 +33,15 @@ Two execution paths implement the identical loop:
   :class:`~repro.graph.traversal.BFSWorkspace`, and stamping faults into
   the workspace's :class:`~repro.graph.csr.FaultMask` instead of building
   views.  Results are translated back through a
-  :class:`~repro.graph.index.NodeIndexer`, so the returned
-  :class:`LBCResult` is indistinguishable from the dict path's (both
-  find the same BFS paths, hence the same cuts and answers).
+  :class:`~repro.graph.index.NodeIndexer` (the removed paths only when
+  first read), so the returned :class:`LBCResult` is indistinguishable
+  from the dict path's (both find the same BFS paths, hence the same
+  cuts and answers).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.graph.csr import CSRLike
@@ -64,7 +64,6 @@ class LBCAnswer(enum.Enum):
     NO = "no"  # no length-t cut of size <= alpha exists (certainly)
 
 
-@dataclass(frozen=True)
 class LBCResult:
     """Outcome of one LBC(t, alpha) run.
 
@@ -80,21 +79,77 @@ class LBCResult:
     paths:
         The hop-bounded paths removed in successive iterations (node
         sequences).  ``len(paths)`` equals the number of BFS calls that
-        found a path.
+        found a path.  The CSR entry points record index paths and
+        translate them to nodes only when ``paths`` is first read: the
+        greedy never reads them.
     iterations:
         Total BFS invocations performed (including the final one that
         found no path, when the answer is YES).
+
+    Results compare and hash by these four values; treat them as
+    read-only.
     """
 
-    answer: LBCAnswer
-    cut: FrozenSet
-    paths: Tuple[Tuple[Node, ...], ...]
-    iterations: int
+    __slots__ = ("answer", "cut", "iterations", "_paths", "_index_paths",
+                 "_indexer")
+
+    def __init__(
+        self,
+        answer: LBCAnswer,
+        cut: FrozenSet,
+        paths: Tuple[Tuple[Node, ...], ...],
+        iterations: int,
+    ) -> None:
+        self.answer = answer
+        self.cut = cut
+        self.iterations = iterations
+        self._paths: Optional[Tuple[Tuple[Node, ...], ...]] = paths
+        self._index_paths: List[List[int]] = []
+        self._indexer: Optional[NodeIndexer] = None
+
+    @classmethod
+    def _from_indices(
+        cls,
+        answer: LBCAnswer,
+        cut: FrozenSet,
+        removed: List[List[int]],
+        iterations: int,
+        indexer: Optional[NodeIndexer],
+    ) -> "LBCResult":
+        """A result whose ``paths`` are translated from ``removed`` on
+        first read."""
+        result = cls(answer, cut, None, iterations)
+        result._index_paths = removed
+        result._indexer = indexer
+        return result
+
+    @property
+    def paths(self) -> Tuple[Tuple[Node, ...], ...]:
+        if self._paths is None:
+            self._paths = _translate_paths(self._index_paths, self._indexer)
+        return self._paths
 
     @property
     def is_yes(self) -> bool:
         """Convenience: whether the answer is YES."""
         return self.answer is LBCAnswer.YES
+
+    def _key(self) -> tuple:
+        return (self.answer, self.cut, self.paths, self.iterations)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LBCResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LBCResult(answer={self.answer!r}, cut={self.cut!r}, "
+            f"paths={self.paths!r}, iterations={self.iterations!r})"
+        )
 
 
 def lbc_vertex(
@@ -290,29 +345,23 @@ def lbc_vertex_csr(
         )
         path = _csr_path(ws, target) if found else None
         if path is None:
-            return LBCResult(
-                answer=LBCAnswer.YES,
-                cut=frozenset(node(i) for i in faults),
-                paths=_translate_paths(removed, indexer),
-                iterations=iteration,
+            return LBCResult._from_indices(
+                LBCAnswer.YES, frozenset(node(i) for i in faults),
+                removed, iteration, indexer,
             )
         if len(path) == 2:
             # Direct edge: un-cuttable by vertex faults, so certainly NO.
             removed.append(path)
-            return LBCResult(
-                answer=LBCAnswer.NO,
-                cut=frozenset(node(i) for i in faults),
-                paths=_translate_paths(removed, indexer),
-                iterations=iteration,
+            return LBCResult._from_indices(
+                LBCAnswer.NO, frozenset(node(i) for i in faults),
+                removed, iteration, indexer,
             )
         removed.append(path)
         for i in path[1:-1]:  # interior vertices only (P \ {u, v})
             vmask.add(i)
-    return LBCResult(
-        answer=LBCAnswer.NO,
-        cut=frozenset(node(i) for i in faults),
-        paths=_translate_paths(removed, indexer),
-        iterations=alpha + 1,
+    return LBCResult._from_indices(
+        LBCAnswer.NO, frozenset(node(i) for i in faults),
+        removed, alpha + 1, indexer,
     )
 
 
@@ -362,19 +411,13 @@ def lbc_edge_csr(
         )
         found = _csr_path_edges(ws, target) if reached else None
         if found is None:
-            return LBCResult(
-                answer=LBCAnswer.YES,
-                cut=cut_edges(),
-                paths=_translate_paths(removed, indexer),
-                iterations=iteration,
+            return LBCResult._from_indices(
+                LBCAnswer.YES, cut_edges(), removed, iteration, indexer
             )
         path, eids = found
         removed.append(path)
         for e in eids:
             emask.add(e)
-    return LBCResult(
-        answer=LBCAnswer.NO,
-        cut=cut_edges(),
-        paths=_translate_paths(removed, indexer),
-        iterations=alpha + 1,
+    return LBCResult._from_indices(
+        LBCAnswer.NO, cut_edges(), removed, alpha + 1, indexer
     )

@@ -17,6 +17,8 @@ names survive in ``src/``).
 from __future__ import annotations
 
 import ast
+import hashlib
+import math
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from repro.core.greedy_modified import (
 )
 from repro.core.incremental import IncrementalSpanner
 from repro.graph import generators
+from repro.graph.graph import edge_key
 from repro.graph.snapshot import CSRSnapshot
 from repro.registry import UnsupportedOption, build_spanner
 from repro.verification import (
@@ -53,7 +56,7 @@ def _instance(seed=7, n=28, p=0.18):
 
 
 class TestModifiedGreedyParity:
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("f", [0, 1, 2])
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     def test_unweighted_identical(self, k, f, fault_model):
@@ -91,6 +94,68 @@ class TestModifiedGreedyParity:
         )
         r_csr = modified_greedy_unweighted(g, 2, 1, order=order, seed=5)
         assert set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _pinned_graph(family, weighted, seed, n=60):
+    if family == "gnp":
+        g = generators.gnp_random_graph(n, 10 / (n - 1), seed=seed)
+    elif family == "ba":
+        g = generators.barabasi_albert_graph(n, 4, seed=seed)
+    else:
+        radius = math.sqrt(12 / (math.pi * (n - 1)))
+        g = generators.random_geometric_graph(
+            n, radius, seed=seed, weighted=False
+        )
+    g = generators.ensure_connected(g, seed=seed)
+    if weighted:
+        g = generators.with_random_weights(g, 1, 16, seed=seed, integral=True)
+    return g
+
+
+class TestPinnedBuilds:
+    """Absolute pins of the greedy (k=2, f=2) on one small graph per
+    build family x fault model x weight setting: spanner digest,
+    certificate digest and BFS count.  Unlike the parity classes these
+    share nothing with ``tests/reference/``, so a change to the search
+    that the reference also absorbed would still fail here."""
+
+    @pytest.mark.parametrize(
+        "family, model, weighted, seed, spanner, certs, bfs_calls",
+        [
+            ("gnp", "vertex", False, 1,
+             "893c08a2db86a1a6", "531614755f2a2314", 674),
+            ("ba", "edge", True, 2,
+             "188a5a9523dfd2d9", "711ba3bf7d98c25f", 464),
+            ("geo", "vertex", True, 3,
+             "f8ef803d4f6d518a", "dc1bc769a9973dc5", 615),
+            ("gnp", "edge", False, 4,
+             "219cdc505ed1e65a", "12f7a0811101905f", 638),
+            ("ba", "vertex", False, 5,
+             "c4140f3115608182", "117fb1d16d8b06f1", 495),
+            ("geo", "edge", False, 6,
+             "4d5361add04a00fe", "1d5a02af4f5eb79c", 722),
+        ],
+    )
+    def test_pinned(
+        self, family, model, weighted, seed, spanner, certs, bfs_calls
+    ):
+        g = _pinned_graph(family, weighted, seed)
+        r = build_spanner(g, "greedy", k=2, f=2, fault_model=model)
+        got = (
+            _digest(sorted(
+                (edge_key(u, v), w) for u, v, w in r.spanner.weighted_edges()
+            )),
+            _digest(sorted(
+                (repr(e), sorted(map(repr, cut)))
+                for e, cut in r.certificates.items()
+            )),
+            r.bfs_calls,
+        )
+        assert got == (spanner, certs, bfs_calls)
 
 
 class TestExponentialGreedyParity:

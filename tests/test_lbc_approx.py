@@ -12,8 +12,18 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.lbc.approx import LBCAnswer, lbc_decide, lbc_edge, lbc_vertex
+from repro.graph.index import NodeIndexer
+from repro.lbc.approx import (
+    LBCAnswer,
+    LBCResult,
+    lbc_decide,
+    lbc_edge,
+    lbc_edge_csr,
+    lbc_vertex,
+    lbc_vertex_csr,
+)
 from repro.lbc.exact import (
     exact_edge_lbc,
     exact_vertex_lbc,
@@ -244,3 +254,59 @@ class TestDispatchAndValidation:
         g = generators.path_graph(5)
         assert lbc_vertex(g, 0, 4, t=3, alpha=0).is_yes
         assert lbc_vertex(g, 0, 4, t=4, alpha=0).answer is LBCAnswer.NO
+
+
+class TestCSRLBCAgainstDict:
+    """The CSR entry points return the dict path's result, removed paths
+    included, although they translate those paths only when read."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_same_result(self, seed, t):
+        g = generators.gnp_random_graph(22, 0.22, seed=seed)
+        indexer = NodeIndexer.from_graph(g)
+        csr = CSRGraph.from_graph(g, indexer)
+        index = indexer.index
+        nodes = sorted(g.nodes())
+        for u in nodes[:6]:
+            for v in nodes[-6:]:
+                if u == v:
+                    continue
+                for dict_fn, csr_fn in (
+                    (lbc_vertex, lbc_vertex_csr),
+                    (lbc_edge, lbc_edge_csr),
+                ):
+                    want = dict_fn(g, u, v, t, 2)
+                    got = csr_fn(csr, index(u), index(v), t, 2,
+                                 indexer=indexer)
+                    assert got == want
+                    assert got.paths == want.paths
+                    assert hash(got) == hash(want)
+
+    def test_paths_built_on_first_read(self):
+        g = generators.layered_path_gadget(layers=2, width=2)
+        indexer = NodeIndexer.from_graph(g)
+        csr = CSRGraph.from_graph(g, indexer)
+        index = indexer.index
+        result = lbc_vertex_csr(csr, index("s"), index("t"), 3, 4,
+                                indexer=indexer)
+        assert result._paths is None
+        first = result.paths
+        assert result.paths is first
+        assert first == lbc_vertex(g, "s", "t", t=3, alpha=4).paths
+        assert all(p[0] == "s" and p[-1] == "t" for p in first)
+        raw = lbc_vertex_csr(csr, index("s"), index("t"), 3, 4)
+        assert raw.paths == tuple(
+            tuple(index(x) for x in p) for p in first
+        )
+        assert "paths=" in repr(result)
+
+    def test_result_equality(self):
+        a = LBCResult(LBCAnswer.YES, frozenset({1}), ((0, 1, 2),), 2)
+        b = LBCResult(
+            answer=LBCAnswer.YES, cut=frozenset({1}), paths=((0, 1, 2),),
+            iterations=2,
+        )
+        assert a == b and hash(a) == hash(b)
+        assert a != LBCResult(LBCAnswer.NO, frozenset({1}), ((0, 1, 2),), 2)
+        assert a != "yes"
