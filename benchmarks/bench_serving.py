@@ -13,10 +13,11 @@ repository root.
 Two rows per scenario, same workload seed:
 
 * ``chaos_rate = 0.0`` -- the healthy baseline (throughput, p50/p99);
-* ``chaos_rate = 0.1`` -- every dispatched shard has a 10% chance of a
+* ``chaos_rate = 0.1`` -- every shard send has a 10% chance of a
   seeded fault injection (worker SIGKILL mid-request or a stall that
   overruns the request deadline), exercising retry-with-backoff,
-  health-checked respawn, and deadline enforcement under load.
+  hedging of stalled shards, health-checked respawn, and deadline
+  enforcement under load.
 
 Every *completed* answer is audited bit-identical against a fresh
 in-process :class:`~repro.graph.snapshot.ScenarioSweep` after the
@@ -56,8 +57,9 @@ RATE_RPS = 100.0
 DEADLINE_SECONDS = 1.0
 
 # 10% total injection rate: mostly SIGKILLs (retried transparently),
-# a few stalls long enough to overrun the request deadline (surfaced
-# as typed DeadlineExceeded).
+# a few stalls long enough to overrun the request deadline (hedged to
+# the idle worker at a quarter of the deadline; a typed
+# DeadlineExceeded only when no copy answers in time).
 CHAOS_KILL_RATE = 0.08
 CHAOS_STALL_RATE = 0.02
 CHAOS_STALL_SECONDS = 2.0
@@ -113,6 +115,7 @@ def _serve_once(spanner, n, m, chaos_rate, requests, workers):
         "chaos_rate": chaos_rate,
         "deadline_errors": report.deadline_errors,
         "retries": stats["retries"],
+        "hedges": stats["hedges"],
         "worker_deaths": stats["worker_deaths"],
         "respawns": stats["respawns"],
         "degraded_shards": stats["degraded_shards"],
@@ -122,7 +125,8 @@ def _serve_once(spanner, n, m, chaos_rate, requests, workers):
         f"  chaos={chaos_rate:4.0%}  {row['throughput_rps']:7.1f} rps  "
         f"p50 {row['p50_ms']:8.2f} ms  p99 {row['p99_ms']:8.2f} ms  "
         f"deadline_errors={row['deadline_errors']:2d}  "
-        f"retries={row['retries']:2d}  respawns={row['respawns']:2d}  "
+        f"retries={row['retries']:2d}  hedges={row['hedges']:2d}  "
+        f"respawns={row['respawns']:2d}  "
         f"parity={'ok' if row['parity_ok'] else 'FAIL'}"
     )
     return row

@@ -512,8 +512,8 @@ def _cmd_serve(args) -> int:
     print(f"throughput: {report.throughput_rps:.1f} req/s   "
           f"latency p50 {report.p50_ms:.2f}ms  p99 {report.p99_ms:.2f}ms")
     s = report.stats
-    print(f"resilience: {s['retries']} retries, {s['worker_deaths']} "
-          f"worker deaths, {s['respawns']} respawns, "
+    print(f"resilience: {s['retries']} retries, {s['hedges']} hedges, "
+          f"{s['worker_deaths']} worker deaths, {s['respawns']} respawns, "
           f"{s['spawn_rejections']} spawn rejections, "
           f"{s['degraded_shards']} degraded shards")
     print(f"parity vs in-process sweep: "

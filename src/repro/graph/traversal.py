@@ -84,15 +84,11 @@ the reference for its parity tests.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
 from array import array
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-try:  # optional acceleration for the batch BFS kernel (stdlib fallback)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 from repro.graph.csr import CSRLike, FaultMask
 from repro.graph.graph import Graph, Node
@@ -1615,7 +1611,10 @@ def csr_bounded_dijkstra_path_edges(
 # CSR path: multi-source batch kernels
 # --------------------------------------------------------------------- #
 
-HAVE_NUMPY = _np is not None
+#: Whether numpy is installed (it vectorizes the unit batch kernel).
+#: Found without importing it: the numpy kernels import it on first
+#: use, so ``import repro`` does not pay for it.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 def resolve_batch_accel() -> str:
     """The batch BFS kernel variant: ``"numpy"`` when importable.
@@ -2063,19 +2062,21 @@ def _np_adjacency(ws: MultiSourceWorkspace, csr: CSRLike):
         getattr(csr, "version", 0),
     )
     if ws.np_key != key:
+        import numpy as np
+
         rows = csr.neighbors
         counts = [len(row) for row in rows]
         # int32 throughout: the kernels are memory-bandwidth bound, and
         # packed codes stay below 2**31 because the callers chunk the
         # root dimension (NUMPY_BATCH_CELLS in graph.snapshot).
-        indptr = _np.zeros(len(rows) + 1, dtype=_np.int32)
-        _np.cumsum(counts, out=indptr[1:])
-        indices = _np.fromiter(
-            (v for row in rows for v in row), dtype=_np.int32,
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.fromiter(
+            (v for row in rows for v in row), dtype=np.int32,
             count=int(indptr[-1]),
         )
-        eids = _np.fromiter(
-            (e for row in csr.edge_id_rows for e in row), dtype=_np.int32,
+        eids = np.fromiter(
+            (e for row in csr.edge_id_rows for e in row), dtype=np.int32,
             count=int(indptr[-1]),
         )
         # Twin slot of each directed slot: slot e holds edge (t, h); its
@@ -2084,13 +2085,13 @@ def _np_adjacency(ws: MultiSourceWorkspace, csr: CSRLike):
         # (simple graph: keys are unique), giving the reverse map the
         # bottom-up BFS step needs to locate a cell's offset inside its
         # parent's row.
-        t = _np.repeat(_np.arange(len(rows), dtype=_np.int64), counts)
-        h = indices.astype(_np.int64)
+        t = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        h = indices.astype(np.int64)
         nn = len(rows)
-        i1 = _np.argsort(t * nn + h, kind="stable")
-        i2 = _np.argsort(h * nn + t, kind="stable")
-        twin = _np.empty(indices.size, dtype=_np.int32)
-        twin[i2] = i1.astype(_np.int32)
+        i1 = np.argsort(t * nn + h, kind="stable")
+        i2 = np.argsort(h * nn + t, kind="stable")
+        twin = np.empty(indices.size, dtype=np.int32)
+        twin[i2] = i1.astype(np.int32)
         ws.np_key = key
         ws.np_indptr = indptr
         ws.np_indices = indices
@@ -2145,9 +2146,8 @@ def csr_bfs_multi_numpy(
     cells are then ordered by that key, reproducing the top-down
     enumeration bit for bit.
     """
-    if _np is None:  # pragma: no cover - guarded by resolve_batch_accel
-        raise RuntimeError("csr_bfs_multi_numpy requires numpy")
-    np = _np
+    import numpy as np
+
     if not grouped and not need_parents:
         raise ValueError("grouped=False requires need_parents=True")
     roots = list(sources)
@@ -2341,7 +2341,8 @@ def split_parent_plane(plane, nroots: int, n: int):
     which are order-insensitive, and skipping the discovery-order sort
     is precisely the point of the raw plane.
     """
-    np = _np
+    import numpy as np
+
     codes = np.flatnonzero(plane >= 0)
     parents = plane[codes].tolist()
     children = (codes % n).tolist()

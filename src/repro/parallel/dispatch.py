@@ -8,6 +8,13 @@ fault-scenario query shards, the distributed runtime dispatches
 Baswana-Sen instances -- and encodes the failure semantics the chaos
 suite pins:
 
+* straggler -> once no shard is pending, a shard out for a quarter of
+  the request's deadline is hedged: a second copy goes to an idle live
+  worker (at most one copy per shard).  The first ``ok`` reply wins and
+  the loser's worker is SIGKILLed like a deadline's stalled worker
+  (counted in ``worker_deaths``; the next ``ensure()`` respawns it).
+  A copy whose worker dies while the other copy still runs is not
+  resent;
 * worker death mid-shard -> reap + backoff + respawn + resend; after
   ``max_retries`` resends the shard goes to the degradation callback;
 * deadline expiry -> outstanding workers are SIGKILLed (a stalled
@@ -22,10 +29,10 @@ suite pins:
   is *not* retried: it re-raises in the caller exactly as in-process
   execution would.
 
-Retrying requires **idempotent** shards: resending must produce the
-identical answer.  Both substrate clients satisfy this -- serving
-queries run against an immutable snapshot, distributed instance jobs
-are pure functions of ``(participants, seed)``.
+Retrying and hedging require **idempotent** shards: resending must
+produce the identical answer.  Both substrate clients satisfy this --
+serving queries run against an immutable snapshot, distributed
+instance jobs are pure functions of ``(participants, seed)``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.parallel.errors import DeadlineExceeded, ServingUnavailable
 from repro.parallel.pool import Worker, WorkerPool
@@ -56,6 +63,7 @@ class DispatchStats:
     worker_deaths: int = 0
     deadline_errors: int = 0
     degraded_shards: int = 0
+    hedges: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -84,7 +92,8 @@ class Dispatcher:
         The :class:`~repro.parallel.pool.WorkerPool` to dispatch over.
     deadline:
         Default per-request latency budget in seconds (overridable per
-        :meth:`dispatch` call).
+        :meth:`dispatch` call).  A quarter of it is the hedge point: a
+        shard still out then is resent to an idle worker.
     max_retries:
         How many times one shard may be *resent* after its worker died
         (the first send is not a retry).
@@ -101,7 +110,9 @@ class Dispatcher:
         :class:`~repro.parallel.errors.ServingUnavailable`.
     chaos:
         Optional chaos policy (:mod:`repro.parallel.chaos`); one
-        directive is drawn per dispatched shard, in dispatch order.
+        directive is drawn per send -- first send, resend or hedge --
+        in dispatch order, so a stall models a slow replica, not a
+        slow shard.
     stats:
         A :class:`DispatchStats` (or duck-typed equivalent) mutated in
         place; a private one is created when omitted.
@@ -142,24 +153,49 @@ class Dispatcher:
             raise ValueError(f"deadline must be > 0, got {budget!r}")
         start = time.monotonic()
         deadline_at = start + budget
+        hedge_after = budget / 4
         stats = self.stats
         stats.requests += 1
         stats.shards += len(jobs)
         pending: List[Job] = list(jobs)
-        busy: Dict[object, Tuple[Worker, Job, int]] = {}
+        # conn -> (worker, job, msg_id, sent_at); a hedged job has two.
+        busy: Dict[object, Tuple[Worker, Job, int, float]] = {}
+        hedged: Set[Job] = set()
         pool = self.pool
 
         def remaining() -> float:
             return deadline_at - time.monotonic()
 
-        def fail_deadline() -> None:
-            # A stalled worker holds no cancellable state; SIGKILL and
-            # let the next request's ensure() respawn it.
-            stats.deadline_errors += 1
-            for conn in list(busy):
-                worker, _, _ = busy.pop(conn)
+        def send(worker: Worker, job: Job) -> bool:
+            # Every send -- first, resend or hedge -- draws one directive.
+            directive = (
+                self.chaos.directive() if self.chaos is not None else None
+            )
+            self._msg_counter += 1
+            msg_id = self._msg_counter
+            try:
+                worker.conn.send((msg_id, job.kind, job.payload, directive))
+            except (BrokenPipeError, OSError):
                 stats.worker_deaths += 1
                 pool.discard(worker)
+                return False
+            busy[worker.conn] = (worker, job, msg_id, time.monotonic())
+            return True
+
+        def kill(conn) -> None:
+            # Reap a dead worker, or SIGKILL a stalled or losing one (it
+            # holds no cancellable state); the next ensure() respawns it.
+            worker = busy.pop(conn)[0]
+            stats.worker_deaths += 1
+            pool.discard(worker)
+
+        def running(job: Job) -> List[object]:
+            return [c for c, entry in busy.items() if entry[1] is job]
+
+        def fail_deadline() -> None:
+            stats.deadline_errors += 1
+            for conn in list(busy):
+                kill(conn)
             raise DeadlineExceeded(
                 budget, time.monotonic() - start,
                 [j.result if j.done else None for j in jobs],
@@ -175,11 +211,12 @@ class Dispatcher:
                 )
             self.degrade(job)
 
-        def worker_died(conn, worker: Worker, job: Job) -> None:
-            # Reap it, back off, and resend within the retry budget.
-            busy.pop(conn, None)
-            stats.worker_deaths += 1
-            pool.discard(worker)
+        def worker_died(conn, job: Job) -> None:
+            # Reap it, back off, and resend within the retry budget --
+            # unless the shard's other copy is still running.
+            kill(conn)
+            if running(job):
+                return
             if job.attempts > self.max_retries:
                 degrade(job)
                 return
@@ -193,6 +230,24 @@ class Dispatcher:
                 time.sleep(pause)
             pending.append(job)
 
+        def hedge() -> float:
+            # Send a second copy of each shard out for hedge_after to an
+            # idle worker (one copy per shard); return the next wake-up.
+            idle = [
+                w for w in pool.workers if w.conn not in busy and w.alive()
+            ]
+            wake_at = deadline_at
+            for _, job, _, sent_at in list(busy.values()):
+                if job in hedged or not idle:
+                    continue
+                due = sent_at + hedge_after
+                if due > time.monotonic():
+                    wake_at = min(wake_at, due)
+                elif send(idle.pop(0), job):
+                    hedged.add(job)
+                    stats.hedges += 1
+            return wake_at if idle else deadline_at
+
         while pending or busy:
             if remaining() <= 0:
                 fail_deadline()
@@ -202,24 +257,10 @@ class Dispatcher:
                 idle = [w for w in live if w.conn not in busy]
                 while pending and idle:
                     job = pending.pop(0)
-                    worker = idle.pop(0)
-                    directive = (
-                        self.chaos.directive()
-                        if self.chaos is not None else None
-                    )
-                    self._msg_counter += 1
-                    msg_id = self._msg_counter
-                    try:
-                        worker.conn.send(
-                            (msg_id, job.kind, job.payload, directive)
-                        )
-                    except (BrokenPipeError, OSError):
-                        stats.worker_deaths += 1
-                        pool.discard(worker)
+                    if send(idle.pop(0), job):
+                        job.attempts += 1
+                    else:
                         pending.insert(0, job)
-                        continue
-                    job.attempts += 1
-                    busy[worker.conn] = (worker, job, msg_id)
                 if pending and not busy:
                     # Nothing alive and nothing spawnable: the pool is
                     # unusable for this request.
@@ -232,23 +273,26 @@ class Dispatcher:
             # before handing the fd set to connection.wait().
             for conn in list(busy):
                 if conn.closed:
-                    worker, job, _ = busy[conn]
-                    worker_died(conn, worker, job)
+                    worker_died(conn, busy[conn][1])
             if not busy:
                 continue
-            timeout = remaining()
-            if timeout <= 0:
+            wake_at = deadline_at if pending else hedge()
+            if remaining() <= 0:
                 fail_deadline()
-            ready = connection.wait(list(busy), timeout=timeout)
-            if not ready:
-                fail_deadline()
+            # An empty wake-up is a hedge point (or the deadline, which
+            # the loop head turns into DeadlineExceeded).
+            ready = connection.wait(
+                list(busy), timeout=max(0.0, wake_at - time.monotonic())
+            )
             for conn in ready:
-                worker, job, msg_id = busy[conn]
+                if conn not in busy:
+                    continue  # a losing copy killed earlier in this batch
+                _, job, msg_id, _ = busy[conn]
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
                     # Worker died mid-shard (SIGKILL, crash).
-                    worker_died(conn, worker, job)
+                    worker_died(conn, job)
                     continue
                 rid, status, value = reply
                 if rid != msg_id:
@@ -257,12 +301,15 @@ class Dispatcher:
                     # worker is still busy with the current shard.
                     continue
                 del busy[conn]
-                if status == "ok":
-                    job.result = value
-                    job.done = True
-                else:
+                if status != "ok":
                     # Deterministic application error: identical to
                     # what in-process execution would raise.  Not
                     # retried; outstanding shards are abandoned (their
                     # late replies are discarded as stale above).
                     raise value
+                job.result = value
+                job.done = True
+                # The first ok reply wins; the other copy's worker is
+                # treated like a deadline's stalled worker.
+                for other in running(job):
+                    kill(other)

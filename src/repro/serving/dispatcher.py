@@ -28,10 +28,16 @@ as one message, and multiplexes completions with
 ``multiprocessing.connection.wait`` under the remaining deadline.
 Shards are idempotent -- the snapshot is immutable, queries are pure --
 so a shard whose worker crashed is simply resent (bounded by
-``max_retries``, with exponential backoff in front of the respawn).
+``max_retries``, with exponential backoff in front of the respawn),
+and a shard still out at a quarter of the deadline is hedged to an
+idle worker.
 
 Failure semantics (the contract the chaos suite pins):
 
+* straggler -> once no shard is pending, a shard out for ``deadline /
+  4`` is sent once more to an idle live worker; the first answer wins
+  and the slower copy's worker is SIGKILLed and respawned by the next
+  request;
 * worker death mid-shard -> reap + backoff + respawn + resend; after
   ``max_retries`` resends the shard goes to the degradation path;
 * deadline expiry -> outstanding workers are SIGKILLed (a stalled

@@ -8,10 +8,14 @@ variants.  The batch kernels are pure execution policy; any observable
 difference from the sequential path is a bug.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.graph import generators, traversal
 from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
 from repro.graph.traversal import HAVE_NUMPY
@@ -178,3 +182,19 @@ class TestAccelVariants:
         if HAVE_NUMPY:
             monkeypatch.setattr(traversal, "HAVE_NUMPY", True)
             assert traversal.resolve_batch_accel() == "numpy"
+
+    def test_import_repro_leaves_numpy_unimported(self):
+        # numpy is imported by the kernel on first use, not by
+        # ``import repro`` (every CLI call would pay for it).
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro, repro.cli, repro.serving\n"
+            "from repro.graph.traversal import resolve_batch_accel\n"
+            "print('numpy' in sys.modules, resolve_batch_accel())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert out == ["False", "numpy" if HAVE_NUMPY else "stdlib"]

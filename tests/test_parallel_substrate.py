@@ -153,6 +153,87 @@ class TestDispatcher:
         finally:
             pool.close()
 
+    def test_stalled_shard_is_hedged(self):
+        # The single shard stalls on one worker; at deadline / 4 its
+        # copy goes to the idle one, whose answer wins.
+        chaos = ScriptedChaos(directives=[("stall", 30.0)])
+        pool = make_pool(size=2)
+        try:
+            pool.start()
+            stats = DispatchStats()
+            dispatcher = Dispatcher(
+                pool, deadline=1.0, chaos=chaos, stats=stats,
+            )
+            job = Job("add", 4, 0)
+            t0 = time.monotonic()
+            dispatcher.dispatch([job])
+            assert time.monotonic() - t0 < 0.9
+            assert job.result == 104
+            assert stats.hedges == 1
+            assert stats.worker_deaths == 1
+            assert stats.retries == stats.deadline_errors == 0
+            # The loser was discarded; the next ensure() respawns it.
+            assert len(pool.ensure()) == 2
+        finally:
+            pool.close()
+
+    def test_stalled_hedge_is_not_hedged_again(self):
+        # Both copies stall; the third worker stays idle because each
+        # shard gets one hedge, so the deadline fires.
+        chaos = ScriptedChaos(directives=[("stall", 30.0)] * 2)
+        pool = make_pool(size=3)
+        try:
+            pool.start()
+            stats = DispatchStats()
+            dispatcher = Dispatcher(
+                pool, deadline=0.8, chaos=chaos, stats=stats,
+            )
+            with pytest.raises(DeadlineExceeded) as err:
+                dispatcher.dispatch([Job("add", 1, 0)])
+            assert err.value.completed == 0
+            assert stats.hedges == 1
+            assert stats.deadline_errors == 1
+            assert stats.worker_deaths == 2
+        finally:
+            pool.close()
+
+    def test_one_copy_dying_is_not_resent(self):
+        # The original outlives the hedge point; the hedge is KILLed.
+        chaos = ScriptedChaos(directives=[("stall", 1.0), KILL])
+        pool = make_pool(size=2)
+        try:
+            pool.start()
+            stats = DispatchStats()
+            dispatcher = Dispatcher(
+                pool, deadline=2.0, chaos=chaos, stats=stats,
+            )
+            job = Job("add", 2, 0)
+            dispatcher.dispatch([job])
+            assert job.result == 102
+            assert stats.hedges == 1
+            assert stats.worker_deaths == 1
+            assert stats.retries == 0
+        finally:
+            pool.close()
+
+    def test_hedged_application_error_reraises(self):
+        # Both copies raise the same deterministic error; the first
+        # reply re-raises unchanged and nothing is retried.
+        chaos = ScriptedChaos(directives=[("stall", 1.0)])
+        pool = make_pool(size=2)
+        try:
+            pool.start()
+            stats = DispatchStats()
+            dispatcher = Dispatcher(
+                pool, deadline=2.0, chaos=chaos, stats=stats,
+            )
+            with pytest.raises(ValueError, match="boom: h"):
+                dispatcher.dispatch([Job("boom", "h", 0)])
+            assert stats.hedges == 1
+            assert stats.retries == 0
+        finally:
+            pool.close()
+
     def test_unusable_pool_without_degrade_raises(self):
         # Every (re)spawn is rejected and every shard's worker killed:
         # with no degrade callback the typed error surfaces.

@@ -15,6 +15,7 @@ directive list for surgical single-fault tests.
 """
 
 import random
+import time
 
 import pytest
 
@@ -161,7 +162,10 @@ class TestScriptedFaults:
         expected = truth_distances(snap, faults, pairs)
         # One worker stalls for far longer than the deadline; the other
         # shard(s) complete, so the partial has real entries and holes.
-        chaos = ScriptedChaos(directives=[("stall", 30.0)])
+        # The stalled shard's hedge (the third send) stalls too.
+        chaos = ScriptedChaos(
+            directives=[("stall", 30.0), None, ("stall", 30.0)]
+        )
         cfg = fast_config(deadline=1.5)
         with SpannerServer(snap, config=cfg, chaos=chaos) as srv:
             with pytest.raises(DeadlineExceeded) as err:
@@ -177,6 +181,69 @@ class TestScriptedFaults:
         for got, want in zip(exc.partial, expected):
             assert got is None or got == want
         assert exc.completed == len(pairs) - holes
+
+    def test_stall_is_hedged_well_before_deadline(self, snap):
+        faults, pairs = scenario(snap)
+        expected = truth_distances(snap, faults, pairs)
+        # One shard stalls far past the deadline; at deadline / 4 its
+        # copy goes to the worker that finished the other shard.
+        chaos = ScriptedChaos(directives=[("stall", 30.0)])
+        cfg = fast_config(deadline=1.5)
+        with SpannerServer(snap, config=cfg, chaos=chaos) as srv:
+            t0 = time.monotonic()
+            got = srv.distances(pairs, faults=faults)
+            elapsed = time.monotonic() - t0
+            stats = srv.stats_dict()
+        assert got == expected
+        assert elapsed < 1.0
+        assert stats["hedges"] == 1
+        assert stats["deadline_errors"] == 0
+        assert stats["retries"] == 0
+        # The stalled loser was SIGKILLed like a deadline's straggler.
+        assert stats["worker_deaths"] == 1
+
+    def test_killed_hedge_leaves_original_to_finish(self, snap):
+        faults, pairs = scenario(snap)
+        expected = truth_distances(snap, faults, pairs)
+        # Shard 0 stalls past the hedge point (0.5 s) but well inside
+        # the deadline; its hedge (third send) is KILLed at once.  The
+        # original still runs, so the dead copy is not resent.
+        chaos = ScriptedChaos(directives=[("stall", 1.0), None, KILL])
+        cfg = fast_config(deadline=2.0)
+        with SpannerServer(snap, config=cfg, chaos=chaos) as srv:
+            got = srv.distances(pairs, faults=faults)
+            stats = srv.stats_dict()
+        assert got == expected
+        assert stats["hedges"] == 1
+        assert stats["retries"] == 0
+        assert stats["worker_deaths"] == 1
+        assert stats["deadline_errors"] == 0
+
+    def test_single_shard_sssp_hedged_to_idle_worker(self, snap):
+        faults, _ = scenario(snap)
+        sweep = ScenarioSweep(snap)
+        sweep.stamp(faults, "vertex")
+        want = sweep.distances_from(0)
+        chaos = ScriptedChaos(directives=[("stall", 30.0)])
+        cfg = fast_config(deadline=1.5)
+        with SpannerServer(snap, config=cfg, chaos=chaos) as srv:
+            assert srv.distances_from(0, faults=faults) == want
+            stats = srv.stats_dict()
+        assert stats["hedges"] == 1
+        assert stats["deadline_errors"] == 0
+
+    def test_no_hedge_before_quarter_deadline(self, snap):
+        faults, pairs = scenario(snap)
+        expected = truth_distances(snap, faults, pairs)
+        # A 0.2 s stall under a 10 s deadline ends long before 2.5 s.
+        chaos = ScriptedChaos(directives=[("stall", 0.2)])
+        cfg = fast_config(deadline=10.0)
+        with SpannerServer(snap, config=cfg, chaos=chaos) as srv:
+            got = srv.distances(pairs, faults=faults)
+            stats = srv.stats_dict()
+        assert got == expected
+        assert stats["hedges"] == 0
+        assert stats["worker_deaths"] == 0
 
     def test_server_usable_after_deadline(self, snap):
         faults, pairs = scenario(snap)
