@@ -25,7 +25,10 @@ Execution
 The spanner under construction is mirrored into a growing
 :class:`~repro.graph.csr.CSRBuilder`; all LBC tests run on flat arrays
 with one shared :class:`~repro.graph.traversal.BFSWorkspace` and fault
-masks, so the m-edge loop makes zero per-BFS allocations.  The dict
+masks, so the m-edge loop makes zero per-BFS allocations.  An edge with
+an endpoint of H-degree <= f is kept without any LBC run: that
+endpoint's neighbourhood is a cut of size <= f, so Theorem 4 forces the
+YES answer (see ``_greedy_loop``).  The dict
 reference construction in ``tests/reference/`` examines the identical
 candidate order and finds identical BFS paths, so the parity suite
 (`tests/test_backend_parity.py`) asserts identical spanners,
@@ -35,7 +38,7 @@ certificates, and BFS counts.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.spanner import FaultModel, SpannerResult
 from repro.graph.csr import CSRBuilder
@@ -102,7 +105,6 @@ def modified_greedy_unweighted(
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
     order: EdgeOrder = "arbitrary",
     seed: Optional[int] = None,
-    degree_shortcut: bool = False,
 ) -> SpannerResult:
     """Algorithm 3 on an unweighted graph, with a pluggable edge order.
 
@@ -111,16 +113,12 @@ def modified_greedy_unweighted(
     order), ``'random'`` (shuffled with ``seed``), ``'degree'``
     (max-endpoint-degree first), ``'weight'`` (nondecreasing weight,
     which on a unit-weighted graph equals insertion order), or an explicit
-    sequence of edges.  ``degree_shortcut`` skips provably-YES LBC calls
-    (identical output, fewer BFS runs; see ``_greedy_loop``).
+    sequence of edges.
     """
     _validate_params(k, f)
     model = FaultModel.coerce(fault_model)
     edges = _ordered_edges(g, order, seed)
-    return _greedy_loop(
-        g, edges, k, f, model, algorithm="modified-greedy",
-        degree_shortcut=degree_shortcut,
-    )
+    return _greedy_loop(g, edges, k, f, model, algorithm="modified-greedy")
 
 
 def modified_greedy_weighted(
@@ -128,15 +126,13 @@ def modified_greedy_weighted(
     k: int,
     f: int,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-    degree_shortcut: bool = False,
 ) -> SpannerResult:
     """Algorithm 4: nondecreasing-weight order, unweighted LBC test."""
     _validate_params(k, f)
     model = FaultModel.coerce(fault_model)
     edges = _ordered_edges(g, "weight", seed=None)
     return _greedy_loop(
-        g, edges, k, f, model, algorithm="modified-greedy-weighted",
-        degree_shortcut=degree_shortcut,
+        g, edges, k, f, model, algorithm="modified-greedy-weighted"
     )
 
 
@@ -147,7 +143,6 @@ def _greedy_loop(
     f: int,
     model: FaultModel,
     algorithm: str,
-    degree_shortcut: bool = False,
 ) -> SpannerResult:
     """The shared greedy loop of Algorithms 3 and 4.
 
@@ -157,54 +152,59 @@ def _greedy_loop(
     set.  NO means every fault set of size <= f leaves a short path, so
     the edge is redundant.
 
+    Forced YES: the candidate edge is never in H, so when an endpoint
+    (u first, then v) has at most f H-neighbours, faulting all of them
+    (vertex model) or all its incident H-edges (edge model) isolates it
+    -- a length-t cut of size <= f, on which Theorem 4 guarantees LBC
+    answers YES.  Such an edge is kept without running LBC, with that
+    cut as its certificate (Lemma 6 needs only a cut), so the spanner is
+    the one an LBC run on every edge builds; ``extra['degree_shortcuts']``
+    counts these edges.  The test reads the length of one adjacency row.
+
     The growing H is mirrored into a :class:`~repro.graph.csr.CSRBuilder`
     built once for the whole run: the node indexer, adjacency chunks, BFS
     workspace, and fault masks are all shared across the ``m * (f + 1)``
     BFS invocations.  The dict ``Graph`` H is still maintained (cheaply
-    -- it only mutates on kept edges): it is the returned spanner and
-    the degree shortcut's neighborhood source.
-
-    ``degree_shortcut`` enables an exact fast path: when an endpoint u of
-    the candidate edge has fewer than f+1 neighbors in H (vertex model)
-    or fewer than f+1 incident H-edges (edge model), faulting that whole
-    neighborhood isolates u from v, so a cut of size <= f exists and LBC
-    is *guaranteed* to answer YES -- the edge can be added without
-    running it.  The produced spanner is identical with or without the
-    shortcut; only the BFS count changes.
+    -- it only mutates on kept edges): it is the returned spanner.
     """
     t = 2 * k - 1
     h = g.spanning_skeleton()
     certificates = {}
     bfs_calls = 0
-    considered = 0
-    shortcuts = 0
+    lbc_calls = 0
     indexer = NodeIndexer.from_graph(g)
-    index = indexer.index
+    index, node = indexer.index, indexer.node
     builder = CSRBuilder(len(indexer))
-    workspace = BFSWorkspace(len(indexer))
-    decide = lbc_vertex_csr if model is FaultModel.VERTEX else lbc_edge_csr
+    rows = builder.neighbors
+    # H never holds more than g's m edges: size the edge mask once.
+    workspace = BFSWorkspace(len(indexer), g.num_edges)
+    vertex = model is FaultModel.VERTEX
+    # Looked up in the module namespace on every build, so a caller that
+    # wraps these names (a tracer) sees every LBC call.
+    decide = lbc_vertex_csr if vertex else lbc_edge_csr
 
-    def keep(u: Node, v: Node, cut: frozenset) -> None:
-        w = g.weight(u, v)
-        h.add_edge(u, v, weight=w)
-        builder.add_edge(index(u), index(v), w)
-        certificates[edge_key(u, v)] = cut
+    def isolating_cut(end: Node, row: List[int]) -> frozenset:
+        if vertex:
+            return frozenset(map(node, row))
+        return frozenset(edge_key(end, node(x)) for x in row)
 
     for u, v in edges:
-        considered += 1
-        if degree_shortcut:
-            cut = _isolating_cut(h, u, v, f, model)
-            if cut is not None:
-                shortcuts += 1
-                keep(u, v, cut)
+        iu, iv = index(u), index(v)
+        if len(rows[iu]) <= f:
+            cut = isolating_cut(u, rows[iu])
+        elif len(rows[iv]) <= f:
+            cut = isolating_cut(v, rows[iv])
+        else:
+            lbc_calls += 1
+            result = decide(builder, iu, iv, t, f, workspace, indexer)
+            bfs_calls += result.iterations
+            if result.answer is not LBCAnswer.YES:
                 continue
-        result = decide(builder, index(u), index(v), t, f, workspace, indexer)
-        bfs_calls += result.iterations
-        if result.answer is LBCAnswer.YES:
-            keep(u, v, result.cut)
-    extra: Dict[str, float] = {}
-    if degree_shortcut:
-        extra["degree_shortcuts"] = float(shortcuts)
+            cut = result.cut
+        w = g.weight(u, v)
+        h.add_edge(u, v, weight=w)
+        builder.add_edge(iu, iv, w)
+        certificates[edge_key(u, v)] = cut
     return SpannerResult(
         spanner=h,
         k=k,
@@ -212,35 +212,10 @@ def _greedy_loop(
         fault_model=model,
         algorithm=algorithm,
         certificates=certificates,
-        edges_considered=considered,
+        edges_considered=len(edges),
         bfs_calls=bfs_calls,
-        extra=extra,
+        extra={"degree_shortcuts": float(len(edges) - lbc_calls)},
     )
-
-
-def _isolating_cut(
-    h: Graph, u: Node, v: Node, f: int, model: FaultModel
-) -> Optional[frozenset]:
-    """A fault set of size <= f isolating u or v in H, if one exists.
-
-    The candidate edge {u, v} is not yet in H, so the endpoint's entire
-    H-neighborhood (vertex model) or H-edge set (edge model) is a valid
-    cut whenever it is small enough.  Returns the cut or None.
-    """
-    for endpoint in (u, v):
-        if model is FaultModel.VERTEX:
-            neighborhood = set(h.neighbors(endpoint))
-            neighborhood.discard(u)
-            neighborhood.discard(v)
-            # The other endpoint cannot be an H-neighbor (the edge is
-            # absent), so discarding is only defensive.
-            if len(neighborhood) <= f and not h.has_edge(u, v):
-                return frozenset(neighborhood)
-        else:
-            incident = {edge_key(endpoint, x) for x in h.neighbors(endpoint)}
-            if len(incident) <= f:
-                return frozenset(incident)
-    return None
 
 
 def _ordered_edges(

@@ -33,16 +33,16 @@ Two execution paths implement the identical loop:
   :class:`~repro.graph.traversal.BFSWorkspace`, and stamping faults into
   the workspace's :class:`~repro.graph.csr.FaultMask` instead of building
   views.  Results are translated back through a
-  :class:`~repro.graph.index.NodeIndexer` (the removed paths only when
-  first read), so the returned :class:`LBCResult` is indistinguishable
-  from the dict path's (both find the same BFS paths, hence the same
-  cuts and answers).
+  :class:`~repro.graph.index.NodeIndexer` (the cut and the removed
+  paths only when first read), so the returned :class:`LBCResult` is
+  indistinguishable from the dict path's (both find the same BFS paths,
+  hence the same cuts and answers).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, List, Optional, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph.csr import CSRLike
 from repro.graph.graph import Edge, Graph, Node, edge_key
@@ -75,7 +75,9 @@ class LBCResult:
         On YES: the accumulated fault set, which is a genuine length-t cut
         of size at most ``alpha * t`` (vertices or canonical edge tuples
         depending on the variant).  On NO: the accumulated set is *not* a
-        cut; it is still reported for diagnostics.
+        cut; it is still reported for diagnostics.  The CSR entry points
+        keep a copy of the fault ids and translate them only when ``cut``
+        is first read: the greedy drops the cut of every NO answer.
     paths:
         The hop-bounded paths removed in successive iterations (node
         sequences).  ``len(paths)`` equals the number of BFS calls that
@@ -90,20 +92,22 @@ class LBCResult:
     read-only.
     """
 
-    __slots__ = ("answer", "cut", "iterations", "_paths", "_index_paths",
-                 "_indexer")
+    __slots__ = ("answer", "iterations", "_cut", "_paths", "_index_cut",
+                 "_edge_ends", "_index_paths", "_indexer")
 
     def __init__(
         self,
         answer: LBCAnswer,
-        cut: FrozenSet,
-        paths: Tuple[Tuple[Node, ...], ...],
+        cut: Optional[FrozenSet],
+        paths: Optional[Tuple[Tuple[Node, ...], ...]],
         iterations: int,
     ) -> None:
         self.answer = answer
-        self.cut = cut
         self.iterations = iterations
-        self._paths: Optional[Tuple[Tuple[Node, ...], ...]] = paths
+        self._cut = cut
+        self._paths = paths
+        self._index_cut: List[int] = []
+        self._edge_ends: Optional[Tuple[Sequence[int], Sequence[int]]] = None
         self._index_paths: List[List[int]] = []
         self._indexer: Optional[NodeIndexer] = None
 
@@ -111,17 +115,35 @@ class LBCResult:
     def _from_indices(
         cls,
         answer: LBCAnswer,
-        cut: FrozenSet,
+        faults: List[int],
+        edge_ends: Optional[Tuple[Sequence[int], Sequence[int]]],
         removed: List[List[int]],
         iterations: int,
         indexer: Optional[NodeIndexer],
     ) -> "LBCResult":
-        """A result whose ``paths`` are translated from ``removed`` on
-        first read."""
-        result = cls(answer, cut, None, iterations)
+        """A result whose ``cut`` and ``paths`` are translated from
+        index data on first read.
+
+        ``faults`` is copied (it is the workspace mask's member list,
+        which the next LBC run clears).  ``edge_ends`` is the graph's
+        ``(edge_u, edge_v)`` pair when ``faults`` holds edge ids, or
+        None when it holds vertex indices; every CSR graph only appends
+        to those arrays, so an id's endpoints never change.
+        """
+        result = cls(answer, None, None, iterations)
+        result._index_cut = faults[:]
+        result._edge_ends = edge_ends
         result._index_paths = removed
         result._indexer = indexer
         return result
+
+    @property
+    def cut(self) -> FrozenSet:
+        if self._cut is None:
+            self._cut = _translate_cut(
+                self._index_cut, self._edge_ends, self._indexer
+            )
+        return self._cut
 
     @property
     def paths(self) -> Tuple[Tuple[Node, ...], ...]:
@@ -295,6 +317,27 @@ def _validate_csr(
         raise KeyError(f"target index {target} not in graph")
 
 
+def _translate_cut(
+    faults: List[int],
+    edge_ends: Optional[Tuple[Sequence[int], Sequence[int]]],
+    indexer: Optional[NodeIndexer],
+) -> FrozenSet:
+    """Fault ids -> the cut :func:`lbc_vertex` / :func:`lbc_edge` report
+    (raw indices or ``(low_index, high_index)`` pairs without an
+    indexer)."""
+    if edge_ends is None:
+        if indexer is None:
+            return frozenset(faults)
+        return frozenset(map(indexer.node, faults))
+    edge_u, edge_v = edge_ends
+    if indexer is None:
+        return frozenset((edge_u[e], edge_v[e]) for e in faults)
+    node = indexer.node
+    return frozenset(
+        edge_key(node(edge_u[e]), node(edge_v[e])) for e in faults
+    )
+
+
 def _translate_paths(
     removed: List[List[int]], indexer: Optional[NodeIndexer]
 ) -> Tuple[Tuple[Node, ...], ...]:
@@ -335,7 +378,6 @@ def lbc_vertex_csr(
     # list doubles as the iteration-order record for the certificate.
     faults = vmask.members
     removed: List[List[int]] = []
-    node = indexer.node if indexer is not None else (lambda i: i)
     for iteration in range(1, alpha + 2):
         # Terminals were validated once above and are never faulted, so
         # the search core is invoked directly (no per-BFS re-checks).
@@ -346,22 +388,19 @@ def lbc_vertex_csr(
         path = _csr_path(ws, target) if found else None
         if path is None:
             return LBCResult._from_indices(
-                LBCAnswer.YES, frozenset(node(i) for i in faults),
-                removed, iteration, indexer,
+                LBCAnswer.YES, faults, None, removed, iteration, indexer
             )
         if len(path) == 2:
             # Direct edge: un-cuttable by vertex faults, so certainly NO.
             removed.append(path)
             return LBCResult._from_indices(
-                LBCAnswer.NO, frozenset(node(i) for i in faults),
-                removed, iteration, indexer,
+                LBCAnswer.NO, faults, None, removed, iteration, indexer
             )
         removed.append(path)
         for i in path[1:-1]:  # interior vertices only (P \ {u, v})
             vmask.add(i)
     return LBCResult._from_indices(
-        LBCAnswer.NO, frozenset(node(i) for i in faults),
-        removed, alpha + 1, indexer,
+        LBCAnswer.NO, faults, None, removed, alpha + 1, indexer
     )
 
 
@@ -392,18 +431,7 @@ def lbc_edge_csr(
     emask.clear()
     faults = emask.members  # edge ids, in the order they were faulted
     removed: List[List[int]] = []
-    edge_u, edge_v = csr.edge_u, csr.edge_v
-
-    def cut_edges() -> FrozenSet[Edge]:
-        if indexer is None:
-            return frozenset(
-                (edge_u[e], edge_v[e]) for e in faults
-            )
-        node = indexer.node
-        return frozenset(
-            edge_key(node(edge_u[e]), node(edge_v[e])) for e in faults
-        )
-
+    ends = (csr.edge_u, csr.edge_v)
     for iteration in range(1, alpha + 2):
         reached = _csr_search(
             csr, source, target, t, ws,
@@ -412,12 +440,12 @@ def lbc_edge_csr(
         found = _csr_path_edges(ws, target) if reached else None
         if found is None:
             return LBCResult._from_indices(
-                LBCAnswer.YES, cut_edges(), removed, iteration, indexer
+                LBCAnswer.YES, faults, ends, removed, iteration, indexer
             )
         path, eids = found
         removed.append(path)
         for e in eids:
             emask.add(e)
     return LBCResult._from_indices(
-        LBCAnswer.NO, cut_edges(), removed, alpha + 1, indexer
+        LBCAnswer.NO, faults, ends, removed, alpha + 1, indexer
     )

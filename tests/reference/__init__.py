@@ -36,6 +36,7 @@ from tests.reference.constructions import (
     exponential_greedy_spanner,
     fault_tolerant_spanner,
     incremental_spanner,
+    lbc_only_greedy,
     modified_greedy_unweighted,
     modified_greedy_weighted,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "fault_tolerant_spanner",
     "incremental_spanner",
     "is_spanner",
+    "lbc_only_greedy",
     "max_stretch",
     "max_stretch_under_faults",
     "modified_greedy_unweighted",

@@ -12,7 +12,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.greedy_modified import (
     EdgeOrder,
-    _isolating_cut,
     _ordered_edges,
     _validate_params,
 )
@@ -47,13 +46,11 @@ def modified_greedy_unweighted(
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
     order: EdgeOrder = "arbitrary",
     seed: Optional[int] = None,
-    degree_shortcut: bool = False,
 ) -> SpannerResult:
     _validate_params(k, f)
     model = FaultModel.coerce(fault_model)
     return _greedy_loop(
-        g, _ordered_edges(g, order, seed), k, f, model, "modified-greedy",
-        degree_shortcut,
+        g, _ordered_edges(g, order, seed), k, f, model, "modified-greedy"
     )
 
 
@@ -62,14 +59,51 @@ def modified_greedy_weighted(
     k: int,
     f: int,
     fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
-    degree_shortcut: bool = False,
 ) -> SpannerResult:
     _validate_params(k, f)
     model = FaultModel.coerce(fault_model)
     return _greedy_loop(
         g, _ordered_edges(g, "weight", None), k, f, model,
-        "modified-greedy-weighted", degree_shortcut,
+        "modified-greedy-weighted",
     )
+
+
+def lbc_only_greedy(
+    g: Graph,
+    k: int,
+    f: int,
+    fault_model: Union[FaultModel, str] = FaultModel.VERTEX,
+    order: Optional[EdgeOrder] = None,
+    seed: Optional[int] = None,
+) -> SpannerResult:
+    """Algorithms 3/4 as the paper states them: one LBC per candidate.
+
+    No forced-YES test, so this is the oracle the production greedy's
+    spanner must equal edge for edge.  ``order`` defaults to insertion
+    order on unit-weighted graphs and weight order otherwise.
+    """
+    _validate_params(k, f)
+    model = FaultModel.coerce(fault_model)
+    if order is None:
+        order = "arbitrary" if g.is_unit_weighted() else "weight"
+    return _greedy_loop(
+        g, _ordered_edges(g, order, seed), k, f, model, "lbc-only-greedy",
+        forced_yes=False,
+    )
+
+
+def _forced_yes_cut(
+    h: Graph, u: Node, v: Node, f: int, model: FaultModel
+) -> Optional[FrozenSet]:
+    """The H-neighbourhood (vertex model) or incident H-edges (edge
+    model) of u, else of v, when it has at most f members: a cut, since
+    {u, v} is not in H."""
+    for end in (u, v):
+        if h.degree(end) <= f:
+            if model is FaultModel.VERTEX:
+                return frozenset(h.neighbors(end))
+            return frozenset(edge_key(end, x) for x in h.neighbors(end))
+    return None
 
 
 def _greedy_loop(
@@ -79,29 +113,27 @@ def _greedy_loop(
     f: int,
     model: FaultModel,
     algorithm: str,
-    degree_shortcut: bool,
+    forced_yes: bool = True,
 ) -> SpannerResult:
-    """One dict LBC(2k-1, f) run on the current H per candidate edge."""
+    """One dict LBC(2k-1, f) run on the current H per candidate edge,
+    except (with ``forced_yes``) where an endpoint's small neighbourhood
+    already cuts it."""
     t = 2 * k - 1
     h = g.spanning_skeleton()
     certificates: Dict[Edge, FrozenSet] = {}
-    bfs_calls = considered = shortcuts = 0
+    bfs_calls = lbc_calls = 0
     decide = lbc_vertex if model is FaultModel.VERTEX else lbc_edge
     for u, v in edges:
-        considered += 1
-        if degree_shortcut:
-            cut = _isolating_cut(h, u, v, f, model)
-            if cut is not None:
-                shortcuts += 1
-                h.add_edge(u, v, weight=g.weight(u, v))
-                certificates[edge_key(u, v)] = cut
+        cut = _forced_yes_cut(h, u, v, f, model) if forced_yes else None
+        if cut is None:
+            lbc_calls += 1
+            result = decide(h, u, v, t, f)
+            bfs_calls += result.iterations
+            if result.answer is not LBCAnswer.YES:
                 continue
-        result = decide(h, u, v, t, f)
-        bfs_calls += result.iterations
-        if result.answer is LBCAnswer.YES:
-            h.add_edge(u, v, weight=g.weight(u, v))
-            certificates[edge_key(u, v)] = result.cut
-    extra = {"degree_shortcuts": float(shortcuts)} if degree_shortcut else {}
+            cut = result.cut
+        h.add_edge(u, v, weight=g.weight(u, v))
+        certificates[edge_key(u, v)] = cut
     return SpannerResult(
         spanner=h,
         k=k,
@@ -109,9 +141,9 @@ def _greedy_loop(
         fault_model=model,
         algorithm=algorithm,
         certificates=certificates,
-        edges_considered=considered,
+        edges_considered=len(edges),
         bfs_calls=bfs_calls,
-        extra=extra,
+        extra={"degree_shortcuts": float(len(edges) - lbc_calls)},
     )
 
 

@@ -68,6 +68,10 @@ class TestModifiedGreedyParity:
         assert set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
         assert r_dict.bfs_calls == r_csr.bfs_calls
         assert r_dict.certificates == r_csr.certificates
+        assert r_dict.extra == r_csr.extra
+        # The forced-YES degree test never changes the spanner.
+        oracle = ref.lbc_only_greedy(g, k, f, fault_model=fault_model)
+        assert r_csr.spanner == oracle.spanner
 
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
     def test_weighted_identical(self, fault_model):
@@ -78,13 +82,16 @@ class TestModifiedGreedyParity:
         r_csr = modified_greedy_weighted(g, 2, 1, fault_model=fault_model)
         assert set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
         assert r_dict.certificates == r_csr.certificates
+        oracle = ref.lbc_only_greedy(g, 2, 1, fault_model=fault_model)
+        assert r_csr.spanner == oracle.spanner
 
     def test_degree_shortcut_identical(self):
         g = _instance(seed=11)
-        r_dict = ref.modified_greedy_unweighted(g, 2, 2, degree_shortcut=True)
-        r_csr = modified_greedy_unweighted(g, 2, 2, degree_shortcut=True)
+        r_dict = ref.modified_greedy_unweighted(g, 2, 2)
+        r_csr = modified_greedy_unweighted(g, 2, 2)
         assert set(r_dict.spanner.edges()) == set(r_csr.spanner.edges())
         assert r_dict.extra == r_csr.extra
+        assert r_csr.extra["degree_shortcuts"] > 0
 
     @pytest.mark.parametrize("order", ["random", "degree"])
     def test_alternative_orders_identical(self, order):
@@ -127,17 +134,17 @@ class TestPinnedBuilds:
         "family, model, weighted, seed, spanner, certs, bfs_calls",
         [
             ("gnp", "vertex", False, 1,
-             "893c08a2db86a1a6", "531614755f2a2314", 674),
+             "893c08a2db86a1a6", "ef4adcf36f058a0c", 426),
             ("ba", "edge", True, 2,
-             "188a5a9523dfd2d9", "711ba3bf7d98c25f", 464),
+             "188a5a9523dfd2d9", "eea6e8249def907b", 280),
             ("geo", "vertex", True, 3,
-             "f8ef803d4f6d518a", "dc1bc769a9973dc5", 615),
+             "f8ef803d4f6d518a", "9f23088d06e19fbe", 452),
             ("gnp", "edge", False, 4,
-             "219cdc505ed1e65a", "12f7a0811101905f", 638),
+             "219cdc505ed1e65a", "212e064e2607f3ed", 389),
             ("ba", "vertex", False, 5,
-             "c4140f3115608182", "117fb1d16d8b06f1", 495),
+             "c4140f3115608182", "07dbcd71bb90c530", 159),
             ("geo", "edge", False, 6,
-             "4d5361add04a00fe", "1d5a02af4f5eb79c", 722),
+             "4d5361add04a00fe", "1338a8ba1db18056", 451),
         ],
     )
     def test_pinned(
@@ -501,8 +508,12 @@ class TestOneProductionPath:
         monkeypatch.setattr(greedy_modified, "lbc_vertex_csr", counting)
         g = _instance(seed=21, n=16, p=0.3)
         result = build_spanner(g, "greedy", k=2, f=1)
-        # One CSR LBC test per candidate edge: the only execution path.
-        assert len(calls) == result.edges_considered == g.num_edges
+        # Every candidate edge is settled by the degree test or by one
+        # CSR LBC test: the only execution path.
+        shortcuts = result.extra["degree_shortcuts"]
+        assert 0 < len(calls) < g.num_edges
+        assert len(calls) + shortcuts == result.edges_considered
+        assert result.edges_considered == g.num_edges
 
     def test_environment_variable_never_reaches_the_greedy(
         self, monkeypatch

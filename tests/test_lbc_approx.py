@@ -15,6 +15,7 @@ from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
+from repro.graph.traversal import BFSWorkspace
 from repro.lbc.approx import (
     LBCAnswer,
     LBCResult,
@@ -300,6 +301,39 @@ class TestCSRLBCAgainstDict:
             tuple(index(x) for x in p) for p in first
         )
         assert "paths=" in repr(result)
+
+    @pytest.mark.parametrize("dict_fn, csr_fn", [
+        (lbc_vertex, lbc_vertex_csr), (lbc_edge, lbc_edge_csr),
+    ])
+    def test_no_cut_built_on_first_read(self, dict_fn, csr_fn):
+        # A NO answer's cut is read after later runs on the same
+        # workspace have cleared its fault mask: it must still be the
+        # dict LBC's cut, with and without an indexer.
+        g = generators.gnp_random_graph(20, 0.4, seed=3)
+        indexer = NodeIndexer.from_graph(g)
+        csr = CSRGraph.from_graph(g, indexer)
+        index = indexer.index
+        ws = BFSWorkspace(csr.num_nodes, csr.num_edges)
+        pairs = [(u, v) for u in sorted(g.nodes())[:5]
+                 for v in sorted(g.nodes())[-5:] if not g.has_edge(u, v)]
+        runs = [
+            (u, v,
+             csr_fn(csr, index(u), index(v), 3, 1, ws, indexer),
+             csr_fn(csr, index(u), index(v), 3, 1, ws))
+            for u, v in pairs
+        ]
+        no = [run for run in runs if run[2].answer is LBCAnswer.NO]
+        assert no and all(run[2]._cut is None for run in no)
+        for u, v, result, raw in no:
+            want = dict_fn(g, u, v, 3, 1).cut
+            assert want and result.cut == want
+            assert result.cut is result.cut
+            if csr_fn is lbc_vertex_csr:
+                assert raw.cut == {index(x) for x in want}
+            else:
+                assert raw.cut == {
+                    tuple(sorted((index(a), index(b)))) for a, b in want
+                }
 
     def test_result_equality(self):
         a = LBCResult(LBCAnswer.YES, frozenset({1}), ((0, 1, 2),), 2)
