@@ -200,14 +200,17 @@ class Graph:
         return iter(self._adj)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all edges as canonical ``(u, v)`` tuples."""
-        seen = set()
+        """Iterate over all edges as canonical ``(u, v)`` tuples.
+
+        Each edge is yielded once, at whichever endpoint comes first in
+        node order.
+        """
+        visited = set()
         for u, nbrs in self._adj.items():
+            visited.add(u)
             for v in nbrs:
-                key = edge_key(u, v)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+                if v not in visited:
+                    yield edge_key(u, v)
 
     def weighted_edges(self) -> Iterator[Tuple[Node, Node, float]]:
         """Iterate over all edges as ``(u, v, weight)`` triples."""
@@ -230,7 +233,10 @@ class Graph:
 
     def is_unit_weighted(self, tol: float = 0.0) -> bool:
         """Whether every edge has weight exactly (or within ``tol`` of) 1."""
-        return all(abs(w - 1.0) <= tol for _, _, w in self.weighted_edges())
+        return all(
+            abs(w - 1.0) <= tol
+            for nbrs in self._adj.values() for w in nbrs.values()
+        )
 
     def max_degree(self) -> int:
         """Maximum degree over all nodes (0 for the empty graph)."""

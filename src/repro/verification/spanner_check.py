@@ -514,7 +514,13 @@ def _verify_witness(
        other edge of H, at a cost that follows the ellipse, not H.  At
        most f of the paths can be faulted, and under the vertex model
        the endpoints -- the only shared vertices -- cannot be, so a
-       surviving path bounds d_{H\\F}(u, v) for every legal F.
+       surviving path bounds d_{H\\F}(u, v) for every legal F.  The
+       flow stops at f+1 units; only when one of their paths is over
+       the bound does the full max flow run, and then any f+1 of its
+       paths within the bound certify -- so every pair the full flow
+       alone would certify is still certified.  The labels d_u, d_v
+       stop at t times the largest checked weight: no test reads a
+       distance beyond it, so the ellipse is unchanged.
     3. *Fallback* -- length-bounded Menger is not exact, so a missing
        witness is not a violation: the pair is decided by the exact
        per-pair fault sweep (exhaustive within ``exhaustive_budget``,
@@ -537,11 +543,15 @@ def _verify_witness(
     indexer = snap.indexer
     network = DisjointPathNetwork(csr_h, fault_model)
     flow_ws = FlowWorkspace(network.net.num_nodes)
-    # Full labels, cached for the whole run (every endpoint serves as a
-    # label source for each of its G-edges), as lists indexed by node.
+    need = f + 1
+    # Labels cached for the whole run (every endpoint serves as a label
+    # source for each of its G-edges), as lists indexed by node.  No
+    # test below reads a distance beyond the longest pair bound, so the
+    # searches stop there; nodes past it read as INFINITY.
     n_h = csr_h.num_nodes
     engine = sssp_engine(snap.snap_h.profile)
     max_weight = snap.snap_h.max_weight
+    reach = t * max((row[4] for row in rows), default=0.0)
     dist_ws: Union[BFSWorkspace, DijkstraWorkspace] = (
         BFSWorkspace(n_h) if engine == "bfs" else DijkstraWorkspace(n_h)
     )
@@ -551,11 +561,13 @@ def _verify_witness(
         d = dist_cache.get(i)
         if d is None:
             if engine == "bfs":
-                reached = csr_bfs_distances(csr_h, i, workspace=dist_ws)
+                reached = csr_bfs_distances(
+                    csr_h, i, max_hops=math.floor(reach), workspace=dist_ws
+                )
             else:
                 reached = csr_dijkstra(
-                    csr_h, i, workspace=dist_ws, search=engine,
-                    max_weight=max_weight,
+                    csr_h, i, max_dist=reach, workspace=dist_ws,
+                    search=engine, max_weight=max_weight,
                 )
             d = [INFINITY] * n_h
             for x, dx in reached.items():
@@ -563,10 +575,22 @@ def _verify_witness(
             dist_cache[i] = d
         return d
 
+    def short_paths(paths: List[List[int]], bound: float) -> int:
+        """How many of ``paths`` are within ``bound`` (counted up to f+1)."""
+        short = 0
+        for path in paths:
+            length = 0.0
+            for a, b in zip(path, path[1:]):
+                length += h.weight(indexer.node(a), indexer.node(b))
+            if length <= bound:
+                short += 1
+                if short >= need:
+                    break
+        return short
+
     h_nbrs, h_eids, h_w = (
         csr_h.neighbors, csr_h.edge_id_rows, csr_h.weights.tolist()
     )
-    need = f + 1
     samples_eff = 300 if samples is None else samples
     checked = 0
     witnessed = 0
@@ -598,18 +622,21 @@ def _verify_witness(
                     eid for y, eid in zip(h_nbrs[x], h_eids[x])
                     if dux + h_w[eid] + dv[y] <= bound
                 ]
+            # f+1 units of flow are the whole certificate.  Only when
+            # one of them decomposes into a path over the bound does
+            # the full max flow run, to look for f+1 short ones among
+            # all of its paths.
             paths = network.disjoint_paths(
-                iu, iv, workspace=flow_ws, allowed_edges=allowed
+                iu, iv, workspace=flow_ws, limit=need, allowed_edges=allowed
             )
-            short = 0
-            for path in paths:
-                length = 0.0
-                for a, b in zip(path, path[1:]):
-                    length += h.weight(indexer.node(a), indexer.node(b))
-                if length <= bound:
-                    short += 1
-                    if short >= need:
-                        break
+            short = short_paths(paths, bound)
+            if len(paths) == need and short < need:
+                short = short_paths(
+                    network.disjoint_paths(
+                        iu, iv, workspace=flow_ws, allowed_edges=allowed
+                    ),
+                    bound,
+                )
             certified = short >= need
         if certified:
             witnessed += 1

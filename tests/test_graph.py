@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.graph.graph import Graph, edge_key
@@ -119,6 +121,31 @@ class TestQueries:
         assert all(e == edge_key(*e) for e in edges)
         assert len(set(edges)) == 2
 
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("label", [int, str])
+    def test_edges_in_first_seen_order_after_churn(self, seed, label):
+        # Each edge comes out once, keyed, where the adjacency scan
+        # first meets it -- also after removals reorder the rows.
+        rng = random.Random(seed)
+        g = Graph()
+        for _ in range(120):
+            u, v = label(rng.randrange(15)), label(rng.randrange(15))
+            op = rng.random()
+            if op < 0.6 and u != v:
+                g.add_edge(u, v)
+            elif op < 0.9 and g.has_edge(u, v):
+                g.remove_edge(u, v)
+            elif op >= 0.9 and g.has_node(u):
+                g.remove_node(u)
+        seen, expected = set(), []
+        for u in g.nodes():
+            for v in g.neighbors(u):
+                if edge_key(u, v) not in seen:
+                    seen.add(edge_key(u, v))
+                    expected.append(edge_key(u, v))
+        assert list(g.edges()) == expected
+        assert len(expected) == g.num_edges
+
     def test_weighted_edges(self):
         g = Graph([(1, 2, 4.0)])
         assert list(g.weighted_edges()) == [(1, 2, 4.0)]
@@ -130,6 +157,10 @@ class TestQueries:
     def test_is_unit_weighted(self):
         assert Graph([(1, 2)]).is_unit_weighted()
         assert not Graph([(1, 2, 2.0)]).is_unit_weighted()
+        assert Graph().is_unit_weighted()
+        near = Graph([(1, 2), (2, 3, 1.05)])
+        assert not near.is_unit_weighted()
+        assert near.is_unit_weighted(tol=0.1)
 
     def test_max_degree_and_density(self):
         g = Graph([(1, 2), (1, 3)])

@@ -13,7 +13,9 @@ configuration spelled out in the assertion message.
 The middle part pins the flows themselves: every witness flow runs on
 the pair's length ellipse only, and must return the paths the whole of
 H returns with every edge off the ellipse banned; and full reports are
-pinned on fixed instances, fallback pairs included.
+pinned on fixed instances, fallback pairs included.  Flows stop at f+1
+units and rerun in full only when a unit is too long; the reported
+witnesses must cover every pair the full flow alone certifies.
 
 The last part checks the certificates themselves: a disjoint-path
 witness returned by the public API really is ``count`` pairwise
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 from repro.core.greedy_modified import fault_tolerant_spanner
 from repro.flow.dinitz import DisjointPathNetwork
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, edge_key
 from repro.graph.traversal import dijkstra
 from repro.verification import disjoint_paths, verify_ft_spanner
@@ -174,12 +177,44 @@ def pinned_instance(seed, profile):
     return g
 
 
+def record_flows(monkeypatch):
+    """Record every witness flow as (csr, u, v, kwargs, paths)."""
+    calls = []
+    run = DisjointPathNetwork.disjoint_paths
+
+    def record(self, u, v, **kwargs):
+        paths = run(self, u, v, **kwargs)
+        calls.append((self.csr, u, v, kwargs, paths))
+        return paths
+
+    monkeypatch.setattr(DisjointPathNetwork, "disjoint_paths", record)
+    return calls
+
+
+def ellipse_edges(csr, h, u, v, bound):
+    """The edge ids {x, y} of H with d_u(x) + w(x, y) + d_v(y) <= bound
+    in either orientation, from full (unbounded) distances."""
+    du, dv = dijkstra(h, u), dijkstra(h, v)
+    node = csr.indexer.node
+    ellipse = set()
+    for eid in range(csr.num_edges):
+        a, b = node(csr.edge_u[eid]), node(csr.edge_v[eid])
+        w = csr.weights[eid]
+        if min(
+            du.get(a, INF) + w + dv.get(b, INF),
+            du.get(b, INF) + w + dv.get(a, INF),
+        ) <= bound:
+            ellipse.add(eid)
+    return ellipse
+
+
 class TestEllipseFlows:
     """Each witness flow runs on the pair's length ellipse only: the
     edges {x, y} of H with d_u(x) + w(x, y) + d_v(y) <= t * w(u, v) in
     either orientation.  Checked per pair against that definition
-    evaluated over every edge of H, and against the flow on all of H
-    with every other edge banned."""
+    evaluated over every edge of H with full distances (which also
+    guards the witness mode's bounded labels), and against the flow on
+    all of H with every other edge banned and the same ``limit``."""
 
     @pytest.mark.parametrize("profile", ["unit", "int", "float"])
     @pytest.mark.parametrize("model", MODELS)
@@ -189,39 +224,22 @@ class TestEllipseFlows:
         t, f = 3, 2
         g = pinned_instance(0, profile)
         h = fault_tolerant_spanner(g, 2, f, fault_model=model).spanner
-        calls = []
-        restricted = DisjointPathNetwork.disjoint_paths
-
-        def record(self, u, v, **kwargs):
-            paths = restricted(self, u, v, **kwargs)
-            calls.append((self.csr, u, v, kwargs, paths))
-            return paths
-
-        monkeypatch.setattr(DisjointPathNetwork, "disjoint_paths", record)
+        calls = record_flows(monkeypatch)
         report = verify_ft_spanner(
             g, h, t=t, f=f, fault_model=model, mode="witness"
         )
         monkeypatch.undo()
         assert report.ok and calls
         for csr, iu, iv, kwargs, paths in calls:
-            assert set(kwargs) == {"workspace", "allowed_edges"}
+            assert set(kwargs) - {"limit"} == {"workspace", "allowed_edges"}
+            assert kwargs.get("limit") in (None, f + 1)
             u, v = csr.indexer.node(iu), csr.indexer.node(iv)
             bound = t * g.weight(u, v)
-            du, dv = dijkstra(h, u), dijkstra(h, v)
-            ellipse = set()
-            for eid in range(csr.num_edges):
-                a = csr.indexer.node(csr.edge_u[eid])
-                b = csr.indexer.node(csr.edge_v[eid])
-                w = csr.weights[eid]
-                if min(
-                    du.get(a, INF) + w + dv.get(b, INF),
-                    du.get(b, INF) + w + dv.get(a, INF),
-                ) <= bound:
-                    ellipse.add(eid)
+            ellipse = ellipse_edges(csr, h, u, v, bound)
             assert set(kwargs["allowed_edges"]) == ellipse, (u, v)
             banned = sorted(set(range(csr.num_edges)) - ellipse)
             assert DisjointPathNetwork(csr, model).disjoint_paths(
-                iu, iv, banned_edges=banned
+                iu, iv, limit=kwargs.get("limit"), banned_edges=banned
             ) == paths, (u, v)
 
 
@@ -229,14 +247,14 @@ class TestEllipseFlows:
 #: sorted order, or None) ->
 #: (ok, exhaustive, pairs_checked, pairs_witnessed, fault_sets_checked)
 #: of witness mode on the f=2 greedy spanner of ``pinned_instance``,
-#: t=3, exhaustive_budget=2000.  The two fallback rows leave one pair
+#: t=3, exhaustive_budget=2000.  The fallback row leaves one pair
 #: without a witness; the last row plants a violation.
 PINNED_REPORTS = {
     (0, "unit", "vertex", None): (True, True, 40, 40, 0),
     (1, "int", "edge", None): (True, True, 48, 48, 0),
     (1, "float", "vertex", None): (True, True, 48, 48, 0),
     (3, "float", "edge", None): (True, True, 42, 41, 904),
-    (12, "unit", "edge", None): (True, True, 48, 47, 1177),
+    (12, "unit", "edge", None): (True, True, 48, 48, 0),
     (0, "int", "vertex", 3): (False, True, 40, 3, 1),
 }
 
@@ -257,6 +275,121 @@ class TestPinnedReports:
             r.ok, r.exhaustive, r.pairs_checked, r.pairs_witnessed,
             r.fault_sets_checked,
         ) == PINNED_REPORTS[key]
+
+
+def path_length(h, path):
+    return sum(h.weight(a, b) for a, b in zip(path, path[1:]))
+
+
+def full_flow_witnesses(g, h, t, f, model):
+    """Pairs of G certified by the unlimited flow: an H-edge within the
+    bound, or f+1 short paths among all paths of the max flow on the
+    whole of H with every edge off the pair's ellipse banned."""
+    csr = CSRGraph.from_graph(h)
+    node, index = csr.indexer.node, csr.indexer.index
+    network = DisjointPathNetwork(csr, model)
+    witnessed = 0
+    for u, v in g.edges():
+        bound = t * g.weight(u, v)
+        if h.has_edge(u, v) and h.weight(u, v) <= bound:
+            witnessed += 1
+            continue
+        ellipse = ellipse_edges(csr, h, u, v, bound)
+        banned = sorted(set(range(csr.num_edges)) - ellipse)
+        paths = network.disjoint_paths(
+            index(u), index(v), banned_edges=banned
+        )
+        short = sum(
+            path_length(h, [node(x) for x in path]) <= bound
+            for path in paths
+        )
+        witnessed += short >= f + 1
+    return witnessed
+
+
+class TestFlowLimit:
+    """Witness flows stop at f+1 units; the full max flow runs again
+    only when one of those units decomposes into a path over the bound.
+    The reported witnesses are a superset of the full flow's."""
+
+    def test_first_units_certify_a_former_fallback_pair(self, monkeypatch):
+        # Seed 12 (unit, edge model): the full flow on pair (12, 16) has
+        # four paths with fewer than f+1 short ones, so the pair used to
+        # fall back to the sweep (1177 fault sets).  Its first f+1 units
+        # are all short: a complete certificate.
+        t, f, model = 3, 2, "edge"
+        g = pinned_instance(12, "unit")
+        h = fault_tolerant_spanner(g, 2, f, fault_model=model).spanner
+        calls = record_flows(monkeypatch)
+        verify_ft_spanner(
+            g, h, t=t, f=f, fault_model=model, mode="witness",
+            exhaustive_budget=2000, seed=0,
+        )
+        monkeypatch.undo()
+        (csr, iu, iv, kwargs, paths), = [
+            call for call in calls
+            if {call[0].indexer.node(call[1]),
+                call[0].indexer.node(call[2])} == {12, 16}
+        ]
+        assert kwargs["limit"] == f + 1
+        node = csr.indexer.node
+        u, v = node(iu), node(iv)
+        bound = t * g.weight(u, v)
+        TestWitnessCertificates.check_by_hand(
+            h, u, v, [[node(x) for x in p] for p in paths], f + 1, bound,
+            model,
+        )
+        full = DisjointPathNetwork(csr, model).disjoint_paths(
+            iu, iv, allowed_edges=kwargs["allowed_edges"]
+        )
+        assert len(full) > f + 1
+        assert sum(
+            path_length(h, [node(x) for x in p]) <= bound for p in full
+        ) < f + 1
+
+    @pytest.mark.parametrize("seed", [150, 194])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_long_unit_reruns_the_full_flow(self, monkeypatch, seed, model):
+        # One pair's first f+1 units include a path over the bound; the
+        # full flow on the same ellipse has f+1 short ones.
+        g = pinned_instance(seed, "int")
+        h = fault_tolerant_spanner(g, 2, 2, fault_model=model).spanner
+        calls = record_flows(monkeypatch)
+        r = verify_ft_spanner(
+            g, h, t=3, f=2, fault_model=model, mode="witness",
+            exhaustive_budget=2000, seed=0,
+        )
+        monkeypatch.undo()
+        reruns = [call for call in calls if "limit" not in call[3]]
+        assert len(reruns) == 1
+        (csr, iu, iv, kwargs, _), = reruns
+        assert [
+            call[3]["allowed_edges"] for call in calls
+            if call[1:3] == (iu, iv)
+        ] == [kwargs["allowed_edges"]] * 2
+        assert (
+            r.ok, r.exhaustive, r.pairs_checked, r.pairs_witnessed,
+            r.fault_sets_checked,
+        ) == (True, True, 47, 47, 0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 12, 150])
+    @pytest.mark.parametrize("profile", ["unit", "int", "float"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_no_pair_loses_its_witness(self, seed, profile, model):
+        t, f = 3, 2
+        g = pinned_instance(seed, profile)
+        h = fault_tolerant_spanner(g, 2, f, fault_model=model).spanner
+        witness = verify_ft_spanner(
+            g, h, t=t, f=f, fault_model=model, mode="witness",
+            exhaustive_budget=2000, seed=0,
+        )
+        sweep = verify_ft_spanner(
+            g, h, t=t, f=f, fault_model=model, exhaustive_budget=2000,
+        )
+        assert witness.pairs_witnessed >= full_flow_witnesses(
+            g, h, t, f, model
+        )
+        assert sweep.exhaustive and witness.ok == sweep.ok
 
 
 class TestWitnessCertificates:
