@@ -62,9 +62,9 @@ bench-serving:
 bench-dynamic:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_dynamic.py $(QUICK)
 
-# Parallel CONGEST execution benchmark: distributed constructions on
-# the substrate worker pool vs the sequential simulator, bit-identical
-# outputs (spanner edges + RunStats) asserted per row.  Full mode
+# Parallel CONGEST execution benchmark: congest_ft_spanner's instances
+# sharded on the substrate worker pool vs in-process, bit-identical
+# outputs (spanner edges, rounds, extras) asserted per row.  Full mode
 # rewrites BENCH_distributed.json; CI runs it with QUICK=--quick.
 bench-distributed:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_distributed.py $(QUICK)

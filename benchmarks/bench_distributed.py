@@ -1,21 +1,16 @@
 """Micro-benchmark: parallel CONGEST execution vs the sequential simulator.
 
-Runs the distributed constructions twice -- sequentially (``workers=None``)
-and on the shared parallel substrate (:mod:`repro.parallel`) -- and checks
-the outputs are bit-identical before recording any timing, writing the
-results to ``BENCH_distributed.json`` at the repository root.
+Runs the Theorem 15 fault-tolerant construction
+(:func:`congest_ft_spanner`) twice -- sequentially (``workers=None``) and
+with its N Baswana-Sen instances sharded over the shared parallel
+substrate (:mod:`repro.parallel`) -- and checks the outputs are
+bit-identical before recording any timing, writing the results to
+``BENCH_distributed.json`` at the repository root.
 
-* ``instances_congest_ft`` -- the Theorem 15 fault-tolerant construction
-  (:func:`congest_ft_spanner`).  Its N Baswana-Sen instances are the
-  embarrassingly parallel axis: ``workers=W`` shards them into one
-  contiguous slice per worker process.  This scenario carries the
-  headline ``parallel_speedup_at_max_n``.
-* ``rounds_congest_bs`` -- the Theorem 14 Baswana-Sen CONGEST protocol
-  (:func:`congest_baswana_sen`) with its *rounds* partitioned across
-  workers (per-worker node partitions, message exchange at every round
-  barrier).  This measures the round-barrier cost: cross-partition
-  messages are pickled through pipes once per round, so the row also
-  reports per-round latency for both modes.
+* ``instances_congest_ft`` -- the instances are the embarrassingly
+  parallel axis: ``workers=W`` shards them into one contiguous slice
+  per worker process.  This scenario carries the headline
+  ``parallel_speedup_at_max_n``.
 
 ``parity_ok`` records that the parallel run produced the bit-identical
 spanner, round count, and measured extras as the sequential simulator --
@@ -44,18 +39,16 @@ import platform
 import time
 from pathlib import Path
 
-from repro.distributed import congest_baswana_sen, congest_ft_spanner
+from repro.distributed import congest_ft_spanner
 from repro.graph import generators
 
 SEED = 42
 RUN_SEED = 7
 WORKERS = 2
 
-# (n, p) rows per scenario; the ft rows are the headline trajectory.
+# (n, p) rows; the largest n is the headline trajectory.
 FT_INSTANCES = [(400, 0.025), (900, 0.012), (1400, 0.008)]
 FT_QUICK = [(120, 0.08)]
-BS_INSTANCES = [(150, 0.06), (300, 0.035)]
-BS_QUICK = [(60, 0.12)]
 
 DEFAULT_OUTPUT = (
     Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
@@ -152,74 +145,15 @@ def bench_ft_instances(instances, repeats):
     }
 
 
-def bench_bs_rounds(instances, repeats):
-    """Round-partitioned congest_bs: every round crosses the barrier."""
-    rows = []
-    for n, p in instances:
-        g = _instance(n, p)
-
-        def seq():
-            return congest_baswana_sen(g, 3, seed=RUN_SEED)
-
-        def par():
-            return congest_baswana_sen(
-                g, 3, seed=RUN_SEED, workers=WORKERS
-            )
-
-        t_seq, r_seq, t_par, r_par = _time_pair(seq, par, repeats)
-        parity = _fingerprint(r_seq) == _fingerprint(r_par)
-        rounds = r_seq.rounds or 1
-        sec_seq = round(t_seq, 4)
-        sec_par = round(t_par, 4)
-        row = {
-            "n": n,
-            "p": p,
-            "m": g.num_edges,
-            "workers": WORKERS,
-            "rounds": r_seq.rounds,
-            "ms_per_round_sequential": round(1000.0 * t_seq / rounds, 3),
-            "ms_per_round_parallel": round(1000.0 * t_par / rounds, 3),
-            "seconds_sequential": sec_seq,
-            "seconds_parallel": sec_par,
-            "speedup": round(sec_seq / sec_par, 2)
-            if sec_par > 0 else float("inf"),
-            "parity_ok": parity,
-        }
-        rows.append(row)
-        print(
-            f"  n={n:5d} m={g.num_edges:6d} rounds={r_seq.rounds:4d}  "
-            f"seq {t_seq:7.3f}s ({row['ms_per_round_sequential']:7.2f} "
-            f"ms/round)  par({WORKERS}w) {t_par:7.3f}s "
-            f"({row['ms_per_round_parallel']:7.2f} ms/round)  "
-            f"parity={'ok' if parity else 'FAIL'}"
-        )
-    return {
-        "description": (
-            "Theorem 14 congest_baswana_sen with rounds executed "
-            "across worker processes over node partitions (per-worker "
-            "inboxes, pickled cross-partition bundles at every round "
-            "barrier) vs the sequential simulator; this prices the "
-            "round barrier itself, so per-round latency is reported "
-            "for both modes"
-        ),
-        "parameters": {"k": 3, "seed": RUN_SEED, "workers": WORKERS},
-        "instances": rows,
-    }
-
-
 def run(repeats: int = 3, quick: bool = False):
     if quick:
         repeats = 1
-        ft_rows, bs_rows = FT_QUICK, BS_QUICK
-    else:
-        ft_rows, bs_rows = FT_INSTANCES, BS_INSTANCES
+    ft_rows = FT_QUICK if quick else FT_INSTANCES
     scenarios = {}
     print("instances_congest_ft:")
     scenarios["instances_congest_ft"] = bench_ft_instances(
         ft_rows, repeats
     )
-    print("rounds_congest_bs:")
-    scenarios["rounds_congest_bs"] = bench_bs_rounds(bs_rows, repeats)
     report = {
         "benchmark": "parallel CONGEST execution vs sequential simulator",
         "quick": quick,
@@ -231,8 +165,8 @@ def run(repeats: int = 3, quick: bool = False):
         if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1),
         "scenarios": scenarios,
     }
-    # Headline trajectory: the instance-sharded scenario at its largest
-    # n, where per-run substrate overhead is smallest relative to work.
+    # Headline trajectory: the largest n, where per-run substrate
+    # overhead is smallest relative to work.
     report["parallel_speedup_at_max_n"] = (
         scenarios["instances_congest_ft"]["instances"][-1]["speedup"]
     )

@@ -16,10 +16,11 @@ Subcommands
                 probing distances during churn and checking them against
                 dict Dijkstra on the mutated spanner.
 ``distributed`` Run one of the LOCAL/CONGEST constructions end to end on
-                the message-passing simulator, optionally across
-                ``--workers`` partition processes (bit-identical to
-                sequential execution) and, for the LOCAL spanner, with
-                the ``--deterministic`` ruling-set decomposition.
+                the message-passing simulator -- for ``congest``,
+                optionally with its Baswana-Sen instances sharded over
+                ``--workers`` processes (bit-identical to sequential
+                execution) and, for the LOCAL spanner, with the
+                ``--deterministic`` ruling-set decomposition.
 ``algorithms``  List every registered construction with its guarantee
                 and capabilities (the algorithm registry).
 ``info``        Print structural statistics of a graph file.
@@ -278,10 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="a distributed construction from the "
                                   "registry (default local)")
     distributed.add_argument("--workers", type=int, default=None,
-                             help="partition worker processes for the "
-                                  "round engine (default: in-process "
-                                  "sequential execution; any value is "
-                                  "bit-identical)")
+                             help="instance worker processes (congest "
+                                  "only); default: in-process sequential "
+                                  "execution; any value is bit-identical")
     distributed.add_argument("--seed", type=int, default=None,
                              help="random seed for --random generation "
                                   "and the protocol's randomness "
@@ -633,7 +633,7 @@ def _cmd_distributed(args) -> int:
     elapsed = time.perf_counter() - start
     print(result.describe())
     mode = (
-        f"{args.workers} partition workers"
+        f"{args.workers} instance workers"
         if args.workers is not None else "sequential in-process"
     )
     print(f"simulator: {result.rounds} rounds ({mode})   "

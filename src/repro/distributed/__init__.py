@@ -26,9 +26,11 @@ Algorithms:
   Rozhon-Ghaffari / Pai-Pemmaraju) behind ``local_ft_spanner``'s
   ``deterministic=True`` mode.
 
-Every entry point takes ``workers=`` to run its simulator rounds across
-that many processes on the shared parallel substrate
-(:mod:`repro.parallel`) with bit-identical outputs and statistics.
+Every simulator run is sequential and in-process.  Only
+``congest_ft_spanner`` takes ``workers=``: it shards its independent
+Baswana-Sen instances over that many processes on the shared parallel
+substrate (:mod:`repro.parallel`), with outputs and statistics
+bit-identical to ``workers=None``.
 """
 
 from repro.distributed.runtime import (

@@ -228,7 +228,7 @@ class _BaswanaSenProtocol(NodeProtocol):
 
 
 class _BaswanaSenFactory:
-    """Module-level protocol factory (picklable for spawned workers)."""
+    """Module-level protocol factory: one fresh protocol per node."""
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -250,15 +250,12 @@ def congest_baswana_sen(
     k: int,
     seed: Optional[int] = None,
     congest_word_limit: int = 8,
-    workers: Optional[int] = None,
 ) -> SpannerResult:
     """Run the Theorem 14 CONGEST Baswana-Sen protocol end to end.
 
     The returned ``rounds`` is the simulator's actual round count and
     ``extra['max_message_words']`` certifies the CONGEST budget was
     respected (the engine raises on violation; the stat shows headroom).
-    ``workers`` executes the rounds across that many partition worker
-    processes -- output and stats are bit-identical to ``workers=None``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -266,9 +263,7 @@ def congest_baswana_sen(
         g, model="CONGEST", congest_word_limit=congest_word_limit, seed=seed
     )
     schedule_len = _phase_schedule(k)[-1][0]
-    outputs = network.run(
-        _BaswanaSenFactory(k), max_rounds=schedule_len + 4, workers=workers
-    )
+    outputs = network.run(_BaswanaSenFactory(k), max_rounds=schedule_len + 4)
     spanner = network.collect_spanner(outputs)
     return SpannerResult(
         spanner=spanner,

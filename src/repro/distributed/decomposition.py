@@ -157,7 +157,7 @@ class _ShiftFloodProtocol(NodeProtocol):
 
 
 class _ShiftFloodFactory:
-    """Module-level protocol factory (picklable for spawned workers)."""
+    """Module-level protocol factory: one fresh protocol per node."""
 
     def __init__(self, num_partitions: int, beta: float, radius: int) -> None:
         self.num_partitions = num_partitions
@@ -173,15 +173,13 @@ def padded_decomposition(
     beta: float = 0.25,
     num_partitions: Optional[int] = None,
     seed: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[Decomposition, RunStats]:
     """Run the Theorem 11 decomposition on the LOCAL simulator.
 
     Returns the decomposition plus the engine's round/message statistics.
     ``beta`` trades cluster radius (``O(log n / beta)``) against per-
     partition edge-cut probability (``<= beta``); ``num_partitions``
-    defaults to ``ceil(2 * log2 n) + 1``.  ``workers`` runs the flood
-    rounds on the parallel substrate (bit-identical output and stats).
+    defaults to ``ceil(2 * log2 n) + 1``.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -198,7 +196,6 @@ def padded_decomposition(
     outputs = network.run(
         _ShiftFloodFactory(num_partitions, beta, radius),
         max_rounds=radius + 4,
-        workers=workers,
     )
     assignment: List[Dict[Node, Node]] = [dict() for _ in range(num_partitions)]
     parent: List[Dict[Node, Optional[Node]]] = [

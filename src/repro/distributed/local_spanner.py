@@ -189,7 +189,6 @@ def local_ft_spanner(
     num_partitions: Optional[int] = None,
     seed: Optional[int] = None,
     use_exact_greedy: bool = False,
-    workers: Optional[int] = None,
     deterministic: bool = False,
 ) -> SpannerResult:
     """Run the Theorem 12 LOCAL fault-tolerant spanner end to end.
@@ -206,8 +205,6 @@ def local_ft_spanner(
     (``seed`` becomes irrelevant), and any edge the partition budget
     left uncovered is added to the spanner directly at stretch 1, so
     the f-FT (2k-1) guarantee holds *unconditionally* rather than whp.
-    ``workers`` runs every simulator phase on the parallel substrate
-    (bit-identical to sequential execution).
     """
     model = FaultModel.coerce(fault_model)
     if k < 1:
@@ -217,12 +214,11 @@ def local_ft_spanner(
     uncovered: List[Tuple[Node, Node]] = []
     if deterministic:
         decomposition, uncovered, decomp_stats = deterministic_decomposition(
-            g, num_partitions=num_partitions, workers=workers
+            g, num_partitions=num_partitions
         )
     else:
         decomposition, decomp_stats = padded_decomposition(
-            g, beta=beta, num_partitions=num_partitions, seed=seed,
-            workers=workers,
+            g, beta=beta, num_partitions=num_partitions, seed=seed
         )
     if g.num_nodes == 0:
         return SpannerResult(
@@ -247,7 +243,6 @@ def local_ft_spanner(
     outputs = network.run(
         lambda_factory(decomposition, radius, k, f, model, use_exact_greedy, g),
         max_rounds=2 * radius + 8,
-        workers=workers,
     )
     spanner = network.collect_spanner(outputs)
     for u, v in uncovered:
@@ -281,11 +276,9 @@ def local_ft_spanner(
 class _GatherComputeFactory:
     """Per-node protocol factory: the engine hands it each node ID.
 
-    Replaces the old shared-iterator closure, which leaned on the
-    engine calling the factory *exactly once per node in sorted order*
-    -- an invariant no partitioned execution could keep.  The engine
-    now passes the node to any factory with a positional parameter, so
-    this works identically (and spawn-safely) on every execution path.
+    The engine passes the node to any factory with a positional
+    parameter, so no protocol depends on the order in which the engine
+    calls the factory.
     """
 
     def __init__(self, decomposition, radius, k, f, model, use_exact) -> None:

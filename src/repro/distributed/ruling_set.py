@@ -154,7 +154,7 @@ class _RulingSetProtocol(NodeProtocol):
 
 
 class _RulingSetFactory:
-    """Module-level factory (spawn-safe): hands each node its rank ID."""
+    """Module-level factory: hands each node its rank ID."""
 
     def __init__(self, ids: Dict[Node, int], beta: int) -> None:
         self.ids = ids
@@ -167,15 +167,12 @@ class _RulingSetFactory:
 def deterministic_ruling_set(
     g: Graph,
     congest_word_limit: int = 8,
-    workers: Optional[int] = None,
 ) -> Tuple[RulingSet, RunStats]:
     """Compute a (2, ceil(log2 n))-ruling set of ``g`` on the simulator.
 
     Fully deterministic: no node draws randomness, so the output is a
     pure function of the graph.  Runs in ``2 * ceil(log2 n) + 1``
     CONGEST rounds with <= 3-word messages (engine-enforced).
-    ``workers`` runs the rounds on the parallel substrate
-    (bit-identical, like every engine protocol).
     """
     n = g.num_nodes
     if n == 0:
@@ -189,7 +186,6 @@ def deterministic_ruling_set(
     outputs = network.run(
         _RulingSetFactory(ids, beta),
         max_rounds=2 * beta + 4,
-        workers=workers,
     )
     by_id = {ids[v]: v for v in nodes}
     rulers = tuple(v for v in nodes if outputs[v][0])
@@ -262,7 +258,6 @@ def deterministic_decomposition(
     g: Graph,
     num_partitions: Optional[int] = None,
     congest_word_limit: int = 8,
-    workers: Optional[int] = None,
 ) -> Tuple[Decomposition, List[Tuple[Node, Node]], RunStats]:
     """Deterministic replacement for :func:`padded_decomposition`.
 
@@ -296,7 +291,7 @@ def deterministic_decomposition(
     current = g
     while uncovered and len(assignment) < num_partitions:
         rs, run_stats = deterministic_ruling_set(
-            current, congest_word_limit=congest_word_limit, workers=workers
+            current, congest_word_limit=congest_word_limit
         )
         stats.rounds += run_stats.rounds
         stats.merge(run_stats)

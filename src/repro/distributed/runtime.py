@@ -33,38 +33,19 @@ This engine runs protocols honestly under either model:
 Determinism: each node's ``random.Random`` is seeded from a **stable
 hash of (engine seed, node ID)** (:func:`node_seed`), not from the
 engine's iteration order.  Two consequences: a node's random stream is
-unaffected by unrelated nodes joining the graph, and any process can
-derive any node's seed independently -- which is what makes the
-parallel execution path below bit-identical to the sequential one.
-
-Parallel execution (PR 10)
---------------------------
-``SyncNetwork.run(..., workers=W)`` executes every round across ``W``
-worker processes on the shared substrate (:mod:`repro.parallel`).  The
-sorted node order is split into ``W`` contiguous partitions; each
-worker owns its partition's contexts and protocol instances for the
-whole run.  At the round barrier, messages between partitions travel as
-pre-pickled per-destination bundles routed (opaquely) through the
-parent, while intra-partition messages never leave their worker.
-Inboxes are reassembled in the sequential engine's exact delivery
-order -- senders ascending in global sorted order, each sender's
-outbox in send order -- because partitions are contiguous slices of
-that same order.  :class:`RunStats` merges canonically (sums and
-maxes, which are partition-order independent), and the halting
-conditions are evaluated globally by the parent, so outputs *and*
-stats are bit-identical to ``workers=None`` for every worker count
-(``tests/test_parallel_distributed.py`` pins the full protocol x
-worker-count matrix).
+unaffected by unrelated nodes joining the graph, and it is the same in
+every process -- so a run repeated in a worker process (as
+``congest_ft_spanner``'s instance sharding does) is bit-identical to
+the in-process one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import pickle
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph, Node
 
@@ -136,8 +117,7 @@ def node_seed(engine_seed: int, node: Node) -> int:
     *not* Python's salted ``hash()`` -- so the value is identical
     across processes, interpreter runs, and ``PYTHONHASHSEED`` values.
     Because the seed depends only on the pair, a node's random stream
-    is independent of iteration order and of which other nodes exist,
-    and any partition worker can derive it locally.
+    is independent of iteration order and of which other nodes exist.
     """
     digest = hashlib.blake2b(
         f"{engine_seed}:{node!r}".encode("utf-8"), digest_size=8
@@ -299,9 +279,9 @@ class RunStats:
 class _SizeChecker:
     """The message-size rule: measure a payload, enforce the budget.
 
-    Every context holds one (the sequential engine and each partition
-    worker build their own), so both engines apply the same rule and
-    raise the same exception at the same ``send``/``broadcast`` call.
+    The engine builds one per run and every context holds it, so
+    ``send`` and ``broadcast`` apply the same rule and raise at the
+    offending call.
     """
 
     __slots__ = ("model", "congest_word_limit")
@@ -344,148 +324,6 @@ def _accepts_node(protocol_factory) -> bool:
     return False
 
 
-def _partition_bounds(n: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous near-equal slices of ``range(n)`` (sharding rule)."""
-    base, extra = divmod(n, workers)
-    bounds: List[Tuple[int, int]] = []
-    pos = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        bounds.append((pos, pos + size))
-        pos += size
-    return bounds
-
-
-class _PartitionExecutor:
-    """The per-worker executor of the parallel round engine.
-
-    Built once inside each worker process by the substrate pool
-    (:mod:`repro.parallel.pool`); owns one contiguous partition of the
-    sorted node order -- contexts, protocol instances, and the
-    intra-partition messages that never cross a process boundary.
-
-    Request kinds:
-
-    * ``"init"`` -- run every owned node's ``init`` hook; returns the
-      first round report.
-    * ``"round"`` -- payload ``(round_no, bundles)`` where ``bundles``
-      is one pre-pickled message bundle (or None) per *source* worker;
-      delivers inboxes, runs ``receive`` on non-halted nodes, returns
-      the round report.
-    * ``"collect"`` -- each owned node's ``output()``.
-
-    A round report is ``(bundles_out, sent_any, all_halted, stats)``:
-    per-destination-worker pre-pickled bundles of the messages this
-    partition just sent across partitions, whether it sent anything at
-    all, whether all its nodes have halted, and its :class:`RunStats`
-    delta (messages and words only) for the canonical merge.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        model: str,
-        congest_word_limit: int,
-        engine_seed: int,
-        protocol_factory,
-        num_workers: int,
-        index: int,
-    ) -> None:
-        self.num_workers = num_workers
-        self.index = index
-        nodes = sorted(graph.nodes(), key=repr)
-        bounds = _partition_bounds(len(nodes), num_workers)
-        lo, hi = bounds[index]
-        self.mine: List[Node] = nodes[lo:hi]
-        self.owner: Dict[Node, int] = {}
-        for w, (wlo, whi) in enumerate(bounds):
-            for v in nodes[wlo:whi]:
-                self.owner[v] = w
-        checker = _SizeChecker(model, congest_word_limit)
-        n = graph.num_nodes
-        with_node = _accepts_node(protocol_factory)
-        self.contexts: Dict[Node, NodeContext] = {}
-        self.protocols: Dict[Node, NodeProtocol] = {}
-        for v in self.mine:
-            self.contexts[v] = NodeContext(
-                node=v,
-                n=n,
-                neighbors=tuple(sorted(graph.neighbors(v), key=repr)),
-                edge_weights=dict(graph.neighbor_items(v)),
-                rng=random.Random(node_seed(engine_seed, v)),
-                checker=checker,
-            )
-            self.protocols[v] = (
-                protocol_factory(v) if with_node else protocol_factory()
-            )
-        # Intra-partition messages awaiting next-round delivery.
-        self.local_pending: List[Message] = []
-
-    def __call__(self, kind: str, payload):
-        if kind == "init":
-            for v in self.mine:
-                self.protocols[v].init(self.contexts[v])
-            return self._drain_outboxes()
-        if kind == "round":
-            round_no, bundles = payload
-            self._deliver(round_no, bundles)
-            return self._drain_outboxes()
-        if kind == "collect":
-            return {v: self.protocols[v].output() for v in self.mine}
-        raise ValueError(f"unknown round-engine request kind {kind!r}")
-
-    def _deliver(self, round_no: int, bundles: List[Optional[bytes]]) -> None:
-        inboxes: Dict[Node, List[Message]] = {v: [] for v in self.mine}
-        # Source workers ascending == senders ascending in global sorted
-        # order (partitions are contiguous slices of it), so this merge
-        # reproduces the sequential engine's inbox order exactly.
-        for w in range(self.num_workers):
-            if w == self.index:
-                for msg in self.local_pending:
-                    inboxes[msg.receiver].append(msg)
-                continue
-            blob = bundles[w]
-            if blob is None:
-                continue
-            for sender, receiver, payload in pickle.loads(blob):
-                inboxes[receiver].append(Message(sender, receiver, payload))
-        self.local_pending = []
-        for v in self.mine:
-            ctx = self.contexts[v]
-            ctx.round = round_no
-            # Halted nodes still receive (a neighbor may not know they
-            # halted), but their receive hook is not invoked.
-            if not ctx._halted:
-                self.protocols[v].receive(ctx, inboxes[v])
-
-    def _drain_outboxes(self):
-        stats = RunStats()
-        outgoing: Dict[int, List[Tuple[Node, Node, Any]]] = {}
-        sent_any = False
-        for v in self.mine:
-            outbox, words = self.contexts[v]._take_outbox()
-            if not outbox:
-                continue
-            stats.record_many(words)
-            sent_any = True
-            for msg in outbox:
-                dest = self.owner[msg.receiver]
-                if dest == self.index:
-                    self.local_pending.append(msg)
-                else:
-                    outgoing.setdefault(dest, []).append(
-                        (msg.sender, msg.receiver, msg.payload)
-                    )
-        # Pre-pickle per-destination bundles so the parent routes opaque
-        # bytes instead of re-pickling every message twice per hop.
-        bundles_out = {
-            dest: pickle.dumps(triples, pickle.HIGHEST_PROTOCOL)
-            for dest, triples in outgoing.items()
-        }
-        all_halted = all(self.contexts[v]._halted for v in self.mine)
-        return bundles_out, sent_any, all_halted, stats
-
-
 class SyncNetwork:
     """The synchronous engine.
 
@@ -525,7 +363,6 @@ class SyncNetwork:
         self,
         protocol_factory,
         max_rounds: int = 10_000,
-        workers: Optional[int] = None,
     ) -> Dict[Node, Any]:
         """Execute the protocol until all nodes halt (or ``max_rounds``).
 
@@ -534,18 +371,10 @@ class SyncNetwork:
         its argument when the factory takes one positional parameter,
         bare otherwise.  Returns each node's ``output()``; cost metrics
         land in ``self.stats``.
-
-        ``workers=W`` runs the identical protocol across ``W`` worker
-        processes over contiguous node partitions (see module docs);
-        outputs and stats are bit-identical to ``workers=None``.
         """
         engine_seed = (
             self.seed if self.seed is not None else random.getrandbits(64)
         )
-        if workers is not None:
-            return self._run_parallel(
-                protocol_factory, max_rounds, workers, engine_seed
-            )
         g = self.graph
         n = g.num_nodes
         nodes = sorted(g.nodes(), key=repr)
@@ -603,121 +432,6 @@ class SyncNetwork:
                 f"protocol did not terminate within {max_rounds} rounds"
             )
         return {v: self._protocols[v].output() for v in nodes}
-
-    # ------------------------------------------------------------- #
-    # Parallel round execution on the shared substrate
-    # ------------------------------------------------------------- #
-
-    def _run_parallel(
-        self,
-        protocol_factory,
-        max_rounds: int,
-        workers: int,
-        engine_seed: int,
-    ) -> Dict[Node, Any]:
-        from repro.parallel.errors import WorkerCrashed
-        from repro.parallel.pool import WorkerPool
-
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._contexts = {}
-        self._protocols = {}
-        self.stats = RunStats()
-        nodes = sorted(self.graph.nodes(), key=repr)
-        pools: List[WorkerPool] = []
-        msg_counter = 0
-
-        def ask(kind: str, payloads: List[Any]) -> List[Any]:
-            # Lockstep request/reply to every partition worker: all
-            # sends go out first, so workers compute concurrently.
-            nonlocal msg_counter
-            sent = []
-            for pool, payload in zip(pools, payloads):
-                worker = pool.workers[0]
-                msg_counter += 1
-                try:
-                    worker.conn.send((msg_counter, kind, payload, None))
-                except (BrokenPipeError, OSError) as exc:
-                    raise WorkerCrashed(
-                        f"round worker {pools.index(pool)} died before "
-                        f"{kind!r}"
-                    ) from exc
-                sent.append((worker, msg_counter))
-            replies = []
-            for i, (worker, msg_id) in enumerate(sent):
-                try:
-                    reply = worker.conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerCrashed(
-                        f"round worker {i} died during {kind!r} (round "
-                        f"state is not recoverable; rerun)"
-                    ) from exc
-                rid, status, value = reply
-                if status != "ok":
-                    raise value
-                assert rid == msg_id  # lockstep: no stale replies
-                replies.append(value)
-            return replies
-
-        try:
-            for i in range(workers):
-                pool = WorkerPool(
-                    _PartitionExecutor,
-                    (
-                        self.graph,
-                        self.model,
-                        self.congest_word_limit,
-                        engine_seed,
-                        protocol_factory,
-                        workers,
-                        i,
-                    ),
-                    1,
-                )
-                pools.append(pool)
-                # Health-checked spawn (handshake + backoff) from the
-                # substrate; a worker that dies building its partition
-                # never receives a round.
-                pool.workers.append(pool.spawn())
-
-            reports = ask("init", [None] * workers)
-            for report in reports:
-                self.stats.merge(report[3])
-            for round_no in range(1, max_rounds + 1):
-                any_message = any(r[1] for r in reports)
-                all_halted = all(r[2] for r in reports)
-                if not any_message and all_halted:
-                    break
-                self.stats.rounds = round_no
-                payloads = []
-                for dest in range(workers):
-                    payloads.append(
-                        (
-                            round_no,
-                            [reports[src][0].get(dest) for src in range(workers)],
-                        )
-                    )
-                reports = ask("round", payloads)
-                for report in reports:
-                    self.stats.merge(report[3])
-                if all(r[2] for r in reports) and not any(
-                    r[1] for r in reports
-                ):
-                    break
-            else:
-                raise RuntimeError(
-                    f"protocol did not terminate within {max_rounds} rounds"
-                )
-            merged: Dict[Node, Any] = {}
-            for out in ask("collect", [None] * workers):
-                merged.update(out)
-        finally:
-            for pool in pools:
-                pool.close()
-        # Reassemble in global sorted order so downstream consumers
-        # (e.g. collect_spanner's union) iterate identically to the
-        # sequential engine.
-        return {v: merged[v] for v in nodes}
 
     def collect_spanner(self, outputs: Dict[Node, Any]) -> Graph:
         """Union per-node edge outputs into a spanning subgraph.

@@ -7,9 +7,9 @@ workloads run on one supervised-multiprocessing core:
   shared-memory snapshot (workers adopt the packed
   :class:`~repro.graph.snapshot.CSRSnapshot` zero-copy via
   :func:`~repro.graph.snapshot.adopt_snapshot`);
-* :mod:`repro.distributed.runtime` -- the synchronous CONGEST/LOCAL
-  round engine, executing each round across worker processes over node
-  partitions.
+* :mod:`repro.distributed.congest_ft` -- the Theorem 15 CONGEST
+  construction, sharding its independent Baswana-Sen instances across
+  worker processes.
 
 Pieces
 ------

@@ -8,8 +8,8 @@ that contract under seeded worker kills, stalls, and spawn failures).
 These classes were born in the serving layer and keep their names --
 :mod:`repro.serving` re-exports them, so code that catches
 ``repro.serving.DeadlineExceeded`` matches the identical class.  The
-distributed runtime raises the same families when its round workers
-die or its pools cannot spawn.
+distributed layer's instance sharding raises the same families when its
+pool cannot spawn or its retries run out.
 
 Hierarchy
 ---------

@@ -2,20 +2,20 @@
 
 This is the process-pool half of the parallel-execution substrate
 shared by the serving layer (:mod:`repro.serving`) and the distributed
-round engine (:mod:`repro.distributed.runtime`).  A pool knows nothing
-about snapshots or CONGEST rounds: it spawns workers, health-checks
-them, reaps corpses, and respawns with exponential backoff.  What a
-worker *does* is supplied as an **executor factory** -- a module-level
-(spawn-safe) callable run once inside the fresh process:
+instance sharding (:mod:`repro.distributed.congest_ft`).  A pool knows
+nothing about snapshots or Baswana-Sen instances: it spawns workers,
+health-checks them, reaps corpses, and respawns with exponential
+backoff.  What a worker *does* is supplied as an **executor factory**
+-- a module-level (spawn-safe) callable run once inside the fresh
+process:
 
     ``executor = factory(*factory_args)``
 
 The factory builds whatever per-process state the workload needs (the
 serving layer adopts the shared-memory snapshot and returns a
-sweep-bound executor; the distributed runtime instantiates the node
-protocols of its partition) and returns a callable
-``executor(kind, payload) -> result`` that answers requests until the
-pool shuts the worker down.
+sweep-bound executor; the instance executor holds the input graph)
+and returns a callable ``executor(kind, payload) -> result`` that
+answers requests until the pool shuts the worker down.
 
 Protocol (one tuple per message, pickled by ``multiprocessing``):
 

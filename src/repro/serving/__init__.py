@@ -20,10 +20,10 @@ Entry points
   failure surface.
 
 The chaos policies and the typed errors live in the shared
-parallel-execution substrate (:mod:`repro.parallel`), whose distributed
-round engine uses the same directives and raises the same families;
-they are re-exported here as the serving layer's documented surface, so
-``except`` clauses match the identical class objects.
+parallel-execution substrate (:mod:`repro.parallel`), which the
+distributed instance sharding also runs on; they are re-exported here
+as the serving layer's documented surface, so ``except`` clauses match
+the identical class objects.
 """
 
 from repro.parallel.chaos import (

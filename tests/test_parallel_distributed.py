@@ -1,13 +1,18 @@
-"""PR 10: parallel CONGEST/LOCAL execution and the deterministic path.
+"""Parallel CONGEST execution, message accounting, and the
+deterministic path.
 
-Two contracts pinned here:
+Contracts pinned here:
 
-1. **Parity matrix** -- every distributed protocol produces the
+1. **Instance-sharding parity** -- ``congest_ft_spanner`` produces the
    bit-identical spanner, round count, and extras for worker counts
-   {1, 2, 4} as for sequential execution (``workers=None``).  This is
-   the parallel substrate's correctness statement: partitioned round
-   execution is an implementation detail, never an observable.
-2. **Deterministic mode** -- the ruling-set machinery behind
+   {1, 2, 4} as for sequential execution (``workers=None``).  Sharding
+   its Baswana-Sen instances is an implementation detail, never an
+   observable.
+2. **One sequential round engine** -- the simulator runs every round
+   in-process; no other entry point takes ``workers=``.  Every
+   protocol's output and stats are the same however the input graph
+   was built (node insertion order, edge order and orientation).
+3. **Deterministic mode** -- the ruling-set machinery behind
    ``local_ft_spanner(deterministic=True)`` satisfies its stated
    (2, beta)-ruling-set / decomposition properties, and the resulting
    spanner keeps the fault-tolerance guarantee.
@@ -16,6 +21,7 @@ Two contracts pinned here:
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -39,6 +45,7 @@ from repro.distributed import (
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.verification import verify_ft_spanner
+from repro.registry import UnsupportedOption, build_spanner
 from tests.conftest import assert_is_subgraph
 
 WORKER_COUNTS = (1, 2, 4)
@@ -54,18 +61,11 @@ def _fingerprint(result):
 
 
 class TestParityMatrix:
-    """protocol x worker-count: outputs and stats bit-identical."""
+    """congest_ft_spanner x worker count: outputs and stats bit-identical."""
 
     @pytest.fixture(scope="class")
     def graph(self):
         return generators.random_geometric_graph(40, radius=0.35, seed=21)
-
-    def test_congest_baswana_sen(self, graph):
-        base = _fingerprint(congest_baswana_sen(graph, 3, seed=17))
-        for w in WORKER_COUNTS:
-            assert _fingerprint(
-                congest_baswana_sen(graph, 3, seed=17, workers=w)
-            ) == base, f"workers={w}"
 
     def test_congest_ft(self, graph):
         base = _fingerprint(
@@ -80,28 +80,113 @@ class TestParityMatrix:
                 )
             ) == base, f"workers={w}"
 
-    def test_local_spanner(self, graph):
-        base = _fingerprint(local_ft_spanner(graph, 2, 1, seed=17))
-        for w in WORKER_COUNTS:
-            assert _fingerprint(
-                local_ft_spanner(graph, 2, 1, seed=17, workers=w)
-            ) == base, f"workers={w}"
 
-    def test_local_spanner_deterministic(self, graph):
-        base = _fingerprint(local_ft_spanner(graph, 2, 1, deterministic=True))
-        for w in WORKER_COUNTS:
-            assert _fingerprint(
-                local_ft_spanner(graph, 2, 1, deterministic=True, workers=w)
-            ) == base, f"workers={w}"
+class TestConstructionOrder:
+    """protocol x graph construction order: outputs and stats
+    bit-identical.  Each protocol sees the graph only through the
+    engine, which orders nodes and neighbors by repr."""
 
-    def test_decomposition(self, graph):
-        dec0, st0 = padded_decomposition(graph, seed=17)
-        for w in WORKER_COUNTS:
-            dec, st = padded_decomposition(graph, seed=17, workers=w)
-            assert dec.assignment == dec0.assignment, f"workers={w}"
-            assert dec.parent == dec0.parent, f"workers={w}"
-            assert dec.rounds == dec0.rounds, f"workers={w}"
-            assert st.__dict__ == st0.__dict__, f"workers={w}"
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.random_geometric_graph(40, radius=0.35, seed=21)
+
+    @pytest.fixture(scope="class")
+    def rebuilt(self, graph):
+        edges = list(graph.weighted_edges())
+        random.Random(0).shuffle(edges)
+        h = Graph()
+        h.add_nodes(sorted(graph.nodes(), key=repr, reverse=True))
+        for i, (u, v, w) in enumerate(edges):
+            h.add_edge(*((v, u) if i % 2 else (u, v)), w)
+        assert list(h.nodes()) != list(graph.nodes())
+        return h
+
+    def _same(self, run, graph, rebuilt, engine_log):
+        base = run(graph)
+        runs = len(engine_log)
+        assert runs
+        assert run(rebuilt) == base
+        assert engine_log[runs:] == engine_log[:runs]
+
+    def test_congest_baswana_sen(self, graph, rebuilt, engine_log):
+        self._same(
+            lambda g: _fingerprint(congest_baswana_sen(g, 3, seed=17)),
+            graph, rebuilt, engine_log,
+        )
+
+    def test_local_spanner(self, graph, rebuilt, engine_log):
+        self._same(
+            lambda g: _fingerprint(local_ft_spanner(g, 2, 1, seed=17)),
+            graph, rebuilt, engine_log,
+        )
+
+    def test_local_spanner_deterministic(self, graph, rebuilt, engine_log):
+        self._same(
+            lambda g: _fingerprint(
+                local_ft_spanner(g, 2, 1, deterministic=True)
+            ),
+            graph, rebuilt, engine_log,
+        )
+
+    def test_decomposition(self, graph, rebuilt, engine_log):
+        def run(g):
+            dec, st = padded_decomposition(g, seed=17)
+            return dec.assignment, dec.parent, dec.rounds, st.__dict__
+
+        self._same(run, graph, rebuilt, engine_log)
+
+    def test_ruling_set_decomposition(self, graph, rebuilt, engine_log):
+        def run(g):
+            dec, uncovered, st = deterministic_decomposition(g)
+            return (deterministic_ruling_set(g), dec.assignment,
+                    dec.parent, dec.rounds, uncovered, st.__dict__)
+
+        self._same(run, graph, rebuilt, engine_log)
+
+
+def _former_round_partitioned_calls():
+    """Every entry point that took ``workers=`` only to partition rounds,
+    with the exception it now raises for it."""
+    g = generators.gnp_random_graph(12, 0.3, seed=2)
+    calls = {
+        "SyncNetwork.run": lambda: SyncNetwork(g).run(
+            lambda: None, workers=2
+        ),
+        "congest_baswana_sen": lambda: congest_baswana_sen(
+            g, 2, seed=1, workers=2
+        ),
+        "padded_decomposition": lambda: padded_decomposition(
+            g, seed=1, workers=2
+        ),
+        "deterministic_ruling_set": lambda: deterministic_ruling_set(
+            g, workers=2
+        ),
+        "deterministic_decomposition": lambda: deterministic_decomposition(
+            g, workers=2
+        ),
+        "local_ft_spanner": lambda: local_ft_spanner(
+            g, 2, 1, seed=1, workers=2
+        ),
+    }
+    cases = [
+        pytest.param(call, TypeError, "unexpected keyword argument "
+                     "'workers'", id=name)
+        for name, call in calls.items()
+    ]
+    for name in ("local", "congest-bs"):
+        cases.append(pytest.param(
+            lambda name=name: build_spanner(g, name, k=2, workers=2),
+            UnsupportedOption, r"does not accept option\(s\) workers",
+            id=f"build_spanner:{name}",
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("call,error,message",
+                         _former_round_partitioned_calls())
+def test_workers_rejected_outside_instance_sharding(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _digest(value) -> str:
@@ -135,10 +220,10 @@ def engine_log(monkeypatch):
 class TestPinnedStats:
     """Absolute message accounting on small seeded graphs.
 
-    The parity matrix above compares parallel with sequential runs,
+    The parity matrix above compares sharded with sequential runs,
     which share the accounting code; these values are fixed, so a
-    miscount on both sides still fails.  Each case runs sequentially
-    and with two workers.
+    miscount on both sides still fails.  ``test_congest_ft`` runs
+    sequentially and with two instance workers.
     """
 
     @pytest.fixture(scope="class")
@@ -149,9 +234,8 @@ class TestPinnedStats:
     def geo(self):
         return generators.random_geometric_graph(40, radius=0.3, seed=9)
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_congest_baswana_sen(self, gnp, engine_log, workers):
-        r = congest_baswana_sen(gnp, 3, seed=11, workers=workers)
+    def test_congest_baswana_sen(self, gnp, engine_log):
+        r = congest_baswana_sen(gnp, 3, seed=11)
         assert _spanner_digest(r) == "d8be6d64484c2b78"
         assert r.rounds == 11
         assert engine_log == [(11, 1169, 3210, 4)]
@@ -173,17 +257,15 @@ class TestPinnedStats:
             assert sum(s[2] for s in engine_log) == 5040
             assert max(s[3] for s in engine_log) == 4
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_local_spanner(self, geo, engine_log, workers):
-        r = local_ft_spanner(geo, 2, 1, seed=5, workers=workers)
+    def test_local_spanner(self, geo, engine_log):
+        r = local_ft_spanner(geo, 2, 1, seed=5)
         assert _spanner_digest(r) == "b338334ef0a7f474"
         assert r.rounds == 44
         # Decomposition flood, then the gather/compute phase.
         assert engine_log == [(31, 8802, 35208, 4), (13, 3913, 484297, 176)]
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_local_spanner_deterministic(self, geo, engine_log, workers):
-        r = local_ft_spanner(geo, 2, 1, deterministic=True, workers=workers)
+    def test_local_spanner_deterministic(self, geo, engine_log):
+        r = local_ft_spanner(geo, 2, 1, deterministic=True)
         assert _spanner_digest(r) == "3b39385d8a46ec35"
         assert r.rounds == 85
         assert engine_log == [
@@ -196,9 +278,8 @@ class TestPinnedStats:
             (7, 410, 8237, 34),
         ]
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_ruling_set_decomposition(self, gnp, engine_log, workers):
-        dec, uncovered, st = deterministic_decomposition(gnp, workers=workers)
+    def test_ruling_set_decomposition(self, gnp, engine_log):
+        dec, uncovered, st = deterministic_decomposition(gnp)
         assignment = [
             sorted((repr(v), repr(c)) for v, c in a.items())
             for a in dec.assignment
@@ -329,11 +410,11 @@ class TestDeterministicSpanner:
         assert report.ok, str(report.counterexample)
 
     def test_registry_exposes_deterministic(self):
-        from repro.registry import build_spanner, get_algorithm
+        from repro.registry import get_algorithm
 
         spec = get_algorithm("local")
         assert "deterministic" in spec.extra_options
-        assert "workers" in spec.extra_options
+        assert "workers" not in spec.extra_options
         assert "derandomizable (deterministic=True)" in spec.capabilities()
         g = generators.gnp_random_graph(20, 0.3, seed=10)
         via_registry = build_spanner(
@@ -344,20 +425,32 @@ class TestDeterministicSpanner:
 
 
 class TestDistributedCLI:
-    """The ftspanner distributed subcommand (PR 10)."""
+    """The ftspanner distributed subcommand."""
 
-    def test_runs_local_with_workers_and_seed(self, capsys):
+    def test_runs_congest_with_workers_and_seed(self, capsys):
         from repro.cli import main
 
         rc = main([
             "distributed", "--random", "30", "--p", "0.2", "-k", "2",
-            "-f", "1", "--algorithm", "local", "--seed", "4",
+            "-f", "1", "--algorithm", "congest", "--seed", "4",
             "--workers", "2",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "2 partition workers" in out
+        assert "2 instance workers" in out
         assert "rounds" in out
+
+    @pytest.mark.parametrize("algorithm", ["local", "congest-bs"])
+    def test_workers_rejected_without_instance_sharding(self, algorithm):
+        from repro.cli import main
+
+        with pytest.raises(
+            SystemExit, match=r"does not accept option\(s\) workers"
+        ):
+            main([
+                "distributed", "--random", "20", "-f", "0",
+                "--algorithm", algorithm, "--workers", "2",
+            ])
 
     def test_workers_do_not_change_the_output(self, capsys):
         from repro.cli import main
@@ -366,12 +459,13 @@ class TestDistributedCLI:
             rc = main([
                 "distributed", "--random", "25", "--p", "0.25",
                 "-k", "2", "-f", "1", "--seed", "6",
+                "--algorithm", "congest",
             ] + extra)
             assert rc == 0
             out = capsys.readouterr().out
             return [
                 line for line in out.splitlines()
-                if line.startswith(("local-ft", "input edges", "measured"))
+                if line.startswith(("congest-ft", "input edges", "measured"))
             ]
 
         assert run([]) == run(["--workers", "3"])

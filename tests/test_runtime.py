@@ -9,6 +9,7 @@ from repro.distributed.runtime import (
     Message,
     NodeContext,
     NodeProtocol,
+    RunStats,
     SyncNetwork,
     message_words,
 )
@@ -76,6 +77,44 @@ class _HubSends(NodeProtocol):
 class _NeverHalts(NodeProtocol):
     def receive(self, ctx, messages):
         ctx.broadcast(("ping",))
+
+
+class _Transcript(NodeProtocol):
+    """Gossip for three rounds; output the neighbor tuple and, per
+    round, the senders of the inbox in delivery order and the rng draw."""
+
+    def __init__(self):
+        self.log = []
+
+    def init(self, ctx):
+        self.log.append(ctx.neighbors)
+        ctx.broadcast((ctx.node,))
+
+    def receive(self, ctx, messages):
+        self.log.append(
+            (ctx.round, [m.sender for m in messages], ctx.rng.random())
+        )
+        if ctx.round == 3:
+            ctx.halt()
+        else:
+            ctx.broadcast((ctx.node, ctx.round))
+
+    def output(self):
+        return self.log
+
+
+def _rebuilt(g):
+    """The same graph built in another order: nodes inserted in
+    reverse, edges shuffled, every other edge's endpoints swapped."""
+    import random
+
+    edges = list(g.weighted_edges())
+    random.Random(0).shuffle(edges)
+    h = Graph()
+    h.add_nodes(sorted(g.nodes(), key=repr, reverse=True))
+    for i, (u, v, w) in enumerate(edges):
+        h.add_edge(*((v, u) if i % 2 else (u, v)), w)
+    return h
 
 
 class TestMessageWords:
@@ -200,6 +239,27 @@ class TestEngine:
         assert net.stats.messages > 0
         assert net.stats.total_words >= net.stats.messages
 
+    def test_single_edge_runs(self):
+        g = Graph([(0, 1, 1.0)])
+        net = SyncNetwork(g, model="LOCAL", seed=1)
+        out = net.run(_Transcript)
+        assert out[0][0] == (1,) and out[1][0] == (0,)
+        assert [r[:2] for r in out[0][1:]] == [(1, [1]), (2, [1]), (3, [1])]
+        assert (net.stats.rounds, net.stats.messages) == (3, 6)
+
+    def test_construction_order_is_not_observable(self):
+        # The engine walks nodes and neighbors in repr order, so the
+        # inbox order, the per-node streams and the stats are the
+        # same however the graph was built.
+        g = generators.gnp_random_graph(25, 0.2, seed=5)
+        h = _rebuilt(g)
+        assert list(h.nodes()) != list(g.nodes())
+        base_net = SyncNetwork(g, model="LOCAL", seed=3)
+        base = base_net.run(_Transcript)
+        net = SyncNetwork(h, model="LOCAL", seed=3)
+        assert net.run(_Transcript) == base
+        assert net.stats.__dict__ == base_net.stats.__dict__
+
     def test_collect_spanner(self):
         g = Graph([(1, 2, 2.0), (2, 3, 3.0)])
         net = SyncNetwork(g)
@@ -209,30 +269,54 @@ class TestEngine:
         assert h.num_nodes == 3
 
 
-@pytest.mark.parametrize("workers", [None, 2])
+class TestRunStats:
+    def test_record_many_counts_each_message(self):
+        st = RunStats()
+        st.record_many([3, 1, 7])
+        st.record_many([])
+        st.record(("a", "b"))
+        assert (st.messages, st.total_words, st.max_message_words) == (
+            4, 11 + message_words(("a", "b")), 7
+        )
+
+    def test_merge_is_order_independent(self):
+        parts = [RunStats(), RunStats(), RunStats()]
+        parts[0].record_many([2, 5])
+        parts[1].record_many([9])
+        # parts[2] stays empty: merging it changes nothing.
+        folds = []
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            total = RunStats(rounds=4)
+            for i in order:
+                total.merge(parts[i])
+            folds.append(total)
+        assert folds[0] == folds[1] == folds[2]
+        assert folds[0] == RunStats(rounds=4, messages=3, total_words=16,
+                                    max_message_words=9)
+
+
 class TestBudgetEnforcement:
-    """The CONGEST budget holds on every send path, in the sequential
-    and the partitioned engine alike."""
+    """The CONGEST budget holds on every send path."""
 
     STAR = [(0, leaf, 1.0) for leaf in range(1, 6)]
 
     @pytest.mark.parametrize("how", ["send", "broadcast"])
-    def test_oversize_payload_raises(self, workers, how):
+    def test_oversize_payload_raises(self, how):
         net = SyncNetwork(Graph(self.STAR), model="CONGEST")
         with pytest.raises(CongestViolation, match="100 words"):
-            net.run(lambda: _HubSends(how), workers=workers)
+            net.run(lambda: _HubSends(how))
 
-    def test_isolated_broadcast_sends_nothing(self, workers):
+    def test_isolated_broadcast_sends_nothing(self):
         g = Graph([(1, 2, 1.0)])
         g.add_node(0)
         net = SyncNetwork(g, model="CONGEST")
-        net.run(lambda: _HubSends("broadcast"), workers=workers)
+        net.run(lambda: _HubSends("broadcast"))
         assert (net.stats.messages, net.stats.total_words) == (0, 0)
         assert net.stats.max_message_words == 0
 
-    def test_local_broadcast_counts_every_copy(self, workers):
+    def test_local_broadcast_counts_every_copy(self):
         net = SyncNetwork(Graph(self.STAR), model="LOCAL")
-        net.run(lambda: _HubSends("broadcast"), workers=workers)
+        net.run(lambda: _HubSends("broadcast"))
         degree = len(self.STAR)
         assert net.stats.messages == degree
         assert net.stats.total_words == 100 * degree
@@ -284,40 +368,3 @@ class TestStableSeeding:
         a = SyncNetwork(g, seed=None).run(self._Probe)
         b = SyncNetwork(g, seed=None).run(self._Probe)
         assert a != b
-
-
-class TestParallelRounds:
-    """SyncNetwork.run(workers=W) is bit-identical to sequential."""
-
-    def test_flood_parity_all_worker_counts(self):
-        g = generators.gnp_random_graph(25, 0.2, seed=5)
-        base_net = SyncNetwork(g, model="LOCAL", seed=3)
-        base = base_net.run(_Flood)
-        base_stats = dict(base_net.stats.__dict__)
-        for w in (1, 2, 3, 4):
-            net = SyncNetwork(g, model="LOCAL", seed=3)
-            assert net.run(_Flood, workers=w) == base
-            assert dict(net.stats.__dict__) == base_stats
-
-    def test_congest_violation_propagates_from_workers(self):
-        g = generators.complete_graph(4)
-        net = SyncNetwork(g, model="CONGEST", congest_word_limit=4)
-        with pytest.raises(CongestViolation):
-            net.run(_Chatter, workers=2)
-
-    def test_nontermination_raises_in_parallel(self):
-        g = generators.complete_graph(3)
-        net = SyncNetwork(g, model="LOCAL")
-        with pytest.raises(RuntimeError, match="did not terminate"):
-            net.run(_NeverHalts, max_rounds=5, workers=2)
-
-    def test_more_workers_than_nodes(self):
-        g = Graph([(0, 1, 1.0)])
-        net = SyncNetwork(g, model="LOCAL", seed=1)
-        base = SyncNetwork(g, model="LOCAL", seed=1).run(_Flood)
-        assert net.run(_Flood, workers=5) == base
-
-    def test_workers_zero_rejected(self):
-        g = generators.complete_graph(3)
-        with pytest.raises(ValueError, match="workers"):
-            SyncNetwork(g).run(_Silent, workers=0)
