@@ -20,9 +20,8 @@ space; each sampled scenario is an O(|F|) re-stamp of the shared vertex
 mask, and each distance probe is an early-exit flat-array search
 (hop-bounded BFS on unit inputs, truncated CSR Dijkstra otherwise)
 through one preallocated workspace -- the same snapshot-and-sweep
-discipline as the verification layer.  On all-unit inputs each
-scenario's sampled pairs are answered by **one** multi-source BFS sweep
-per side instead of paired per-pair probes.
+discipline as the verification layer.  Each probe runs lazily, and the
+spanner side is probed only for pairs the graph side connects.
 
 The dict reference in ``tests/reference/`` drives the same sampling
 loop with lazy ``VertexFaultView`` probes; it draws the identical random
@@ -37,16 +36,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph, Node
 from repro.graph.snapshot import DualCSRSnapshot, weighted_pair_engine
 from repro.graph.traversal import (
     BFSWorkspace,
     DijkstraWorkspace,
-    MultiSourceWorkspace,
     csr_bounded_bfs_path,
-    csr_multi_pair_distances,
     csr_weighted_distance,
 )
 
@@ -204,15 +201,12 @@ class _AvailabilityProbes:
 
     Stamps one shared vertex mask per scenario and probes both graphs
     through a single preallocated workspace.  The sampling loop only
-    calls :meth:`set_scenario`, :meth:`prefetch`, :meth:`graph_distance`
-    and :meth:`spanner_distance`, so any object answering those four
-    (the dict reference's fault-view probes, say) can drive it.
+    calls :meth:`set_scenario`, :meth:`graph_distance` and
+    :meth:`spanner_distance`, so any object answering those three (the
+    dict reference's fault-view probes, say) can drive it.
     """
 
-    __slots__ = (
-        "snap", "ws", "unit", "eng_g", "eng_h", "mw_g", "mw_h", "index",
-        "mws", "_pg", "_ph",
-    )
+    __slots__ = ("snap", "ws", "unit", "eng_g", "eng_h", "index")
 
     def __init__(
         self,
@@ -227,76 +221,26 @@ class _AvailabilityProbes:
                 "snapshot does not freeze this (graph, spanner) pair"
             )
         self.snap = snapshot
-        # All-unit inputs probe with hop-BFS, and batch each scenario's
-        # probes into one multi-source BFS per side (the multi-BFS
-        # reads the same hop counts the bounded per-pair BFS would).
-        # Everything else keeps the early-exit weighted per-pair probes.
+        # All-unit inputs probe with hop-BFS; everything else with the
+        # early-exit weighted pair engine.
         self.unit = snapshot.snap_g.unit and snapshot.snap_h.unit
         self.eng_g = weighted_pair_engine(snapshot.snap_g.profile)
         self.eng_h = weighted_pair_engine(snapshot.snap_h.profile)
-        self.mw_g = snapshot.snap_g.max_weight
-        self.mw_h = snapshot.snap_h.max_weight
         self.index = snapshot.indexer.index
         n = len(snapshot.indexer)
         self.ws = BFSWorkspace(n) if self.unit else DijkstraWorkspace(n)
-        self.mws = MultiSourceWorkspace() if self.unit else None
-        self._pg: Dict[Tuple[Node, Node], float] = {}
-        self._ph: Dict[Tuple[Node, Node], float] = {}
 
     def set_scenario(self, faults: set) -> None:
         """Move to the next sampled fault set (an O(|F|) re-stamp)."""
         self.snap.set_vertex_faults(faults)
 
-    def prefetch(self, pairs: Sequence[Tuple[Node, Node]]) -> None:
-        """Answer a scenario's pair probes in one batched pass per side.
-
-        No-op unless both sides are unit-weighted; otherwise the graph
-        side sweeps every sampled pair grouped by source, and the
-        spanner side sweeps only the pairs the sampling loop will
-        actually re-ask (finite, nonzero graph distance) -- exactly
-        mirroring the lazy per-pair loop, so reports stay identical.
-        """
-        self._pg.clear()
-        self._ph.clear()
-        if not self.unit or not pairs:
-            return
-        index = self.index
-        ipairs = [(index(u), index(v)) for u, v in pairs]
-        dg = csr_multi_pair_distances(
-            self.snap.csr_g, ipairs, workspace=self.mws,
-            vertex_mask=self.snap.vmask,
-        )
-        pg = self._pg
-        for pair, d in zip(pairs, dg):
-            pg[pair] = d
-        need = [
-            (pair, ip)
-            for pair, ip in zip(pairs, ipairs)
-            if not math.isinf(pg[pair]) and pg[pair] != 0
-        ]
-        if not need:
-            return
-        dh = csr_multi_pair_distances(
-            self.snap.csr_h, [ip for _, ip in need], workspace=self.mws,
-            vertex_mask=self.snap.vmask,
-        )
-        ph = self._ph
-        for (pair, _), d in zip(need, dh):
-            ph[pair] = d
-
     def graph_distance(self, u: Node, v: Node) -> float:
-        hit = self._pg.get((u, v))
-        if hit is not None:
-            return hit
-        return self._probe(self.snap.csr_g, u, v, self.eng_g, self.mw_g)
+        return self._probe(self.snap.csr_g, u, v, self.eng_g)
 
     def spanner_distance(self, u: Node, v: Node) -> float:
-        hit = self._ph.get((u, v))
-        if hit is not None:
-            return hit
-        return self._probe(self.snap.csr_h, u, v, self.eng_h, self.mw_h)
+        return self._probe(self.snap.csr_h, u, v, self.eng_h)
 
-    def _probe(self, csr, u: Node, v: Node, engine: str, mw: int) -> float:
+    def _probe(self, csr, u: Node, v: Node, engine: str) -> float:
         index = self.index
         iu, iv = index(u), index(v)
         if self.unit:
@@ -307,7 +251,7 @@ class _AvailabilityProbes:
             return INFINITY if path is None else float(len(path) - 1)
         return csr_weighted_distance(
             csr, iu, iv, workspace=self.ws, vertex_mask=self.snap.vmask,
-            search=engine, max_weight=mw,
+            search=engine,
         )
 
 
@@ -357,10 +301,9 @@ def _sample_availability(
 
     ``make_probes`` builds the distance-probe object once the arguments
     have been validated; the loop only calls its ``set_scenario``,
-    ``prefetch``, ``graph_distance`` and ``spanner_distance`` methods,
-    and consumes randomness only for the scenario and pair draws -- so
-    any probe object answering the same distances yields the identical
-    report.
+    ``graph_distance`` and ``spanner_distance`` methods, and consumes
+    randomness only for the scenario and pair draws -- so any probe
+    object answering the same distances yields the identical report.
     """
     if failures < 0:
         raise ValueError(f"failures must be >= 0, got {failures}")
@@ -390,14 +333,12 @@ def _sample_availability(
         )
         probes.set_scenario(faults)
         survivors = [x for x in nodes if x not in faults]
-        # Draw the whole scenario's pairs up front (the probes consume
-        # no randomness, so the stream is unchanged), then let the
-        # batch plane answer them in one sweep per side.
+        # Draw the whole scenario's pairs up front: the probes consume
+        # no randomness, so the stream is the same either way.
         pair_list = [
             tuple(rng.sample(survivors, 2))
             for _ in range(pairs_per_scenario)
         ]
-        probes.prefetch(pair_list)
         for u, v in pair_list:
             dg = probes.graph_distance(u, v)
             if math.isinf(dg) or dg == 0:

@@ -72,7 +72,8 @@ class FaultTolerantDistanceOracle:
         weight profile picks the CSR engines (see
         :data:`repro.graph.snapshot.ENGINE_POLICY`): integral-weight
         spanners answer single-source runs with the Dial bucket queue,
-        and batch queries go through the multi-source kernels.
+        and batch queries run one multi-source BFS on unit spanners
+        and a per-source loop on weighted ones.
 
     Examples
     --------
@@ -202,10 +203,10 @@ class FaultTolerantDistanceOracle:
         search per *distinct* cache-missing source regardless of LRU
         pressure or pair order -- the "one scenario, many pairs"
         monitoring pattern.  Every cache miss of the batch goes through
-        one multi-source kernel pass
-        (:meth:`~repro.graph.snapshot.ScenarioSweep.distances_multi`),
-        and the runs populate the same ``(fault set, source)`` LRU
-        entries the single-query path uses.
+        one :meth:`~repro.graph.snapshot.ScenarioSweep.distances_multi`
+        call (a multi-source BFS on unit spanners, a per-source loop on
+        weighted ones), and the runs populate the same
+        ``(fault set, source)`` LRU entries the single-query path uses.
         """
         pair_list = list(pairs)
         fault_key = self._normalize(faults)
@@ -250,7 +251,7 @@ class FaultTolerantDistanceOracle:
         collapse -- and cost one run, not one per occurrence); each row
         equals :meth:`distances_from` for that source.  One shared
         snapshot serves the whole matrix and every cache-missed row
-        rides one multi-source batch pass.
+        rides one batch pass.
         """
         fault_key = self._normalize(faults)
         src_list = list(sources)
@@ -353,7 +354,8 @@ class FaultTolerantDistanceOracle:
 
         Callers have already validated the sources.  Cache hits are
         served (and refreshed) from the LRU; the misses run as one
-        multi-source batch and are stored under the same
+        :meth:`~repro.graph.snapshot.ScenarioSweep.distances_multi`
+        batch and are stored under the same
         ``(fault set, source)`` keys :meth:`_sssp` uses, so batched
         and single-query paths share cache entries.  With the cache
         disabled every distinct source still computes exactly once per

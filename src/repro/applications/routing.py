@@ -56,8 +56,10 @@ class SpannerRouter:
     :class:`~repro.graph.snapshot.CSRSnapshot` of the spanner (e.g.
     from a :class:`repro.session.SpannerSession`) for the router's
     sweep to re-stamp instead of freezing its own.  The spanner's weight
-    profile picks the engine for the destination-rooted trees (the Dial
-    bucket queue on integral-weight spanners; see
+    profile picks the engine for the destination-rooted trees (hop-BFS,
+    batched over many destinations by one multi-source BFS, on unit
+    spanners; the Dial bucket queue, one destination at a time, on
+    integral-weight ones; see
     :data:`repro.graph.snapshot.ENGINE_POLICY`).
 
     Examples
@@ -253,9 +255,10 @@ class SpannerRouter:
         :meth:`table` for that destination; ``dests=None`` builds every
         destination in the spanner.  Destinations already cached for
         this fault set are served from the cache; all remaining
-        destination-rooted trees ride one multi-source batch
-        pass (:meth:`~repro.graph.snapshot.ScenarioSweep.parents_multi`)
-        instead of one sweep per destination, and the results land in
+        destination-rooted trees ride one
+        :meth:`~repro.graph.snapshot.ScenarioSweep.parents_multi` call
+        (one multi-source BFS on unit spanners, a per-destination loop
+        on weighted ones), and the results land in
         the same per-``(fault set, dest)`` cache the single-destination
         path uses.
         """

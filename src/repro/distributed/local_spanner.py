@@ -241,7 +241,9 @@ def local_ft_spanner(
     radius = max(1, realized)
     network = SyncNetwork(g, model="LOCAL", seed=None if seed is None else seed + 1)
     outputs = network.run(
-        lambda_factory(decomposition, radius, k, f, model, use_exact_greedy, g),
+        _GatherComputeFactory(
+            decomposition, radius, k, f, model, use_exact_greedy
+        ),
         max_rounds=2 * radius + 8,
     )
     spanner = network.collect_spanner(outputs)
@@ -299,15 +301,3 @@ class _GatherComputeFactory:
             fault_model=self.model,
             use_exact_greedy=self.use_exact,
         )
-
-
-def lambda_factory(decomposition, radius, k, f, model, use_exact, g=None):
-    """Per-node protocol factory closing over node-local knowledge.
-
-    Kept as the historical entry point; the returned factory now takes
-    the node ID from the engine (see :class:`_GatherComputeFactory`)
-    instead of replaying the engine's iteration order from a shared
-    iterator.  ``g`` is accepted for signature compatibility and
-    unused.
-    """
-    return _GatherComputeFactory(decomposition, radius, k, f, model, use_exact)

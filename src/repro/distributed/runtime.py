@@ -255,9 +255,6 @@ class RunStats:
     total_words: int = 0
     max_message_words: int = 0
 
-    def record(self, payload: Any) -> None:
-        self.record_many([message_words(payload)])
-
     def record_many(self, words: Sequence[int]) -> None:
         """Count messages whose word counts are already known."""
         if not words:

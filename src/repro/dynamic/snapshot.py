@@ -21,7 +21,7 @@ The correctness bar (enforced by ``tests/test_dynamic.py`` and per run
 by ``benchmarks/bench_dynamic.py``): every query against a
 :class:`DynamicSnapshot` is **bit-identical** to the same query against
 a from-scratch freeze of the current graph state, across engines
-(heap/bucket/bidir/batch), fault models, and weight profiles.
+(heap/bucket/bidir and the batch plane), fault models, and weight profiles.
 
 Compaction (:meth:`DynamicSnapshot.compact`) refreezes the mutated
 graph into a new CSR base and rebases the overlay *in place*, so every

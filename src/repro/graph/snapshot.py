@@ -62,7 +62,6 @@ from repro.graph.traversal import (
     csr_bfs_parents,
     csr_bounded_bfs_path,
     csr_bounded_dijkstra_path,
-    csr_bucket_multi,
     csr_dijkstra,
     csr_dijkstra_parents,
     csr_weighted_distance,
@@ -99,15 +98,16 @@ NUMPY_BATCH_CELLS = 1 << 17
 #: (single-source) and bidirectional Dijkstra (point-to-point), float
 #: ones with the binary heap.  Paths always take a weighted engine (the
 #: dict path's tie-breaking), and ``"batch"`` names the multi-source
-#: kernel a batch of roots advances through (``"loop"``: none applies,
-#: so the roots run one by one).  Every kernel is bit-identical to the
-#: dict path wherever the policy picks it, so the table is pure
+#: kernel a batch of roots advances through: the shared-frontier BFS on
+#: unit snapshots, ``"loop"`` (the roots run one by one through the
+#: ``"sssp"`` engine) on weighted ones.  Every kernel is bit-identical
+#: to the dict path wherever the policy picks it, so the table is pure
 #: execution policy -- no query result depends on it.
 ENGINE_POLICY: Dict[str, Dict[str, str]] = {
     "unit": {"sssp": "bfs", "pair": "bfs", "path": "bucket",
              "batch": "bfs"},
     "int": {"sssp": "bucket", "pair": "bidir", "path": "bucket",
-            "batch": "bucket"},
+            "batch": "loop"},
     "float": {"sssp": "heap", "pair": "heap", "path": "heap",
               "batch": "loop"},
 }
@@ -634,7 +634,7 @@ class ScenarioSweep:
         return csr_weighted_distance(
             self.snap.csr, iu, iv, workspace=self._dij(),
             vertex_mask=self._vmask(), edge_mask=self._emask(),
-            search=engine, max_weight=self.snap.max_weight,
+            search=engine,
         )
 
     def path(self, u: Node, v: Node) -> Optional[List[Node]]:
@@ -690,7 +690,7 @@ class ScenarioSweep:
         return {nodes[i]: nodes[p] for i, p in raw.items()}
 
     # ------------------------------------------------------------- #
-    # Batch plane (multi-source kernels)
+    # Batch plane (multi-source BFS, or a per-root loop)
     # ------------------------------------------------------------- #
 
     def distances_multi(
@@ -701,12 +701,11 @@ class ScenarioSweep:
         The batch plane of the sweep: sources are validated exactly like
         :meth:`distances_from` (an unknown or faulted source raises
         ``KeyError``), repeated sources get independent -- identical --
-        results, and an empty batch returns ``[]``.  On unit and
-        integral snapshots (the multi-source BFS and Dial bucket
-        kernels of :data:`ENGINE_POLICY`) all roots of a chunk advance
-        through one shared frontier, chunked at
+        results, and an empty batch returns ``[]``.  On unit snapshots
+        (the multi-source BFS of :data:`ENGINE_POLICY`) all roots of a
+        chunk advance through one shared frontier, chunked at
         :data:`BATCH_ROOT_LIMIT` roots to bound label-plane memory;
-        float-weighted snapshots fall back to a per-root loop.  The BFS
+        weighted snapshots loop over :meth:`distances_from`.  The BFS
         kernel runs vectorized when numpy is importable (see
         :func:`~repro.graph.traversal.resolve_batch_accel`).  Answers
         are bit-identical either way.
@@ -721,7 +720,7 @@ class ScenarioSweep:
         csr = self.snap.csr
         n = csr.num_nodes
         out: List[Dict[Node, float]] = []
-        if engine == "bfs" and resolve_batch_accel() == "numpy":
+        if resolve_batch_accel() == "numpy":
             limit = max(BATCH_ROOT_LIMIT, NUMPY_BATCH_CELLS // max(1, n))
             for start in range(0, len(idx), limit):
                 chunk = idx[start:start + limit]
@@ -736,31 +735,17 @@ class ScenarioSweep:
                         out.append(dict(zip(map(nodes.__getitem__, vs), ds)))
             return out
         ws = self._multi()
+        depth = ws.depth
         for start in range(0, len(idx), BATCH_ROOT_LIMIT):
             chunk = idx[start:start + BATCH_ROOT_LIMIT]
-            if engine == "bfs":
-                reached = csr_bfs_multi(
-                    csr, chunk, workspace=ws,
-                    vertex_mask=self._vmask(), edge_mask=self._emask(),
-                )
-                depth = ws.depth
-                base = 0
-                for lst in reached:
-                    out.append(
-                        {nodes[v]: float(depth[base + v]) for v in lst}
-                    )
-                    base += n
-            else:
-                reached = csr_bucket_multi(
-                    csr, chunk, workspace=ws,
-                    vertex_mask=self._vmask(), edge_mask=self._emask(),
-                    max_weight=self.snap.max_weight,
-                )
-                dist = ws.dist
-                base = 0
-                for lst in reached:
-                    out.append({nodes[v]: dist[base + v] for v in lst})
-                    base += n
+            reached = csr_bfs_multi(
+                csr, chunk, workspace=ws,
+                vertex_mask=self._vmask(), edge_mask=self._emask(),
+            )
+            base = 0
+            for lst in reached:
+                out.append({nodes[v]: float(depth[base + v]) for v in lst})
+                base += n
         return out
 
     def parents_multi(
@@ -769,11 +754,12 @@ class ScenarioSweep:
         """One :meth:`parents_toward` dict per root, batched.
 
         Builds every destination-rooted shortest-path tree of the batch
-        through the shared multi-source kernels (same chunking, engine
-        fallback, and validation as :meth:`distances_multi`).  Each tree
-        is bit-identical to a sequential :meth:`parents_toward` call --
-        the per-root projection of the shared frontier preserves the
-        first-discoverer / strict-improvement predecessor rule.
+        through the shared multi-source BFS (same chunking, per-root
+        loop on weighted snapshots, and validation as
+        :meth:`distances_multi`).  Each tree is bit-identical to a
+        sequential :meth:`parents_toward` call -- the per-root
+        projection of the shared frontier preserves the first-discoverer
+        predecessor rule.
         """
         self._refresh_if_stale()
         rts = list(roots)
@@ -785,7 +771,7 @@ class ScenarioSweep:
         csr = self.snap.csr
         n = csr.num_nodes
         out: List[Dict[Node, Node]] = []
-        if engine == "bfs" and resolve_batch_accel() == "numpy":
+        if resolve_batch_accel() == "numpy":
             limit = max(BATCH_ROOT_LIMIT, NUMPY_BATCH_CELLS // max(1, n))
             get = nodes.__getitem__
             for start in range(0, len(idx), limit):
@@ -845,17 +831,10 @@ class ScenarioSweep:
         ws = self._multi()
         for start in range(0, len(idx), BATCH_ROOT_LIMIT):
             chunk = idx[start:start + BATCH_ROOT_LIMIT]
-            if engine == "bfs":
-                reached = csr_bfs_multi(
-                    csr, chunk, workspace=ws,
-                    vertex_mask=self._vmask(), edge_mask=self._emask(),
-                )
-            else:
-                reached = csr_bucket_multi(
-                    csr, chunk, workspace=ws,
-                    vertex_mask=self._vmask(), edge_mask=self._emask(),
-                    max_weight=self.snap.max_weight,
-                )
+            reached = csr_bfs_multi(
+                csr, chunk, workspace=ws,
+                vertex_mask=self._vmask(), edge_mask=self._emask(),
+            )
             parent = ws.parent
             base = 0
             for lst in reached:

@@ -35,12 +35,14 @@ the same length.
 
 Weighted search engines
 -----------------------
-The CSR Dijkstra primitives run on one of three interchangeable engines
-(``search=`` keyword, default ``"heap"``):
+The CSR Dijkstra primitives run on one of three engines, named by the
+primitive's ``search`` argument:
 
 * ``"heap"`` -- the binary-heap relaxation above: works for any
   non-negative weights, O((n + m) log n).
-* ``"bucket"`` -- a Dial bucket queue for graphs whose weights are all
+* ``"bucket"`` -- a Dial bucket queue for single-source searches and
+  paths (:func:`csr_dijkstra`, :func:`csr_dijkstra_parents`,
+  :func:`csr_bounded_dijkstra_path`) on graphs whose weights are all
   positive integers at most :data:`BUCKET_MAX_WEIGHT`: O(m + D) with D
   the largest finite distance, no heap at all.  Settling order is
   *identical* to the heap engine (buckets are scanned in push order,
@@ -55,30 +57,29 @@ The CSR Dijkstra primitives run on one of three interchangeable engines
   is exact regardless of association order, so the returned distance is
   bit-identical to the unidirectional engines.
 
-Engine *selection* (the policy keyed on a snapshot's weight profile)
-lives in :mod:`repro.graph.snapshot`; this module only executes
-whichever engine the caller picked.
+No library option reaches ``search``:
+:data:`repro.graph.snapshot.ENGINE_POLICY` picks the engine from a
+snapshot's weight profile, and this module only executes whichever
+engine the caller named.
 
 Multi-source batch kernels
 --------------------------
-The batch kernels (``ScenarioSweep.distances_multi`` /
-``parents_multi`` at the snapshot seam) amortize the per-call interpreter overhead of the single-root kernels across many
-roots: :func:`csr_bfs_multi` advances *all* roots level-synchronously in
-one shared frontier, and :func:`csr_bucket_multi` settles all roots in
-one shared circular Dial sweep.  Both work on a
-:class:`MultiSourceWorkspace` whose buffers are flat *label planes* --
-``roots x num_nodes`` cells addressed by the packed code
-``root_index * num_nodes + node`` -- generation-stamped exactly like the
+:func:`csr_bfs_multi` (behind ``ScenarioSweep.distances_multi`` /
+``parents_multi`` on unit-weight snapshots) advances *all* roots of a
+batch level-synchronously in one shared frontier, amortizing the
+per-call interpreter overhead of the single-root BFS.  Its
+:class:`MultiSourceWorkspace` holds flat *label planes* -- ``roots x
+num_nodes`` cells addressed by the packed code
+``root_index * num_nodes + node`` -- generation-stamped like the
 single-root workspaces.  Each root's projection of the shared frontier
-(or bucket scan) enumerates nodes in precisely the order the sequential
-kernel would, so per-root distances, parents, and settle orders are
-bit-identical to the ``heap``/``bucket``/BFS engines, not merely
-equivalent.  :func:`csr_multi_pair_distances` is the pair-probe variant
-(many unit-weight s-t probes, one BFS sweep, early exit once every
-target is resolved).  When numpy is importable (:data:`HAVE_NUMPY`) the
-BFS batch kernel runs as a vectorized variant that processes whole
-frontiers as index arrays; the stdlib loops remain the fallback and
-the reference for its parity tests.
+enumerates nodes in precisely the order :func:`csr_bfs_distances` /
+:func:`csr_bfs_parents` would, so per-root depths and parents are
+bit-identical.  When numpy is importable (:data:`HAVE_NUMPY`) the batch
+runs as :func:`csr_bfs_multi_numpy`, which processes whole frontiers as
+index arrays; the stdlib kernel remains the fallback and the reference
+for its parity tests.  Weighted snapshots have no batch kernel: their
+roots run one by one through the single-source engines, which beat a
+shared Dial sweep over many roots.
 """
 
 from __future__ import annotations
@@ -790,13 +791,6 @@ class DijkstraWorkspace:
             self.vertex_mask.ensure(num_nodes)
         self.edge_mask.ensure(num_edges)
 
-    def ensure_buckets(self, count: int) -> List[List[int]]:
-        """The (empty) circular Dial buckets, grown to ``count`` slots."""
-        buckets = self.buckets
-        while len(buckets) < count:
-            buckets.append([])
-        return buckets
-
     def next_generation(self) -> int:
         """Advance and return the stamp generation (O(1) amortized)."""
         self.gen += 1
@@ -1068,7 +1062,9 @@ def _csr_dijkstra_bucket(
         for b in vertex_mask.members:
             settled[b] = gen
     slots = max_weight + 1
-    buckets = ws.ensure_buckets(slots)
+    buckets = ws.buckets
+    while len(buckets) < slots:
+        buckets.append([])
     dist[source] = 0.0
     label[source] = gen
     pred = ws.pred
@@ -1147,93 +1143,6 @@ def _csr_dijkstra_bucket(
             if bucket:
                 del bucket[:]
     return reached
-
-
-def _csr_probe_bucket(
-    csr: CSRLike,
-    source: int,
-    target: int,
-    max_dist: float,
-    ws: DijkstraWorkspace,
-    vertex_mask: Optional[FaultMask],
-    edge_mask: Optional[FaultMask],
-    max_weight: int,
-) -> float:
-    """Bucket-queue twin of :func:`_csr_probe`: the s-t distance or inf.
-
-    Identical distances to every other engine (integer sums are exact);
-    no settled list, no predecessor stores.
-    """
-    ws.ensure(csr.num_nodes, csr.num_edges)
-    gen = ws.next_generation()
-    dist = ws.dist
-    label = ws.label
-    settled = ws.settled
-    rows = csr.neighbors
-    wrows = csr.weight_rows
-    if vertex_mask is not None:
-        for b in vertex_mask.members:
-            settled[b] = gen
-    slots = max_weight + 1
-    buckets = ws.ensure_buckets(slots)
-    dist[source] = 0.0
-    label[source] = gen
-    buckets[0].append(source)
-    pending = 1
-    estamp = egen = None
-    if edge_mask is not None:
-        estamp, egen = edge_mask.stamp, edge_mask.gen
-        eid_rows = csr.edge_id_rows
-    slot = 0
-    try:
-        while pending:
-            bucket = buckets[slot]
-            if bucket:
-                for u in bucket:
-                    pending -= 1
-                    if settled[u] == gen:
-                        continue  # stale entry (or pre-stamped fault)
-                    if u == target:
-                        return dist[u]
-                    settled[u] = gen
-                    d = dist[u]
-                    if estamp is not None:
-                        erow = eid_rows[u]
-                        row = rows[u]
-                        wrow = wrows[u]
-                        for j in range(len(row)):
-                            v = row[j]
-                            if settled[v] == gen or estamp[erow[j]] == egen:
-                                continue
-                            nd = d + wrow[j]
-                            if nd > max_dist:
-                                continue
-                            if label[v] != gen or nd < dist[v]:
-                                label[v] = gen
-                                dist[v] = nd
-                                buckets[int(nd) % slots].append(v)
-                                pending += 1
-                    else:
-                        for v, w in zip(rows[u], wrows[u]):
-                            if settled[v] == gen:
-                                continue
-                            nd = d + w
-                            if nd > max_dist:
-                                continue
-                            if label[v] != gen or nd < dist[v]:
-                                label[v] = gen
-                                dist[v] = nd
-                                buckets[int(nd) % slots].append(v)
-                                pending += 1
-                del bucket[:]
-            slot += 1
-            if slot == slots:
-                slot = 0
-    finally:
-        for bucket in buckets:
-            if bucket:
-                del bucket[:]
-    return INFINITY
 
 
 def _csr_probe_bidir(
@@ -1470,15 +1379,14 @@ def csr_weighted_distance(
     vertex_mask: Optional[FaultMask] = None,
     edge_mask: Optional[FaultMask] = None,
     search: str = "heap",
-    max_weight: Optional[int] = None,
 ) -> float:
     """Weighted s-t distance, or ``inf`` if unreachable within ``max_dist``.
 
     The allocation-free primitive the verification sweeps loop on: no
     result dict, no path list -- just the scalar distance (early exit on
     the target, pruning past the budget).  ``search`` picks the engine:
-    ``"heap"`` (any weights), ``"bucket"`` or ``"bidir"`` (integral
-    weights; identical distances, see the module docstring).
+    ``"heap"`` (any weights) or ``"bidir"`` (integral weights; identical
+    distances, see the module docstring).
     """
     _csr_check_terminal(csr, source, vertex_mask, "source")
     _csr_check_terminal(csr, target, vertex_mask, "target")
@@ -1490,18 +1398,13 @@ def csr_weighted_distance(
         return _csr_probe(
             csr, source, target, budget, ws, vertex_mask, edge_mask
         )
-    if search == "bucket":
-        return _csr_probe_bucket(
-            csr, source, target, budget, ws, vertex_mask, edge_mask,
-            _bucket_max_weight(csr, max_weight),
-        )
     if search == "bidir":
         return _csr_probe_bidir(
             csr, source, target, budget, ws, vertex_mask, edge_mask
         )
     raise ValueError(
-        f"csr_weighted_distance runs on search='heap', 'bucket' or "
-        f"'bidir', got {search!r}"
+        f"csr_weighted_distance runs on search='heap' or 'bidir', "
+        f"got {search!r}"
     )
 
 
@@ -1627,36 +1530,30 @@ def resolve_batch_accel() -> str:
 
 
 class MultiSourceWorkspace:
-    """Preallocated label planes for the multi-source batch kernels.
+    """Preallocated label planes for the multi-source BFS kernels.
 
     One workspace serves an unbounded number of batch calls: every
-    buffer is a flat arena of ``roots x num_nodes`` cells addressed by
-    the packed code ``root_index * num_nodes + node``, and ``ensure``
-    only ever extends it.  Two generation-stamped byte planes (``seen``:
-    the cell has a valid tentative label; ``settled``: the cell's
-    distance is final, bucket engine only) make the per-call reset O(1)
-    no matter how many roots the batch carries.  The circular Dial
-    buckets are shared across all roots of a batch -- entries are packed
-    codes, so one sweep settles every root's nodes in globally
-    nondecreasing distance order while each root's projection of that
-    order stays identical to a sequential bucket run.
+    plane of :func:`csr_bfs_multi` is a flat arena of
+    ``roots x num_nodes`` cells addressed by the packed code
+    ``root_index * num_nodes + node``, and ``ensure`` only ever extends
+    it.  The generation-stamped ``seen`` byte plane makes the per-call
+    reset O(1) no matter how many roots the batch carries.
+    :func:`csr_bfs_multi_numpy` allocates its own planes per call and
+    reads only the cached flattened adjacency (``np_*``) from here.
 
     Not thread-safe; use one workspace per thread.
     """
 
     __slots__ = (
-        "seen", "settled", "gen", "depth", "dist", "parent", "buckets",
+        "seen", "gen", "depth", "parent",
         "np_key", "np_indptr", "np_indices", "np_eids", "np_twin",
     )
 
     def __init__(self, cells: int = 0) -> None:
         self.seen = bytearray(cells)
-        self.settled = bytearray(cells)
         self.gen = 1
         self.depth = [0] * cells
-        self.dist = array("d", bytes(8 * cells))
         self.parent = [0] * cells
-        self.buckets: List[List[int]] = []
         # Flattened CSR adjacency for the numpy kernel, cached per
         # (graph identity, node count, edge count, mutation version) so
         # repeated batches over one snapshot flatten the rows exactly
@@ -1672,24 +1569,14 @@ class MultiSourceWorkspace:
         short = cells - len(self.seen)
         if short > 0:
             self.seen.extend(bytes(short))
-            self.settled.extend(bytes(short))
             self.depth.extend([0] * short)
-            self.dist.extend(array("d", bytes(8 * short)))
             self.parent.extend([0] * short)
-
-    def ensure_buckets(self, count: int) -> List[List[int]]:
-        """The (empty) circular Dial buckets, grown to ``count`` slots."""
-        buckets = self.buckets
-        while len(buckets) < count:
-            buckets.append([])
-        return buckets
 
     def next_generation(self) -> int:
         """Advance and return the stamp generation (O(1) amortized)."""
         self.gen += 1
         if self.gen == 256:
             self.seen[:] = bytes(len(self.seen))
-            self.settled[:] = bytes(len(self.settled))
             self.gen = 1
         return self.gen
 
@@ -1799,253 +1686,6 @@ def csr_bfs_multi(
                     nxt.append(nc)
             cur = nxt
     return reached
-
-
-def csr_bucket_multi(
-    csr: CSRLike,
-    sources: Sequence[int],
-    workspace: Optional[MultiSourceWorkspace] = None,
-    vertex_mask: Optional[FaultMask] = None,
-    edge_mask: Optional[FaultMask] = None,
-    max_weight: Optional[int] = None,
-) -> List[List[int]]:
-    """Dial bucket sweep from *many* roots sharing one circular queue.
-
-    The multi-source twin of :func:`_csr_dijkstra_bucket`: valid for
-    positive integer weights ``<= max_weight``.  All roots start at
-    distance 0, so every queued tentative distance lies in
-    ``[d, d + max_weight]`` while distance ``d`` is being scanned and
-    the ``max_weight + 1``-slot circular mapping stays collision-free
-    exactly as in the single-root engine.
-
-    Returns one list per root: the nodes it settled, in settle order,
-    root first.  Final distances and strict-improvement predecessors are
-    left in the workspace's ``dist`` / ``parent`` planes (``-1`` at each
-    root).  Within a bucket, codes are scanned in append order and
-    appends happen exactly when a sequential run over that root would
-    push -- so each root's settle order, distances, and parents are
-    bit-identical to the ``bucket`` (and therefore ``heap``) engine.
-    """
-    roots = list(sources)
-    for s in roots:
-        _csr_check_terminal(csr, s, vertex_mask, "source")
-    if not roots:
-        return []
-    mw = _bucket_max_weight(csr, max_weight)
-    ws = workspace if workspace is not None else MultiSourceWorkspace()
-    n = csr.num_nodes
-    ws.ensure(len(roots) * n)
-    gen = ws.next_generation()
-    label = ws.seen
-    settled = ws.settled
-    dist = ws.dist
-    pred = ws.parent
-    rows = csr.neighbors
-    wrows = csr.weight_rows
-    if vertex_mask is not None and vertex_mask.members:
-        _stamp_fault_planes(settled, gen, vertex_mask.members, len(roots), n)
-    slots = mw + 1
-    buckets = ws.ensure_buckets(slots)
-    reached: List[List[int]] = []
-    first = buckets[0]
-    base = 0
-    for s in roots:
-        code = base + s
-        dist[code] = 0.0
-        label[code] = gen
-        pred[code] = -1
-        first.append(code)
-        reached.append([])
-        base += n
-    pending = len(roots)
-    estamp = egen = None
-    if edge_mask is not None:
-        estamp, egen = edge_mask.stamp, edge_mask.gen
-        eid_rows = csr.edge_id_rows
-    slot = 0
-    try:
-        while pending:
-            bucket = buckets[slot]
-            if bucket:
-                # Relaxed edges carry weight >= 1, so nothing is ever
-                # appended to the bucket being scanned; plain iteration
-                # is safe and preserves push order (see the single-root
-                # engine).
-                for code in bucket:
-                    pending -= 1
-                    if settled[code] == gen:
-                        continue  # stale entry (or pre-stamped fault)
-                    settled[code] = gen
-                    r, u = divmod(code, n)
-                    base = code - u
-                    reached[r].append(u)
-                    d = dist[code]
-                    if estamp is not None:
-                        row = rows[u]
-                        erow = eid_rows[u]
-                        wrow = wrows[u]
-                        for j in range(len(row)):
-                            nc = base + row[j]
-                            if settled[nc] == gen:
-                                continue
-                            if estamp[erow[j]] == egen:
-                                continue
-                            nd = d + wrow[j]
-                            if label[nc] != gen or nd < dist[nc]:
-                                label[nc] = gen
-                                dist[nc] = nd
-                                pred[nc] = u
-                                buckets[int(nd) % slots].append(nc)
-                                pending += 1
-                    else:
-                        for v, w in zip(rows[u], wrows[u]):
-                            nc = base + v
-                            if settled[nc] == gen:
-                                continue
-                            nd = d + w
-                            if label[nc] != gen or nd < dist[nc]:
-                                label[nc] = gen
-                                dist[nc] = nd
-                                pred[nc] = u
-                                buckets[int(nd) % slots].append(nc)
-                                pending += 1
-                del bucket[:]
-            slot += 1
-            if slot == slots:
-                slot = 0
-    finally:
-        for bucket in buckets:
-            if bucket:
-                del bucket[:]
-    return reached
-
-
-def csr_multi_pair_distances(
-    csr: CSRLike,
-    pairs: Sequence[Tuple[int, int]],
-    workspace: Optional[MultiSourceWorkspace] = None,
-    vertex_mask: Optional[FaultMask] = None,
-    edge_mask: Optional[FaultMask] = None,
-) -> List[float]:
-    """Many s-t hop-distance probes answered by one multi-source BFS.
-
-    Groups the pairs by source, runs one batched BFS over the distinct
-    sources, and reads each pair's distance off the label planes --
-    with a global early exit the moment every requested target is
-    labeled.  Returns one float per pair (``inf`` for unreachable),
-    identical to looping :func:`csr_bounded_bfs_path` pair by pair, and
-    so to the weighted distance on unit-weight graphs.
-    """
-    pair_list = list(pairs)
-    out = [INFINITY] * len(pair_list)
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for i, (s, t) in enumerate(pair_list):
-        _csr_check_terminal(csr, s, vertex_mask, "source")
-        _csr_check_terminal(csr, t, vertex_mask, "target")
-        if s == t:
-            out[i] = 0.0
-        else:
-            groups.setdefault(s, []).append((i, t))
-    if not groups:
-        return out
-    roots = list(groups)
-    ws = workspace if workspace is not None else MultiSourceWorkspace()
-    n = csr.num_nodes
-    ws.ensure(len(roots) * n)
-    gen = ws.next_generation()
-    targets: Set[int] = set()
-    base = 0
-    for s in roots:
-        for _, t in groups[s]:
-            targets.add(base + t)
-        base += n
-    _bfs_multi_probe(csr, roots, ws, gen, vertex_mask, edge_mask, targets)
-    depth = ws.depth
-    seen = ws.seen
-    base = 0
-    for s in roots:
-        for i, t in groups[s]:
-            code = base + t
-            if seen[code] == gen:
-                out[i] = float(depth[code])
-        base += n
-    return out
-
-
-def _bfs_multi_probe(
-    csr: CSRLike,
-    roots: List[int],
-    ws: MultiSourceWorkspace,
-    gen: int,
-    vertex_mask: Optional[FaultMask],
-    edge_mask: Optional[FaultMask],
-    targets: Set[int],
-) -> None:
-    """Batched BFS that stops once every target code is labeled.
-
-    A BFS depth is final the moment the node is stamped, so the sweep
-    may return as soon as the last outstanding target is discovered;
-    distances for everything stamped so far are already exact.
-    """
-    n = csr.num_nodes
-    seen = ws.seen
-    depth = ws.depth
-    rows = csr.neighbors
-    if vertex_mask is not None and vertex_mask.members:
-        _stamp_fault_planes(seen, gen, vertex_mask.members, len(roots), n)
-    outstanding = len(targets)
-    cur: List[int] = []
-    base = 0
-    for s in roots:
-        code = base + s
-        seen[code] = gen
-        depth[code] = 0
-        if code in targets:
-            outstanding -= 1
-        cur.append(code)
-        base += n
-    if not outstanding:
-        return
-    estamp = egen = None
-    if edge_mask is not None:
-        estamp, egen = edge_mask.stamp, edge_mask.gen
-        eid_rows = csr.edge_id_rows
-    level = 0
-    while cur:
-        level += 1
-        nxt: List[int] = []
-        for code in cur:
-            u = code % n
-            base = code - u
-            row = rows[u]
-            if estamp is not None:
-                erow = eid_rows[u]
-                for j in range(len(row)):
-                    nc = base + row[j]
-                    if seen[nc] == gen:
-                        continue
-                    if estamp[erow[j]] == egen:
-                        continue
-                    seen[nc] = gen
-                    depth[nc] = level
-                    nxt.append(nc)
-                    if nc in targets:
-                        outstanding -= 1
-                        if not outstanding:
-                            return
-            else:
-                for v in row:
-                    nc = base + v
-                    if seen[nc] == gen:
-                        continue
-                    seen[nc] = gen
-                    depth[nc] = level
-                    nxt.append(nc)
-                    if nc in targets:
-                        outstanding -= 1
-                        if not outstanding:
-                            return
-        cur = nxt
 
 
 def _np_adjacency(ws: MultiSourceWorkspace, csr: CSRLike):

@@ -447,26 +447,24 @@ class _CSRSweep:
                 )
         else:
             eng_g, eng_h = self.eng_g, self.eng_h
-            mw_g = self.snap.snap_g.max_weight
-            mw_h = self.snap.snap_h.max_weight
             for u, v, iu, iv, w, _ in surviving:
                 dg = csr_weighted_distance(
                     csr_g, iu, iv, max_dist=w, workspace=ws,
                     vertex_mask=vmask, edge_mask=emask_g,
-                    search=eng_g, max_weight=mw_g,
+                    search=eng_g,
                 )
                 if dg < w:
                     continue  # a strictly shorter surviving route exists
                 dh = csr_weighted_distance(
                     csr_h, iu, iv, max_dist=t * w, workspace=ws,
                     vertex_mask=vmask, edge_mask=emask_h,
-                    search=eng_h, max_weight=mw_h,
+                    search=eng_h,
                 )
                 if dh > t * w:
                     dh_full = csr_weighted_distance(
                         csr_h, iu, iv, workspace=ws,
                         vertex_mask=vmask, edge_mask=emask_h,
-                        search=eng_h, max_weight=mw_h,
+                        search=eng_h,
                     )
                     return Counterexample(
                         faults=frozen, pair=(u, v),

@@ -79,15 +79,12 @@ class _CSRStretchSweep:
 
     __slots__ = (
         "snap", "ws", "use_vmask", "use_emasks", "eng_g", "eng_h",
-        "mw_g", "mw_h",
     )
 
     def __init__(self, g: Graph, h: Graph) -> None:
         self.snap = DualCSRSnapshot(g, h)
         self.eng_g = weighted_pair_engine(self.snap.snap_g.profile)
         self.eng_h = weighted_pair_engine(self.snap.snap_h.profile)
-        self.mw_g = self.snap.snap_g.max_weight
-        self.mw_h = self.snap.snap_h.max_weight
         self.ws = DijkstraWorkspace(len(self.snap.indexer))
         self.use_vmask = False
         self.use_emasks = False
@@ -128,12 +125,12 @@ class _CSRStretchSweep:
             dg = csr_weighted_distance(
                 snap.csr_g, iu, iv, workspace=self.ws, vertex_mask=vmask,
                 edge_mask=snap.emask_g if self.use_emasks else None,
-                search=self.eng_g, max_weight=self.mw_g,
+                search=self.eng_g,
             )
         dh = csr_weighted_distance(
             snap.csr_h, iu, iv, workspace=self.ws, vertex_mask=vmask,
             edge_mask=snap.emask_h if self.use_emasks else None,
-            search=self.eng_h, max_weight=self.mw_h,
+            search=self.eng_h,
         )
         return _ratio(dg, dh)
 

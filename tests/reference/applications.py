@@ -108,9 +108,6 @@ class _DictProbes:
         self.gv = VertexFaultView(self.g, faults) if faults else self.g
         self.hv = VertexFaultView(self.h, faults) if faults else self.h
 
-    def prefetch(self, pairs) -> None:
-        pass
-
     def graph_distance(self, u: Node, v: Node) -> float:
         return dijkstra(self.gv, u, target=v).get(v, INFINITY)
 

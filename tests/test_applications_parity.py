@@ -151,8 +151,8 @@ class TestRouterParity:
                         rc.route(src, dest, faults=faults)
                     assert rd.route_cost(src, dest, faults=faults) == \
                         rc.route_cost(src, dest, faults=faults)
-            # The batched tables() pass (multi-source kernels on unit
-            # and int spanners, a per-root loop on float ones).
+            # The batched tables() pass (the multi-source BFS on unit
+            # spanners, a per-root loop on int and float ones).
             assert rd.tables(alive, faults=faults) == \
                 rc.tables(alive, faults=faults)
         assert rd.table_size() == rc.table_size()

@@ -532,6 +532,15 @@ class TestOneProductionPath:
             text = path.read_text()
             assert not [b for b in banned if b in text], path
 
+    def test_no_losing_batch_kernel_left_in_src(self):
+        # Deleted kernels and their bucket helper: each lost to the
+        # loop it batched or was never picked by the engine policy.
+        banned = ("csr_bucket_multi", "csr_multi_pair_distances",
+                  "_bfs_multi_probe", "_csr_probe_bucket", "ensure_buckets")
+        for path in sorted((REPO / "src").rglob("*.py")):
+            text = path.read_text()
+            assert not [b for b in banned if b in text], path
+
     def test_no_search_knob_left_in_src(self):
         banned = ("SEARCH_MODES", "resolve_search", "validate_search",
                   "UnsupportedSearch", "REPRO_SEARCH", "REPRO_BATCH_ACCEL",

@@ -398,7 +398,7 @@ class TestEnginePolicyOnCli:
         }
         assert rows == {
             "unit": ["bfs", "bfs", "bucket", "bfs"],
-            "int": ["bucket", "bidir", "bucket", "bucket"],
+            "int": ["bucket", "bidir", "bucket", "loop"],
             "float": ["heap", "heap", "heap", "loop"],
         }
         assert ("numpy: importable" if HAVE_NUMPY

@@ -129,8 +129,8 @@ class TestRuntimeStats:
 
     def test_runstats_record(self):
         stats = RunStats()
-        stats.record((1, 2, 3))
-        stats.record("x")
+        stats.record_many([message_words((1, 2, 3))])
+        stats.record_many([message_words("x")])
         assert stats.messages == 2
         assert stats.total_words == 4
         assert stats.max_message_words == 3

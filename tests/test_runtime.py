@@ -274,7 +274,7 @@ class TestRunStats:
         st = RunStats()
         st.record_many([3, 1, 7])
         st.record_many([])
-        st.record(("a", "b"))
+        st.record_many([message_words(("a", "b"))])
         assert (st.messages, st.total_words, st.max_message_words) == (
             4, 11 + message_words(("a", "b")), 7
         )

@@ -135,8 +135,7 @@ class TestBucketEngineParity:
                 g, low=1.0, high=9.0, seed=42, integral=profile == "int"
             )
         sssp = ("heap",) if profile == "float" else ("heap", "bucket")
-        pair = ("heap",) if profile == "float" else (
-            "heap", "bucket", "bidir")
+        pair = ("heap",) if profile == "float" else ("heap", "bidir")
         snap = CSRSnapshot(g)
         assert snap.profile == profile
         csr = snap.csr
@@ -197,8 +196,10 @@ class TestBucketEngineParity:
             budget = float(rng.randint(1, 12))
             dh = csr_weighted_distance(csr, a, b, max_dist=budget,
                                        workspace=ws, search="heap")
-            db = csr_weighted_distance(csr, a, b, max_dist=budget,
-                                       workspace=ws, search="bucket")
+            # The bucket engine answers pairs only as a truncated
+            # single-source run with the target as its early exit.
+            db = csr_dijkstra(csr, a, target=b, max_dist=budget,
+                              workspace=ws, search="bucket").get(b, INF)
             d2 = csr_weighted_distance(csr, a, b, max_dist=budget,
                                        workspace=ws, search="bidir")
             assert dh == db == d2
@@ -217,6 +218,8 @@ class TestBucketEngineParity:
             csr_dijkstra(csr, 0, search="dial")
         with pytest.raises(ValueError, match="search"):
             csr_weighted_distance(csr, 0, 2, search="astar")
+        with pytest.raises(ValueError, match="search"):
+            csr_weighted_distance(csr, 0, 2, search="bucket")  # sssp-only
         with pytest.raises(ValueError, match="search"):
             csr_dijkstra_parents(csr, 0, search="bidir")  # pair-only
         with pytest.raises(ValueError, match="search"):
@@ -293,7 +296,7 @@ class TestEnginePolicy:
         assert path_engine("int") == "bucket"
         assert path_engine("float") == "heap"
         assert {p: k["batch"] for p, k in ENGINE_POLICY.items()} == {
-            "unit": "bfs", "int": "bucket", "float": "loop",
+            "unit": "bfs", "int": "loop", "float": "loop",
         }
 
     def test_sweep_unit_bfs_matches_weighted_kernels(self):
@@ -302,7 +305,7 @@ class TestEnginePolicy:
         snap = CSRSnapshot(generators.cycle_graph(8))
         sweep = ScenarioSweep(snap)
         for v in range(1, 8):
-            for engine in ("heap", "bucket", "bidir"):
+            for engine in ("heap", "bidir"):
                 assert sweep.distance(0, v) == csr_weighted_distance(
                     snap.csr, 0, v, search=engine
                 )
