@@ -1,13 +1,13 @@
 PYTHON ?= python
 
-.PHONY: test verify bench bench-apps bench-flow bench-weighted \
-	bench-batch bench-serving bench-dynamic bench-distributed \
-	check-bench examples results
+.PHONY: test verify bench-flow bench-serving bench-dynamic \
+	bench-distributed check-bench examples results
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Deterministic tests plus reference-parity smoke runs of the benchmarks.
+# The deterministic test suite (tests/), which holds the reference-parity
+# checks.
 verify:
 	sh scripts/verify.sh
 
@@ -18,34 +18,11 @@ results:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
 	cp benchmarks/out/*.txt benchmarks/results/
 
-# Full CSR-vs-reference benchmark: rewrites BENCH_backend.json at the
-# repository root.
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_backend.py
-
-# Full applications benchmark: rewrites BENCH_applications.json.
-bench-apps:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_applications.py
-
 # Flow-engine verification benchmark: exhaustive fault-set sweep vs
 # Dinic witness certificates, verdict parity asserted per instance.
 # Full mode rewrites BENCH_flow.json; CI runs it with QUICK=--quick.
 bench-flow:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_flow.py $(QUICK)
-
-# Weighted-engine parity smoke: the bucket-queue / bidirectional
-# Dijkstra scenarios only, quick instances, CSR answers asserted equal
-# to the dict reference per scenario.  Never writes the JSON reports.
-bench-weighted:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_backend.py --quick --only verif
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_applications.py --quick --only oracle
-
-# Batch-engine parity smoke: only the multi-source scenarios (batched
-# oracle distances + batched routing tables), quick instances, CSR
-# answers asserted equal to the dict reference per scenario.  Never
-# writes the JSON reports.
-bench-batch:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_applications.py --quick --only multi
 
 # Serving load test: open-loop throughput and p50/p99 latency through
 # the multi-process worker pool, healthy vs a 10% seeded chaos

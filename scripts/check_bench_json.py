@@ -2,8 +2,8 @@
 """Validate the committed ``BENCH_*.json`` benchmark reports.
 
 The benchmark scripts only write a report after every scenario's
-dict-vs-csr parity assertion passed, so a committed report is a claim:
-*these speedups were measured on identical outputs*.  This checker
+parity assertion passed, so a committed report is a claim: *these
+speedups were measured on identical outputs*.  This checker
 keeps that claim machine-enforced -- a hand-edited report, a truncated
 write, or a scenario that silently recorded ``identical_outputs:
 false`` fails CI instead of shipping.
@@ -16,8 +16,7 @@ Checks, per report:
 * per scenario: ``description``, ``parameters``, non-empty
   ``instances``;
 * per instance: integral ``n``/``m``, exactly two positive
-  ``seconds_*`` timings (``seconds_dict``/``seconds_csr`` in the
-  backend-comparison scenarios; other baseline pairs are legal), a
+  ``seconds_*`` timings (a baseline and the measured path), a
   ``speedup`` consistent with those timings (to rounding), and
   ``identical_outputs`` exactly ``true``;
 * flow-benchmark instances (``seconds_exhaustive`` vs

@@ -23,8 +23,7 @@ application freezes the spanner once into a
 scenario after an O(|F|) mask re-stamp on a shared
 :class:`~repro.graph.snapshot.ScenarioSweep`.  The lazy-view dict
 reference in ``tests/reference/`` answers bit-identically
-(`tests/test_applications_parity.py`,
-`benchmarks/bench_applications.py`).
+(`tests/test_applications_parity.py`).
 """
 
 from repro.applications.oracle import FaultTolerantDistanceOracle

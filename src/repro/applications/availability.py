@@ -26,9 +26,8 @@ spanner side is probed only for pairs the graph side connects.
 The dict reference in ``tests/reference/`` drives the same sampling
 loop with lazy ``VertexFaultView`` probes; it draws the identical random
 scenario/pair sequence and returns bit-identical reports, which
-`tests/test_applications_parity.py` and
-`benchmarks/bench_applications.py` assert.  Cost is O(samples * pairs)
-distance probes after the one-off O(n + m) snapshot.
+`tests/test_applications_parity.py` asserts.  Cost is O(samples *
+pairs) distance probes after the one-off O(n + m) snapshot.
 """
 
 from __future__ import annotations

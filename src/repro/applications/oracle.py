@@ -27,8 +27,7 @@ flat-array BFS (unit weights) or CSR Dijkstra (weighted) through one
 preallocated workspace, and no ``G \\ F`` view is ever materialized.
 The dict reference in ``tests/reference/`` (one lazy fault view plus one
 dict Dijkstra per cache miss) returns bit-identical answers, which
-`tests/test_applications_parity.py` and
-`benchmarks/bench_applications.py` assert.
+`tests/test_applications_parity.py` asserts.
 """
 
 from __future__ import annotations

@@ -249,10 +249,11 @@ def _ordered_edges(
     missing = [e for e in explicit if not g.has_edge(*e)]
     if missing:
         raise ValueError(f"explicit order contains non-edges: {missing[:3]}")
-    if len(set(explicit)) != g.num_edges:
+    if len(explicit) != g.num_edges or len(set(explicit)) != g.num_edges:
         raise ValueError(
             "explicit order must cover every edge exactly once "
-            f"(got {len(set(explicit))} distinct of {g.num_edges})"
+            f"(got {len(explicit)} entries, {len(set(explicit))} distinct, "
+            f"of {g.num_edges})"
         )
     return explicit
 

@@ -37,8 +37,8 @@ returned value.
 Parity: every query visits neighbors in the dict path's insertion
 order and breaks ties identically (see ``docs/architecture.md``), so
 the answers are bit-identical to the lazy-view reference path -- the
-applications parity suite (`tests/test_applications_parity.py`) and
-`benchmarks/bench_applications.py` assert this on every run.
+applications parity suite (`tests/test_applications_parity.py`)
+asserts this on every run.
 """
 
 from __future__ import annotations

@@ -181,6 +181,42 @@ class TestAvailabilityParity:
         ) == degradation_profile(g, prebuilt.spanner, **kwargs)
 
 
+@pytest.mark.parametrize("profile, n, p", [
+    ("unit", 100, 0.10), ("int", 80, 0.12), ("float", 80, 0.12),
+])
+def test_adopted_session_consumers_match_reference(profile, n, p):
+    """A session that adopts a prebuilt spanner serves its oracle,
+    router and availability sweep from one shared snapshot, on graphs
+    about three times the size of the fixtures above: the batched
+    oracle equals the reference's per-query answers, the batched router
+    tables its per-destination tables, and the availability report the
+    reference report."""
+    g = _weighted(generators.gnp_random_graph(n, p, seed=42), profile,
+                  seed=42)
+    g = generators.ensure_connected(g, seed=42)
+    prebuilt = fault_tolerant_spanner(g, 2, 2)
+    session = SpannerSession(g, k=2, f=2, seed=42)
+    session.adopt(prebuilt)
+    od = ref.FaultTolerantDistanceOracle(g, 2, 2, prebuilt=prebuilt)
+    rd = ref.SpannerRouter(g, 2, 2, prebuilt=prebuilt)
+    oc = session.oracle(cache_size=2 * n)
+    rc = session.router()
+    rng = random.Random(42)
+    nodes = sorted(g.nodes())
+    scenarios = [[]] + [rng.sample(nodes, 2) for _ in range(2)]
+    pool = [x for x in nodes if not any(x in sc for sc in scenarios)]
+    pairs = [tuple(rng.sample(pool, 2)) for _ in range(120)]
+    for faults in scenarios:
+        assert oc.distances(pairs, faults=faults) == \
+            [od.distance(u, v, faults=faults) for u, v in pairs]
+        assert rc.tables(pool, faults=faults) == \
+            {d: rd.table(d, faults=faults) for d in pool}
+    kwargs = dict(failures=2, scenarios=8, pairs_per_scenario=8)
+    assert session.availability(**kwargs) == ref.availability_analysis(
+        g, prebuilt.spanner, guarantee=3, seed=42, **kwargs
+    )
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("churn", PROFILES)
 @pytest.mark.parametrize("fault_model", ["vertex", "edge"])

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import repro
-from repro.graph import generators, traversal
+from repro.graph import generators, snapshot, traversal
 from repro.graph.snapshot import CSRSnapshot, ScenarioSweep
 from repro.graph.traversal import HAVE_NUMPY
 
@@ -175,6 +175,28 @@ class TestAccelVariants:
             assert d == seq.distances_from(r)
         for r, p in zip(roots, batch.parents_multi(roots)):
             assert p == seq.parents_toward(r)
+
+    @pytest.mark.parametrize("accel", [
+        "stdlib",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="numpy not importable")),
+    ])
+    def test_batches_wider_than_a_chunk_are_exact(self, monkeypatch, accel):
+        # A batch wider than BATCH_ROOT_LIMIT roots (the numpy kernel:
+        # NUMPY_BATCH_CELLS // n, if wider) runs chunk by chunk.  Shrink
+        # both so 23 roots span six chunks, the last one ragged.
+        monkeypatch.setattr(traversal, "HAVE_NUMPY", accel == "numpy")
+        monkeypatch.setattr(snapshot, "BATCH_ROOT_LIMIT", 4)
+        monkeypatch.setattr(snapshot, "NUMPY_BATCH_CELLS", 1)
+        g = generators.ensure_connected(
+            _instance(25, 0.2, "unit", seed=3), seed=3
+        )
+        batch, seq = _sweep_pair(g, faults=[5], fault_model="vertex")
+        roots = [v for v in sorted(g.nodes()) if v != 5][:23]
+        assert batch.distances_multi(roots) == \
+            [seq.distances_from(r) for r in roots]
+        assert batch.parents_multi(roots) == \
+            [seq.parents_toward(r) for r in roots]
 
     def test_resolve_batch_accel_follows_numpy(self, monkeypatch):
         monkeypatch.setattr(traversal, "HAVE_NUMPY", False)

@@ -1,0 +1,51 @@
+"""The committed-report checker (``scripts/check_bench_json.py``).
+
+Every committed ``BENCH_*.json`` must pass it, and a report whose
+parity flag is false, or whose speedup disagrees with its own timings,
+must be reported.  The first half pins the schema of the reports that
+exist, so removing or rewriting one cannot silently break another.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "check_bench_json", REPO / "scripts" / "check_bench_json.py"
+)
+check_bench_json = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_bench_json)
+
+REPORTS = sorted(REPO.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.name)
+def test_committed_report_passes(path):
+    errors = []
+    check_bench_json.check_report(path, errors)
+    assert errors == []
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ("parity", "identical_outputs must be true"),
+    ("speedup", "inconsistent with timings"),
+])
+def test_mutated_flow_report_is_reported(tmp_path, mutation, message):
+    report = json.loads((REPO / "BENCH_flow.json").read_text())
+    row = next(iter(report["scenarios"].values()))["instances"][0]
+    if mutation == "parity":
+        row["identical_outputs"] = False
+    else:
+        row["speedup"] = round(
+            2 * row["seconds_exhaustive"] / row["seconds_witness"], 2
+        )
+    path = tmp_path / "BENCH_flow.json"
+    path.write_text(json.dumps(report))
+    errors = []
+    check_bench_json.check_report(path, errors)
+    assert len(errors) == 1 and message in errors[0]

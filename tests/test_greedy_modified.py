@@ -216,8 +216,15 @@ class TestOrderings:
         report = verify_ft_spanner(small_gnp, result.spanner, t=3, f=1)
         assert report.ok
 
-    def test_explicit_order_must_cover(self, small_gnp):
-        edges = sorted(small_gnp.edges())[:-1]
+    @pytest.mark.parametrize("defect", ["missing", "duplicate"])
+    def test_explicit_order_must_cover(self, small_gnp, defect):
+        edges = sorted(small_gnp.edges())
+        if defect == "missing":
+            edges = edges[:-1]
+        else:
+            # Every edge is present, but one is listed again reversed.
+            u, v = edges[0]
+            edges.append((v, u))
         with pytest.raises(ValueError, match="every edge"):
             modified_greedy_unweighted(small_gnp, 2, 1, order=edges)
 
