@@ -25,7 +25,10 @@ Execution
 The spanner under construction is mirrored into a growing
 :class:`~repro.graph.csr.CSRBuilder`; all LBC tests run on flat arrays
 with one shared :class:`~repro.graph.traversal.BFSWorkspace` and fault
-masks, so the m-edge loop makes zero per-BFS allocations.  An edge with
+masks, so the m-edge loop makes zero per-BFS allocations.  At ``k = 2``
+(t = 3) no LBC test runs a BFS at all: each search is a two-hop meet at
+the target that finds the BFS's path (see :mod:`repro.lbc.approx`), and
+``bfs_calls`` still counts one per search.  An edge with
 an endpoint of H-degree <= f is kept without any LBC run: that
 endpoint's neighbourhood is a cut of size <= f, so Theorem 4 forces the
 YES answer (see ``_greedy_loop``).  The dict
@@ -164,7 +167,7 @@ def _greedy_loop(
     The growing H is mirrored into a :class:`~repro.graph.csr.CSRBuilder`
     built once for the whole run: the node indexer, adjacency chunks, BFS
     workspace, and fault masks are all shared across the ``m * (f + 1)``
-    BFS invocations.  The dict ``Graph`` H is still maintained (cheaply
+    searches.  The dict ``Graph`` H is still maintained (cheaply
     -- it only mutates on kept edges): it is the returned spanner.
     """
     t = 2 * k - 1

@@ -321,10 +321,13 @@ def _csr_search(
 ) -> bool:
     """Core hop-bounded BFS to a target over CSR adjacency.
 
-    The one hop-bounded target search: the greedy's LBC loop, the online
-    greedy, :func:`csr_bounded_bfs_path` / :func:`csr_bounded_bfs_path_edges`
-    and the verification sweeps all run it.  The caller sizes ``ws`` for
-    ``csr`` first.
+    The hop-bounded target search behind
+    :func:`csr_bounded_bfs_path` / :func:`csr_bounded_bfs_path_edges`,
+    the verification sweeps, and the LBC loops of the greedy and the
+    online greedy at ``t >= 4``.  (At ``t <= 3`` the LBC loop needs no
+    BFS: :mod:`repro.lbc.approx` meets the target's neighbourhood
+    directly, by the queue-order argument below.)  The caller sizes
+    ``ws`` for ``csr`` first.
 
     Level-synchronized: the two preallocated buffers ``ws.queue`` /
     ``ws.frontier`` ping-pong as current/next frontier, which keeps the

@@ -37,14 +37,22 @@ Two execution paths implement the identical loop:
   paths only when first read), so the returned :class:`LBCResult` is
   indistinguishable from the dict path's (both find the same BFS paths,
   hence the same cuts and answers).
+
+At ``t <= 3`` (the greedy's ``k = 2``) the CSR path runs no BFS: every
+such path ends in the target's neighbourhood, where
+:func:`_meet_paths_vertex` / :func:`_meet_paths_edge` find the BFS's
+path directly.  Results, and ``iterations`` (one per search), are
+unchanged.  Longer bounds run :func:`~repro.graph.traversal._csr_search`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
-from repro.graph.csr import CSRLike
+from repro.graph.csr import CSRLike, FaultMask
 from repro.graph.graph import Edge, Graph, Node, edge_key
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import (
@@ -80,13 +88,14 @@ class LBCResult:
         is first read: the greedy drops the cut of every NO answer.
     paths:
         The hop-bounded paths removed in successive iterations (node
-        sequences).  ``len(paths)`` equals the number of BFS calls that
+        sequences).  ``len(paths)`` equals the number of searches that
         found a path.  The CSR entry points record index paths and
         translate them to nodes only when ``paths`` is first read: the
         greedy never reads them.
     iterations:
-        Total BFS invocations performed (including the final one that
-        found no path, when the answer is YES).
+        Total searches performed, one per iteration (including the
+        final one that found no path, when the answer is YES).  The
+        greedy sums them as ``bfs_calls``.
 
     Results compare and hash by these four values; treat them as
     read-only.
@@ -348,6 +357,138 @@ def _translate_paths(
     return tuple(tuple(node(i) for i in p) for p in removed)
 
 
+def _meet_paths_vertex(
+    rows: Sequence[Sequence[int]],
+    source: int,
+    target: int,
+    t: int,
+    vmask: FaultMask,
+) -> Iterator[List[int]]:
+    """The paths successive BFS calls of the vertex LBC loop find, at
+    ``t <= 3``, without a BFS.
+
+    Every such path ends in the target's neighbourhood.  ``near`` holds
+    the target's live neighbours: it is built once and, on each resume
+    (the caller has faulted the yielded path's interior by then), loses
+    the path's last interior vertex, the only one that can be in it.
+    Each path is the first hit of these tests, in order:
+
+    * the direct edge (``source in near``; the caller stops there);
+    * the first x of the source row in ``near``: s -> x -> t;
+    * the first live a of the source row whose row meets ``near`` (a
+      C-level set test), then that row's first b in ``near``:
+      s -> a -> b -> t.
+
+    That is the BFS's path, by the queue-order argument of
+    :func:`~repro.graph.traversal._csr_search`: its depth-1 queue is the
+    source row's live nodes in row order.
+    """
+    near = set(rows[target])
+    if source in near:
+        yield [source, target]
+        return
+    srow = rows[source]
+    stamp, gen = vmask.stamp, vmask.gen
+    while near and t >= 2:
+        path = None
+        if not near.isdisjoint(srow):
+            for x in srow:
+                if x in near:
+                    path = [source, x, target]
+                    break
+        elif t == 3:
+            for a in srow:
+                if stamp[a] == gen:
+                    continue
+                row = rows[a]
+                if near.isdisjoint(row):
+                    continue
+                for b in row:
+                    if b in near:
+                        path = [source, a, b, target]
+                        break
+                break  # the row meets near, so a path was found
+        if path is None:
+            return
+        yield path
+        near.discard(path[-2])
+
+
+def _meet_paths_edge(
+    csr: CSRLike,
+    source: int,
+    target: int,
+    t: int,
+    emask: FaultMask,
+) -> Iterator[Tuple[List[int], List[int]]]:
+    """Edge-model twin of :func:`_meet_paths_vertex`: yields each path
+    with its edge ids, in path order.
+
+    ``near`` maps each neighbour of the target whose edge to it is live
+    to that edge's id; each resume drops the yielded path's last hop.
+    Every other edge is tested against the mask, so a faulted first
+    hop makes the search move on exactly as the BFS does.
+    """
+    rows = csr.neighbors
+    eid_rows = csr.edge_id_rows
+    near = dict(zip(rows[target], eid_rows[target]))
+    keys = near.keys()
+    srow = rows[source]
+    serow = eid_rows[source]
+    stamp, gen = emask.stamp, emask.gen
+    while near:
+        found = None
+        e = near.get(source)
+        if e is not None:
+            found = [source, target], [e]
+        elif t >= 2 and not keys.isdisjoint(srow):
+            for x, e in zip(srow, serow):
+                if x in near and stamp[e] != gen:
+                    found = [source, x, target], [e, near[x]]
+                    break
+        if found is None and t >= 3:
+            for a, e in zip(srow, serow):
+                if stamp[e] == gen:
+                    continue
+                row = rows[a]
+                if keys.isdisjoint(row):
+                    continue
+                for b, eb in zip(row, eid_rows[a]):
+                    if b in near and stamp[eb] != gen:
+                        found = [source, a, b, target], [e, eb, near[b]]
+                        break
+                if found is not None:
+                    break
+        if found is None:
+            return
+        yield found
+        del near[found[0][-2]]
+
+
+def _bfs_paths_vertex(
+    csr: CSRLike, source: int, target: int, t: int,
+    ws: BFSWorkspace, vmask: FaultMask,
+) -> Iterator[List[int]]:
+    """The vertex LBC loop's searches at ``t >= 4``: one BFS per resume.
+
+    Terminals were validated once by the caller and are never faulted,
+    so the search core is invoked directly (no per-BFS re-checks).
+    """
+    while _csr_search(csr, source, target, t, ws,
+                      vmask if vmask.members else None, None, False):
+        yield _csr_path(ws, target)
+
+
+def _bfs_paths_edge(
+    csr: CSRLike, source: int, target: int, t: int,
+    ws: BFSWorkspace, emask: FaultMask,
+) -> Iterator[Tuple[List[int], List[int]]]:
+    """Edge-model twin of :func:`_bfs_paths_vertex`."""
+    while _csr_search(csr, source, target, t, ws,
+                      None, emask if emask.members else None, True):
+        yield _csr_path_edges(ws, target)
+
+
 def lbc_vertex_csr(
     csr: CSRLike,
     source: int,
@@ -357,15 +498,18 @@ def lbc_vertex_csr(
     workspace: Optional[BFSWorkspace] = None,
     indexer: Optional[NodeIndexer] = None,
 ) -> LBCResult:
-    """Vertex-cut LBC(t, alpha) on a CSR graph: the zero-allocation twin
-    of :func:`lbc_vertex`.
+    """Vertex-cut LBC(t, alpha) on a CSR graph: the index-level twin of
+    :func:`lbc_vertex`.
 
     ``source`` / ``target`` are node *indices*; the accumulated fault set
     lives in ``workspace.vertex_mask`` (cleared on entry), so no views or
-    frozensets are built during the loop.  When ``indexer`` is given the
-    returned :class:`LBCResult` reports node objects (identical to what
-    :func:`lbc_vertex` on the equivalent dict graph returns); otherwise it
-    reports raw indices.
+    frozensets are built during the loop.  Each iteration's search is a
+    two-hop meet at the target at ``t <= 3``
+    (:func:`_meet_paths_vertex`) and one :func:`_csr_search` at
+    ``t >= 4``; both find the path a BFS finds.  When ``indexer`` is
+    given the returned :class:`LBCResult` reports node objects
+    (identical to what :func:`lbc_vertex` on the equivalent dict graph
+    returns); otherwise it reports raw indices.
     """
     _validate_csr(csr, source, target, t, alpha)
     ws = workspace if workspace is not None else BFSWorkspace(
@@ -378,27 +522,24 @@ def lbc_vertex_csr(
     # list doubles as the iteration-order record for the certificate.
     faults = vmask.members
     removed: List[List[int]] = []
+    paths = (
+        _meet_paths_vertex(csr.neighbors, source, target, t, vmask)
+        if t <= 3
+        else _bfs_paths_vertex(csr, source, target, t, ws, vmask)
+    )
     for iteration in range(1, alpha + 2):
-        # Terminals were validated once above and are never faulted, so
-        # the search core is invoked directly (no per-BFS re-checks).
-        found = _csr_search(
-            csr, source, target, t, ws,
-            vmask if faults else None, None, False,
-        )
-        path = _csr_path(ws, target) if found else None
+        path = next(paths, None)
         if path is None:
             return LBCResult._from_indices(
                 LBCAnswer.YES, faults, None, removed, iteration, indexer
             )
+        removed.append(path)
         if len(path) == 2:
             # Direct edge: un-cuttable by vertex faults, so certainly NO.
-            removed.append(path)
             return LBCResult._from_indices(
                 LBCAnswer.NO, faults, None, removed, iteration, indexer
             )
-        removed.append(path)
-        for i in path[1:-1]:  # interior vertices only (P \ {u, v})
-            vmask.add(i)
+        vmask.add_all(path[1:-1])  # interior vertices only (P \ {u, v})
     return LBCResult._from_indices(
         LBCAnswer.NO, faults, None, removed, alpha + 1, indexer
     )
@@ -416,11 +557,12 @@ def lbc_edge_csr(
     """Edge-cut LBC(t, alpha) on a CSR graph: twin of :func:`lbc_edge`.
 
     Fault edges are stamped into ``workspace.edge_mask`` by dense edge id
-    (the BFS reports the ids of the path it walked, so no endpoint->id
-    lookups happen in the loop).  With an ``indexer`` the certificate cut
-    is reported as canonical node-pair tuples exactly like
-    :func:`lbc_edge`; without one it holds ``(low_index, high_index)``
-    pairs.
+    (each search reports the ids of the path it found, so no
+    endpoint->id lookups happen in the loop).  The searches are
+    :func:`_meet_paths_edge` at ``t <= 3`` and :func:`_csr_search`
+    beyond.  With an ``indexer`` the certificate cut is reported as
+    canonical node-pair tuples exactly like :func:`lbc_edge`; without
+    one it holds ``(low_index, high_index)`` pairs.
     """
     _validate_csr(csr, source, target, t, alpha)
     ws = workspace if workspace is not None else BFSWorkspace(
@@ -432,20 +574,20 @@ def lbc_edge_csr(
     faults = emask.members  # edge ids, in the order they were faulted
     removed: List[List[int]] = []
     ends = (csr.edge_u, csr.edge_v)
+    paths = (
+        _meet_paths_edge(csr, source, target, t, emask)
+        if t <= 3
+        else _bfs_paths_edge(csr, source, target, t, ws, emask)
+    )
     for iteration in range(1, alpha + 2):
-        reached = _csr_search(
-            csr, source, target, t, ws,
-            None, emask if faults else None, True,
-        )
-        found = _csr_path_edges(ws, target) if reached else None
+        found = next(paths, None)
         if found is None:
             return LBCResult._from_indices(
                 LBCAnswer.YES, faults, ends, removed, iteration, indexer
             )
         path, eids = found
         removed.append(path)
-        for e in eids:
-            emask.add(e)
+        emask.add_all(eids)
     return LBCResult._from_indices(
         LBCAnswer.NO, faults, ends, removed, alpha + 1, indexer
     )

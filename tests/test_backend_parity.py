@@ -314,10 +314,12 @@ class TestStretchParity:
 
 class TestIncrementalParity:
     @pytest.mark.parametrize("fault_model", ["vertex", "edge"])
-    def test_insertion_stream_identical(self, fault_model):
-        g = generators.gnp_random_graph(40, 0.15, seed=11)
-        inc_dict = ref.IncrementalSpanner(2, 1, fault_model=fault_model)
-        inc_csr = IncrementalSpanner(2, 1, fault_model=fault_model)
+    @pytest.mark.parametrize("p, f", [(0.15, 1), (0.15, 2), (0.3, 1),
+                                      (0.3, 2)])
+    def test_insertion_stream_identical(self, fault_model, p, f):
+        g = generators.gnp_random_graph(40, p, seed=11)
+        inc_dict = ref.IncrementalSpanner(2, f, fault_model=fault_model)
+        inc_csr = IncrementalSpanner(2, f, fault_model=fault_model)
         for u, v in g.edges():
             assert inc_dict.insert(u, v) == inc_csr.insert(u, v)
         assert (
@@ -325,6 +327,8 @@ class TestIncrementalParity:
         )
         assert inc_dict.certificates == inc_csr.certificates
         assert inc_dict.bfs_calls == inc_csr.bfs_calls
+        # Both answers occur, so both LBC exits are compared.
+        assert 0 < inc_csr.kept < inc_csr.inserted
 
     def test_add_node_before_edges(self):
         inc = IncrementalSpanner(2, 1)

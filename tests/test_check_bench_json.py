@@ -49,3 +49,28 @@ def test_mutated_flow_report_is_reported(tmp_path, mutation, message):
     errors = []
     check_bench_json.check_report(path, errors)
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_inverted_flow_speedup_is_reported(tmp_path):
+    # The recorded ratio is exhaustive / witness; its inverse (0.35 for
+    # 0.0094 / 0.0033 s, a true 2.85x) is a wrong claim, not a match.
+    report = json.loads((REPO / "BENCH_flow.json").read_text())
+    row = next(iter(report["scenarios"].values()))["instances"][0]
+    row.update(seconds_exhaustive=0.0094, seconds_witness=0.0033,
+               speedup=0.35)
+    path = tmp_path / "BENCH_flow.json"
+    path.write_text(json.dumps(report))
+    errors = []
+    check_bench_json.check_report(path, errors)
+    assert len(errors) == 1 and "inconsistent with timings" in errors[0]
+
+
+def test_flow_row_needs_both_timings(tmp_path):
+    report = json.loads((REPO / "BENCH_flow.json").read_text())
+    row = next(iter(report["scenarios"].values()))["instances"][0]
+    row["seconds_baseline"] = row.pop("seconds_exhaustive")
+    path = tmp_path / "BENCH_flow.json"
+    path.write_text(json.dumps(report))
+    errors = []
+    check_bench_json.check_report(path, errors)
+    assert len(errors) == 1 and "seconds_exhaustive" in errors[0]

@@ -9,13 +9,16 @@ The contract under test:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.graph import generators
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRBuilder, CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.index import NodeIndexer
 from repro.graph.traversal import BFSWorkspace
+from repro.lbc import approx
 from repro.lbc.approx import (
     LBCAnswer,
     LBCResult,
@@ -284,6 +287,67 @@ class TestCSRLBCAgainstDict:
                     assert got.paths == want.paths
                     assert hash(got) == hash(want)
 
+    @pytest.mark.parametrize("grown", [False, True],
+                             ids=["csr-graph", "shuffled-builder"])
+    @pytest.mark.parametrize("p", [0.15, 0.3, 0.5])
+    def test_sweep(self, p, grown):
+        # The t <= 3 meet takes the first hit in *row* order; a builder
+        # grown in shuffled edge order has rows that differ from node
+        # order, and the dict graph built in the same order has the
+        # same neighbour order.
+        for seed in range(20):
+            g = generators.gnp_random_graph(18, p, seed=seed)
+            rng = random.Random(seed)
+            if grown:
+                g, csr, indexer = _shuffled_builder(g, rng)
+            else:
+                indexer = NodeIndexer.from_graph(g)
+                csr = CSRGraph.from_graph(g, indexer)
+            index = indexer.index
+            pairs = [(u, v) for u in g.nodes() for v in g.nodes() if u < v]
+            adjacent = [e for e in pairs if g.has_edge(*e)]
+            apart = [e for e in pairs if not g.has_edge(*e)]
+            chosen = (rng.sample(adjacent, min(4, len(adjacent)))
+                      + rng.sample(apart, min(8, len(apart))))
+            ws = BFSWorkspace(csr.num_nodes, csr.num_edges)
+            for u, v in chosen:
+                for t in (1, 2, 3, 5):
+                    for alpha in (0, 1, 2, 4):
+                        for dict_fn, csr_fn in (
+                            (lbc_vertex, lbc_vertex_csr),
+                            (lbc_edge, lbc_edge_csr),
+                        ):
+                            want = dict_fn(g, u, v, t, alpha)
+                            got = csr_fn(csr, index(u), index(v), t, alpha,
+                                         ws, indexer)
+                            assert got.answer is want.answer
+                            assert got.cut == want.cut
+                            assert got.paths == want.paths
+                            assert got.iterations == want.iterations
+
+    @pytest.mark.parametrize("csr_fn", [lbc_vertex_csr, lbc_edge_csr])
+    def test_bfs_only_past_three_hops(self, csr_fn, monkeypatch):
+        # t <= 3 is decided by the two-hop meet, t >= 4 by the BFS.
+        calls = []
+        real = approx._csr_search
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(approx, "_csr_search", counting)
+        g = generators.gnp_random_graph(30, 0.2, seed=5)
+        csr = CSRGraph.from_graph(g)
+        pairs = [(u, v) for u in range(6) for v in range(24, 30)]
+        for t in (1, 2, 3):
+            for alpha in (0, 1, 3):
+                for u, v in pairs:
+                    csr_fn(csr, u, v, t, alpha)
+        assert calls == []
+        for u, v in pairs:
+            csr_fn(csr, u, v, 5, 1)
+        assert calls and set(calls) == {5}
+
     def test_paths_built_on_first_read(self):
         g = generators.layered_path_gadget(layers=2, width=2)
         indexer = NodeIndexer.from_graph(g)
@@ -344,3 +408,18 @@ class TestCSRLBCAgainstDict:
         assert a == b and hash(a) == hash(b)
         assert a != LBCResult(LBCAnswer.NO, frozenset({1}), ((0, 1, 2),), 2)
         assert a != "yes"
+
+
+def _shuffled_builder(g, rng):
+    """``g`` re-grown in a shuffled edge order: a dict graph and a
+    :class:`CSRBuilder` whose rows list neighbours in that order."""
+    edges = sorted(g.edges())
+    rng.shuffle(edges)
+    h = Graph()
+    h.add_nodes(sorted(g.nodes()))
+    indexer = NodeIndexer.from_graph(h)
+    builder = CSRBuilder(len(indexer))
+    for u, v in edges:
+        h.add_edge(u, v)
+        builder.add_edge(indexer.index(u), indexer.index(v))
+    return h, builder, indexer
