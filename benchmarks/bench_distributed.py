@@ -21,6 +21,12 @@ as ``cpus``).  On a single-core runner the parallel path cannot beat
 sequential wall-clock for CPU-bound rounds; the report then records the
 substrate's overhead honestly instead of a speedup.
 
+Each row times ``--repeats`` (default 5) interleaved sequential/parallel
+pairs and reports each mode's median with its interquartile range
+(``*_iqr``: the first and third quartiles), so a row that moves with
+host noise shows its spread instead of one lucky best time.  The
+speedup is the ratio of the two medians.
+
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_distributed.py [--quick]
@@ -36,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -71,18 +78,27 @@ def _fingerprint(result):
 
 
 def _time_pair(run_sequential, run_parallel, repeats):
-    """Best-of-``repeats`` for both modes, alternating seq/par so
+    """``repeats`` timings of both modes, alternating seq/par so
     machine noise lands on both sides evenly."""
-    t_seq = t_par = float("inf")
+    t_seq, t_par = [], []
     r_seq = r_par = None
     for _ in range(repeats):
         start = time.perf_counter()
         r_seq = run_sequential()
-        t_seq = min(t_seq, time.perf_counter() - start)
+        t_seq.append(time.perf_counter() - start)
         start = time.perf_counter()
         r_par = run_parallel()
-        t_par = min(t_par, time.perf_counter() - start)
+        t_par.append(time.perf_counter() - start)
     return t_seq, r_seq, t_par, r_par
+
+
+def _quartiles(times):
+    """(first quartile, median, third quartile), rounded to 0.1 ms."""
+    if len(times) == 1:
+        q = (times[0],) * 3
+    else:
+        q = statistics.quantiles(times, n=4, method="inclusive")
+    return tuple(round(x, 4) for x in q)
 
 
 def bench_ft_instances(instances, repeats):
@@ -104,8 +120,8 @@ def bench_ft_instances(instances, repeats):
 
         t_seq, r_seq, t_par, r_par = _time_pair(seq, par, repeats)
         parity = _fingerprint(r_seq) == _fingerprint(r_par)
-        sec_seq = round(t_seq, 4)
-        sec_par = round(t_par, 4)
+        q1_seq, sec_seq, q3_seq = _quartiles(t_seq)
+        q1_par, sec_par, q3_par = _quartiles(t_par)
         row = {
             "n": n,
             "p": p,
@@ -114,7 +130,9 @@ def bench_ft_instances(instances, repeats):
             "instances": int(r_seq.extra["instances_run"]),
             "rounds": r_seq.rounds,
             "seconds_sequential": sec_seq,
+            "seconds_sequential_iqr": [q1_seq, q3_seq],
             "seconds_parallel": sec_par,
+            "seconds_parallel_iqr": [q1_par, q3_par],
             # From the rounded values on purpose: the committed JSON
             # must be self-consistent for scripts/check_bench_json.py.
             "speedup": round(sec_seq / sec_par, 2)
@@ -125,7 +143,8 @@ def bench_ft_instances(instances, repeats):
         print(
             f"  n={n:5d} m={g.num_edges:6d} "
             f"instances={row['instances']:3d}  "
-            f"seq {t_seq:7.3f}s  par({WORKERS}w) {t_par:7.3f}s  "
+            f"seq {sec_seq:7.3f}s [{q1_seq:.3f}, {q3_seq:.3f}]  "
+            f"par({WORKERS}w) {sec_par:7.3f}s [{q1_par:.3f}, {q3_par:.3f}]  "
             f"speedup {row['speedup']:5.2f}x  "
             f"parity={'ok' if parity else 'FAIL'}"
         )
@@ -145,7 +164,7 @@ def bench_ft_instances(instances, repeats):
     }
 
 
-def run(repeats: int = 3, quick: bool = False):
+def run(repeats: int = 5, quick: bool = False):
     if quick:
         repeats = 1
     ft_rows = FT_QUICK if quick else FT_INSTANCES
@@ -159,7 +178,7 @@ def run(repeats: int = 3, quick: bool = False):
         "quick": quick,
         "seed": RUN_SEED,
         "repeats": repeats,
-        "timing": "best-of-repeats",
+        "timing": "median-of-interleaved-repeats",
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1),
@@ -186,8 +205,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help=f"where to write the JSON report "
                              f"(default: {DEFAULT_OUTPUT})")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per mode (default 3)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="interleaved timing repetitions per mode "
+                             "(default 5)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke run: tiny instances, one repeat "
                              "(parity checks still apply)")

@@ -42,13 +42,17 @@ Checks, per report:
   ``seconds_sequential``, as in ``BENCH_distributed.json``) time
   parallel CONGEST execution on the substrate worker pool against the
   sequential simulator: positive ``workers``, non-negative int
-  ``rounds``, a ``speedup`` consistent with
-  ``seconds_sequential``/``seconds_parallel``, and ``parity_ok``
+  ``rounds``, median timings with their interquartile ranges
+  (``seconds_sequential_iqr``/``seconds_parallel_iqr``, each a
+  ``[q1, q3]`` pair bracketing its median), a ``speedup`` consistent
+  with ``seconds_sequential``/``seconds_parallel``, and ``parity_ok``
   exactly ``true`` (spanner edges, round count, and measured extras
-  bit-identical between the two modes).  The speedup itself is
-  machine-dependent -- it reflects the CPUs the run actually had
-  (recorded top-level as ``cpus``) -- so its *value* is recorded, not
-  asserted; parity is the invariant.
+  bit-identical between the two modes).  Such a report must record a
+  positive int ``cpus`` and at least ``MIN_SPREAD_REPEATS`` interleaved
+  ``repeats``, so each spread has quartiles worth the name.  The
+  speedup itself is machine-dependent -- it reflects the CPUs the run
+  actually had -- so its *value* is recorded, not asserted; parity is
+  the invariant.
 
 Exit status 0 when every report passes, 1 otherwise.
 
@@ -70,6 +74,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TOP_KEYS = ("benchmark", "seed", "repeats", "timing", "python", "scenarios")
 INSTANCE_KEYS = ("n", "m", "speedup", "identical_outputs")
+#: Fewest interleaved repeats behind a reported median and IQR.
+MIN_SPREAD_REPEATS = 5
 
 
 def _fail(errors, path, where, message):
@@ -94,6 +100,7 @@ def check_report(path: Path, errors: list) -> None:
         _fail(errors, path, "top-level", "scenarios must be a non-empty "
                                          "mapping")
         return
+    spreads = False  # whether any row reports a median and IQR
     for name, scenario in scenarios.items():
         where = f"scenario {name!r}"
         for key in ("description", "parameters", "instances"):
@@ -122,6 +129,7 @@ def check_report(path: Path, errors: list) -> None:
                 # parallel substrate execution against the sequential
                 # simulator; machine-dependent speedups, parity-gated.
                 _check_distributed_instance(path, iw, inst, errors)
+                spreads = True
                 continue
             for key in INSTANCE_KEYS:
                 if key not in inst:
@@ -164,6 +172,23 @@ def check_report(path: Path, errors: list) -> None:
                       f"{inst['identical_outputs']!r} -- the recorded "
                       f"speedup was not parity-checked")
             _check_flow_instance(path, iw, inst, errors)
+    if spreads:
+        _check_spread_provenance(path, report, errors)
+
+
+def _check_spread_provenance(path, report, errors) -> None:
+    """A report of medians and IQRs records how many interleaved
+    repeats they summarize and on how many CPUs."""
+    cpus = report.get("cpus")
+    if not (isinstance(cpus, int) and not isinstance(cpus, bool)
+            and cpus > 0):
+        _fail(errors, path, "top-level",
+              f"cpus must be a positive int, got {cpus!r}")
+    repeats = report.get("repeats")
+    if not (isinstance(repeats, int) and repeats >= MIN_SPREAD_REPEATS):
+        _fail(errors, path, "top-level",
+              f"repeats must be an int >= {MIN_SPREAD_REPEATS} for a "
+              f"median and IQR, got {repeats!r}")
 
 
 SERVING_KEYS = (
@@ -271,7 +296,8 @@ def _check_dynamic_instance(path, iw, inst, errors) -> None:
 
 DISTRIBUTED_KEYS = (
     "n", "m", "workers", "rounds", "seconds_sequential",
-    "seconds_parallel", "speedup", "parity_ok",
+    "seconds_sequential_iqr", "seconds_parallel", "seconds_parallel_iqr",
+    "speedup", "parity_ok",
 )
 
 
@@ -280,9 +306,10 @@ def _check_distributed_instance(path, iw, inst, errors) -> None:
 
     A distributed row is first a determinism claim: the substrate run
     produced the bit-identical spanner, round count, and measured
-    extras as the sequential simulator (``parity_ok``).  The speedup is
-    consistency-checked against the recorded timings but its value is
-    machine-dependent (a single-core runner honestly records the
+    extras as the sequential simulator (``parity_ok``).  Each timing is
+    a median whose ``*_iqr`` ``[q1, q3]`` must bracket it.  The speedup
+    is consistency-checked against the recorded medians but its value
+    is machine-dependent (a single-core runner honestly records the
     substrate's overhead as a sub-1x "speedup"), so no floor is
     enforced here.
     """
@@ -306,6 +333,16 @@ def _check_distributed_instance(path, iw, inst, errors) -> None:
               f"timings must be positive numbers, got "
               f"seconds_sequential={t_seq!r}, seconds_parallel={t_par!r}")
         return
+    for mode, median in (("sequential", t_seq), ("parallel", t_par)):
+        key = f"seconds_{mode}_iqr"
+        iqr = inst[key]
+        if not (isinstance(iqr, list) and len(iqr) == 2
+                and all(isinstance(v, (int, float)) and v > 0
+                        for v in iqr)
+                and iqr[0] <= median <= iqr[1]):
+            _fail(errors, path, iw,
+                  f"{key} must be [q1, q3] with 0 < q1 <= "
+                  f"seconds_{mode} ({median!r}) <= q3, got {iqr!r}")
     claimed = inst["speedup"]
     actual = t_seq / t_par
     if abs(claimed - actual) > max(0.011, 0.01 * actual):

@@ -36,8 +36,7 @@ for equality, never dereference them.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.spanner import FaultModel, SpannerResult
 from repro.distributed.runtime import (
@@ -78,10 +77,17 @@ def _phase_schedule(k: int) -> List[Tuple[int, int, str]]:
 
 
 class _BaswanaSenProtocol(NodeProtocol):
-    """Node-local Baswana-Sen logic driven by the global schedule."""
+    """Node-local Baswana-Sen logic driven by the global schedule.
 
-    def __init__(self, k: int) -> None:
+    ``steps`` maps each scheduled round to its step (the schedule of
+    :func:`_phase_schedule`, built once per run and shared read-only by
+    every node); ``last_round`` is its final round.
+    """
+
+    def __init__(self, k: int, steps: Dict[int, str], last_round: int) -> None:
         self.k = k
+        self.steps = steps
+        self.last_round = last_round
         self.token: Optional[str] = None  # own cluster token, None = left
         self.depth = 0
         self.survived = False
@@ -89,9 +95,9 @@ class _BaswanaSenProtocol(NodeProtocol):
         self.pending_bit: Optional[Tuple[str, bool]] = None
         self.neighbor_token: Dict[Node, str] = {}
         self.neighbor_status: Dict[Node, Tuple[str, bool, int]] = {}
-        self.spanner_edges: Set[Tuple[Node, Node]] = set()
-        self.schedule: Dict[int, Tuple[int, str]] = {}
-        self.last_round = 0
+        # An insertion-ordered set: the output lists the edges in the
+        # order this node added them, never in hash order.
+        self.spanner_edges: Dict[Tuple[Node, Node], None] = {}
         self.p = 1.0
         self.own_token = ""
 
@@ -101,43 +107,38 @@ class _BaswanaSenProtocol(NodeProtocol):
         self.own_token = repr(ctx.node)
         self.token = self.own_token
         self.p = ctx.n ** (-1.0 / self.k) if ctx.n > 1 else 1.0
-        for r, i, step in _phase_schedule(self.k):
-            self.schedule[r] = (i, step)
-            self.last_round = max(self.last_round, r)
 
     def receive(self, ctx: NodeContext, messages: List[Message]) -> None:
-        for msg in messages:
-            tag = msg.payload[0]
+        for sender, _, payload in messages:
+            tag = payload[0]
             if tag == "center":
-                self.neighbor_token[msg.sender] = msg.payload[1]
+                self.neighbor_token[sender] = payload[1]
             elif tag == "bit":
-                _, token, bit = msg.payload
+                _, token, bit = payload
                 if self.token == token and not self.flood_seen:
                     self.survived = bool(bit)
                     self.flood_seen = True
                     self.pending_bit = (token, bool(bit))
             elif tag == "status":
-                _, token, bit, depth = msg.payload
-                self.neighbor_status[msg.sender] = (
+                _, token, bit, depth = payload
+                self.neighbor_status[sender] = (
                     token,
                     bool(bit),
                     int(depth),
                 )
 
-        entry = self.schedule.get(ctx.round)
-        if entry is None:
+        step = self.steps.get(ctx.round)
+        if step is None:
             if ctx.round > self.last_round:
                 ctx.halt()
             return
-        _, step = entry
         if step in ("announce", "final-announce"):
             ctx.broadcast(
                 ("center", self.token if self.token is not None else _UNCLUSTERED)
             )
             self.neighbor_status = {}
         elif step.startswith("flood:"):
-            j = int(step.split(":", 1)[1])
-            if j == 0 and self.token == self.own_token:
+            if step == "flood:0" and self.token == self.own_token:
                 # This node centers a live cluster: flip the coin.
                 self.survived = ctx.rng.random() < self.p
                 self.flood_seen = True
@@ -221,20 +222,10 @@ class _BaswanaSenProtocol(NodeProtocol):
         return best
 
     def _add_edge(self, u: Node, v: Node) -> None:
-        self.spanner_edges.add(edge_key(u, v))
+        self.spanner_edges[edge_key(u, v)] = None
 
-    def output(self) -> FrozenSet[Tuple[Node, Node]]:
-        return frozenset(self.spanner_edges)
-
-
-class _BaswanaSenFactory:
-    """Module-level protocol factory: one fresh protocol per node."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-
-    def __call__(self) -> _BaswanaSenProtocol:
-        return _BaswanaSenProtocol(self.k)
+    def output(self) -> Tuple[Tuple[Node, Node], ...]:
+        return tuple(self.spanner_edges)
 
 
 @register_algorithm(
@@ -262,8 +253,13 @@ def congest_baswana_sen(
     network = SyncNetwork(
         g, model="CONGEST", congest_word_limit=congest_word_limit, seed=seed
     )
-    schedule_len = _phase_schedule(k)[-1][0]
-    outputs = network.run(_BaswanaSenFactory(k), max_rounds=schedule_len + 4)
+    steps = {r: step for r, _, step in _phase_schedule(k)}
+    schedule_len = max(steps)
+
+    def protocol() -> _BaswanaSenProtocol:
+        return _BaswanaSenProtocol(k, steps, schedule_len)
+
+    outputs = network.run(protocol, max_rounds=schedule_len + 4)
     spanner = network.collect_spanner(outputs)
     return SpannerResult(
         spanner=spanner,

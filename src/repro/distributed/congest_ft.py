@@ -44,6 +44,24 @@ from repro.registry import register_algorithm
 RngLike = Union[int, random.Random, None]
 
 
+def _induced(g: Graph, participants: Tuple[Node, ...]) -> Graph:
+    """``G[participants]`` with nodes inserted in participants order.
+
+    ``Graph.subgraph`` inserts in ``set`` order, which for string labels
+    depends on ``PYTHONHASHSEED``; the instance's spanner inherits its
+    subgraph's node order, so the order is pinned here.
+    """
+    rank = {v: i for i, v in enumerate(participants)}
+    sub = Graph()
+    sub.add_nodes(participants)
+    for i, u in enumerate(participants):
+        for v, w in g.neighbor_items(u):
+            # Each edge once, from its earlier endpoint.
+            if rank.get(v, -1) > i:
+                sub.add_edge(u, v, weight=w)
+    return sub
+
+
 def _instance_executor(g: Graph, k: int, congest_word_limit: int):
     """Executor factory for instance workers (substrate pool).
 
@@ -61,7 +79,7 @@ def _instance_executor(g: Graph, k: int, congest_word_limit: int):
             raise ValueError(f"unknown instance request kind {kind!r}")
         out = []
         for participants, inst_seed in payload:
-            sub = g.subgraph(list(participants))
+            sub = _induced(g, participants)
             result = congest_baswana_sen(
                 sub, k, seed=inst_seed,
                 congest_word_limit=congest_word_limit,

@@ -127,9 +127,9 @@ class _ShiftFloodProtocol(NodeProtocol):
 
     def receive(self, ctx: NodeContext, messages: List[Message]) -> None:
         improved = set()
-        for msg in messages:
-            i, value, center_repr, center = msg.payload
-            offer = (value, center_repr, center, msg.sender)
+        for sender, _, payload in messages:
+            i, value, center_repr, center = payload
+            offer = (value, center_repr, center, sender)
             if self._better(offer, self.best[i]):
                 self.best[i] = offer
                 improved.add(i)

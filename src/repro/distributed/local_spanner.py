@@ -93,8 +93,7 @@ class _GatherComputeProtocol(NodeProtocol):
         self._push_up(ctx)
 
     def receive(self, ctx: NodeContext, messages: List[Message]) -> None:
-        for msg in messages:
-            tag, i, payload = msg.payload
+        for _, _, (tag, i, payload) in messages:
             if tag == "up":
                 self.known[i] |= set(payload)
             elif tag == "down":

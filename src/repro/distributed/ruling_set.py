@@ -118,10 +118,10 @@ class _RulingSetProtocol(NodeProtocol):
         # Announcements reflect ruler status after step t-1 (init is
         # step 0): exactly what merge step t needs.
         if self.ruler and (self.my_id >> (t - 1)) & 1:
-            for msg in messages:
-                if msg.payload[0] != "r":
+            for _, _, payload in messages:
+                if payload[0] != "r":
                     continue
-                other = msg.payload[1]
+                other = payload[1]
                 if other >> t == self.my_id >> t and not (
                     (other >> (t - 1)) & 1
                 ):
@@ -138,12 +138,12 @@ class _RulingSetProtocol(NodeProtocol):
 
     def _flood_step(self, ctx: NodeContext, messages: List[Message]) -> None:
         improved = False
-        for msg in messages:
-            if msg.payload[0] != "c":
+        for sender, _, payload in messages:
+            if payload[0] != "c":
                 continue
-            _, dist, rid = msg.payload
+            _, dist, rid = payload
             if self.best is None or (dist, rid) < self.best[:2]:
-                self.best = (dist, rid, msg.sender)
+                self.best = (dist, rid, sender)
                 improved = True
         if improved and self.best[0] + 1 <= self.beta:
             ctx.broadcast(("c", self.best[0] + 1, self.best[1]))

@@ -23,12 +23,16 @@ This engine runs protocols honestly under either model:
 * Each message is measured exactly once, when it is sent: ``send``
   measures its payload, and ``broadcast`` measures its one payload
   once for all neighbors (every copy is the same object, so every copy
-  has the same size).  The context keeps that word count next to the
-  queued message.
+  has the same size).  Either call queues one outbox entry,
+  ``(receivers, payload, words)``.
+* At the round boundary the engine walks the senders in ``repr`` order
+  and builds one :class:`Message` per receiver of each entry, so an
+  inbox holds its senders in ``repr`` order and each sender's messages
+  in call order.
 * The engine reports :class:`RunStats`: rounds used, message count,
   total words, and the maximum single-message size.  The stats read
-  the counts stored at send time; nothing is measured again at
-  delivery.
+  the counts stored at send time, folded in once per round; nothing
+  is measured again at delivery.
 
 Determinism: each node's ``random.Random`` is seeded from a **stable
 hash of (engine seed, node ID)** (:func:`node_seed`), not from the
@@ -45,7 +49,7 @@ import hashlib
 import inspect
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.graph.graph import Graph, Node
 
@@ -54,13 +58,13 @@ class CongestViolation(RuntimeError):
     """A protocol sent a message larger than the CONGEST budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A message in flight: ``sender -> receiver`` with a payload.
+class Message(NamedTuple):
+    """A delivered message: ``sender -> receiver`` with a payload.
 
     Payloads must be built from ints, floats, strings, booleans, None,
     tuples and frozensets thereof -- things whose "word count" is
-    well-defined by :func:`message_words`.
+    well-defined by :func:`message_words`.  A message is an immutable
+    tuple, so protocols may unpack it: ``sender, _, payload = msg``.
     """
 
     sender: Node
@@ -182,7 +186,6 @@ class NodeContext:
         "rng",
         "round",
         "_outbox",
-        "_words",
         "_halted",
         "_checker",
     )
@@ -202,9 +205,9 @@ class NodeContext:
         self.edge_weights = edge_weights
         self.rng = rng
         self.round = 0
-        self._outbox: List[Message] = []
-        # _words[i] is the word count of _outbox[i], measured at send.
-        self._words: List[int] = []
+        # One (receivers, payload, words) entry per send/broadcast call;
+        # words is the payload's size, measured at the call.
+        self._outbox: List[Tuple[Tuple[Node, ...], Any, int]] = []
         self._halted = False
         self._checker = checker
 
@@ -215,19 +218,14 @@ class NodeContext:
                 f"node {self.node!r} has no edge to {neighbor!r}"
             )
         words = self._checker.measure(payload)
-        self._outbox.append(Message(self.node, neighbor, payload))
-        self._words.append(words)
+        self._outbox.append(((neighbor,), payload, words))
 
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every neighbor (measured once for all)."""
         if not self.neighbors:
             return
         words = self._checker.measure(payload)
-        node = self.node
-        self._outbox.extend(
-            [Message(node, v, payload) for v in self.neighbors]
-        )
-        self._words.extend([words] * len(self.neighbors))
+        self._outbox.append((self.neighbors, payload, words))
 
     def halt(self) -> None:
         """Declare this node finished (it still receives messages)."""
@@ -236,14 +234,6 @@ class NodeContext:
     @property
     def halted(self) -> bool:
         return self._halted
-
-    def _take_outbox(self) -> Tuple[List[Message], List[int]]:
-        """Hand the queued messages and their word counts to the engine."""
-        sent = (self._outbox, self._words)
-        if self._outbox:
-            self._outbox = []
-            self._words = []
-        return sent
 
 
 @dataclass
@@ -255,13 +245,13 @@ class RunStats:
     total_words: int = 0
     max_message_words: int = 0
 
-    def record_many(self, words: Sequence[int]) -> None:
-        """Count messages whose word counts are already known."""
-        if not words:
-            return
-        self.messages += len(words)
-        self.total_words += sum(words)
-        self.max_message_words = max(self.max_message_words, max(words))
+    def record_round(self, messages: int, words: int, largest: int) -> None:
+        """Fold one round's deliveries in: ``messages`` messages of
+        ``words`` words in total, the largest ``largest`` words."""
+        self.messages += messages
+        self.total_words += words
+        if largest > self.max_message_words:
+            self.max_message_words = largest
 
     def merge(self, other: "RunStats") -> None:
         """Fold another run's message counts into this one (sums and
@@ -353,8 +343,6 @@ class SyncNetwork:
         self.congest_word_limit = congest_word_limit
         self.seed = seed
         self.stats = RunStats()
-        self._contexts: Dict[Node, NodeContext] = {}
-        self._protocols: Dict[Node, NodeProtocol] = {}
 
     def run(
         self,
@@ -377,8 +365,7 @@ class SyncNetwork:
         nodes = sorted(g.nodes(), key=repr)
         with_node = _accepts_node(protocol_factory)
         checker = _SizeChecker(self.model, self.congest_word_limit)
-        self._contexts = {}
-        self._protocols = {}
+        pairs: List[Tuple[NodeContext, NodeProtocol]] = []
         for v in nodes:
             ctx = NodeContext(
                 node=v,
@@ -388,53 +375,67 @@ class SyncNetwork:
                 rng=random.Random(node_seed(engine_seed, v)),
                 checker=checker,
             )
-            self._contexts[v] = ctx
-            self._protocols[v] = (
-                protocol_factory(v) if with_node else protocol_factory()
+            pairs.append(
+                (ctx, protocol_factory(v) if with_node else protocol_factory())
             )
+        contexts = [ctx for ctx, _ in pairs]
 
-        for v in nodes:
-            self._protocols[v].init(self._contexts[v])
+        for ctx, protocol in pairs:
+            protocol.init(ctx)
 
-        self.stats = RunStats()
+        stats = self.stats = RunStats()
+        new_message = tuple.__new__
         for round_no in range(1, max_rounds + 1):
+            # Deliver: senders in repr order, each sender's entries in
+            # call order, one Message per receiver of an entry.
             inboxes: Dict[Node, List[Message]] = {v: [] for v in nodes}
-            any_message = False
-            for v in nodes:
-                outbox, words = self._contexts[v]._take_outbox()
+            count = total = largest = 0
+            for ctx in contexts:
+                outbox = ctx._outbox
                 if not outbox:
                     continue
-                self.stats.record_many(words)
-                any_message = True
-                for msg in outbox:
-                    inboxes[msg.receiver].append(msg)
-            if not any_message and all(
-                self._contexts[v]._halted for v in nodes
-            ):
+                ctx._outbox = []
+                sender = ctx.node
+                for receivers, payload, words in outbox:
+                    fanout = len(receivers)
+                    count += fanout
+                    total += words * fanout
+                    if words > largest:
+                        largest = words
+                    for receiver in receivers:
+                        inboxes[receiver].append(
+                            new_message(Message, (sender, receiver, payload))
+                        )
+            if count:
+                stats.record_round(count, total, largest)
+            elif all(ctx._halted for ctx in contexts):
                 break
-            self.stats.rounds = round_no
-            for v in nodes:
-                ctx = self._contexts[v]
+            stats.rounds = round_no
+            for ctx, protocol in pairs:
                 ctx.round = round_no
                 # Halted nodes still receive (a neighbor may not know they
                 # halted), but their receive hook is not invoked.
                 if not ctx._halted:
-                    self._protocols[v].receive(ctx, inboxes[v])
-            if all(self._contexts[v]._halted for v in nodes) and not any(
-                self._contexts[v]._outbox for v in nodes
+                    protocol.receive(ctx, inboxes[ctx.node])
+            if all(ctx._halted for ctx in contexts) and not any(
+                ctx._outbox for ctx in contexts
             ):
                 break
         else:
             raise RuntimeError(
                 f"protocol did not terminate within {max_rounds} rounds"
             )
-        return {v: self._protocols[v].output() for v in nodes}
+        return {ctx.node: protocol.output() for ctx, protocol in pairs}
 
     def collect_spanner(self, outputs: Dict[Node, Any]) -> Graph:
         """Union per-node edge outputs into a spanning subgraph.
 
         Convention: each node outputs an iterable of (u, v) edges it knows
         belong to the spanner (both endpoints may report the same edge).
+        Edges are inserted node by node in ``outputs`` order (``run``
+        returns it in ``repr`` order) and in each output's own order, so
+        an ordered output, not a ``set``, makes H's edge order
+        independent of ``PYTHONHASHSEED``.
         """
         h = self.graph.spanning_skeleton()
         for edges in outputs.values():

@@ -74,3 +74,28 @@ def test_flow_row_needs_both_timings(tmp_path):
     errors = []
     check_bench_json.check_report(path, errors)
     assert len(errors) == 1 and "seconds_exhaustive" in errors[0]
+
+
+def _distributed_errors(tmp_path, mutate):
+    report = json.loads((REPO / "BENCH_distributed.json").read_text())
+    mutate(report, report["scenarios"]["instances_congest_ft"]["instances"][0])
+    path = tmp_path / "BENCH_distributed.json"
+    path.write_text(json.dumps(report))
+    errors = []
+    check_bench_json.check_report(path, errors)
+    return errors
+
+
+@pytest.mark.parametrize("mutation, message", [
+    # A quartile on the wrong side of its median.
+    (lambda rep, row: row.update(seconds_sequential_iqr=[
+        row["seconds_sequential"] * 1.1, row["seconds_sequential"] * 1.2,
+    ]), "seconds_sequential_iqr must be [q1, q3]"),
+    (lambda rep, row: row.pop("seconds_parallel_iqr"),
+     "missing key 'seconds_parallel_iqr'"),
+    (lambda rep, row: rep.pop("cpus"), "cpus must be a positive int"),
+    (lambda rep, row: rep.update(repeats=3), "repeats must be an int >= 5"),
+])
+def test_distributed_spread_fields_are_checked(tmp_path, mutation, message):
+    errors = _distributed_errors(tmp_path, mutation)
+    assert len(errors) == 1 and message in errors[0]

@@ -129,8 +129,8 @@ class TestRuntimeStats:
 
     def test_runstats_record(self):
         stats = RunStats()
-        stats.record_many([message_words((1, 2, 3))])
-        stats.record_many([message_words("x")])
+        stats.record_round(1, message_words((1, 2, 3)), 3)
+        stats.record_round(1, message_words("x"), 1)
         assert stats.messages == 2
         assert stats.total_words == 4
         assert stats.max_message_words == 3

@@ -270,19 +270,18 @@ class TestEngine:
 
 
 class TestRunStats:
-    def test_record_many_counts_each_message(self):
+    def test_record_round_folds_counts(self):
         st = RunStats()
-        st.record_many([3, 1, 7])
-        st.record_many([])
-        st.record_many([message_words(("a", "b"))])
+        st.record_round(3, 11, 7)
+        st.record_round(1, message_words(("a", "b")), 2)
         assert (st.messages, st.total_words, st.max_message_words) == (
             4, 11 + message_words(("a", "b")), 7
         )
 
     def test_merge_is_order_independent(self):
         parts = [RunStats(), RunStats(), RunStats()]
-        parts[0].record_many([2, 5])
-        parts[1].record_many([9])
+        parts[0].record_round(2, 7, 5)
+        parts[1].record_round(1, 9, 9)
         # parts[2] stays empty: merging it changes nothing.
         folds = []
         for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
@@ -321,6 +320,117 @@ class TestBudgetEnforcement:
         assert net.stats.messages == degree
         assert net.stats.total_words == 100 * degree
         assert net.stats.max_message_words == 100
+
+
+class _Mixed(NodeProtocol):
+    """Every node mixes ``send`` and ``broadcast`` in one round,
+    sending twice in a row to its last neighbor; each node outputs its
+    round-1 inbox as ``(sender, receiver, payload)`` triples."""
+
+    def __init__(self):
+        self.inbox = None
+
+    def init(self, ctx):
+        last = ctx.neighbors[-1]
+        ctx.send(last, (ctx.node, 0))
+        ctx.broadcast((ctx.node, 1))
+        ctx.send(last, (ctx.node, 2))
+        ctx.send(last, (ctx.node, 3))
+
+    def receive(self, ctx, messages):
+        assert all(type(m) is Message for m in messages)
+        self.inbox = [tuple(m) for m in messages]
+        ctx.halt()
+
+    def output(self):
+        return self.inbox
+
+
+class TestDelivery:
+    """Each send/broadcast call queues one entry; the engine builds
+    the messages at the round boundary."""
+
+    # Insertion, numeric and repr order all differ: repr order is
+    # "10" < "100" < "2" < "9".
+    EDGES = [(9, 10, 1.0), (10, 100, 1.0), (100, 9, 1.0), (2, 10, 1.0)]
+
+    def test_inbox_order_is_sender_repr_then_call_order(self):
+        g = Graph(self.EDGES)
+        net = SyncNetwork(g, model="CONGEST", seed=1)
+        out = net.run(_Mixed)
+
+        def calls(s):
+            """Sender ``s``'s sends, in call order: (receiver, payload)."""
+            nbrs = sorted(g.neighbors(s), key=repr)
+            last = nbrs[-1]
+            return (
+                [(last, (s, 0))]
+                + [(v, (s, 1)) for v in nbrs]
+                + [(last, (s, 2)), (last, (s, 3))]
+            )
+
+        for v in g.nodes():
+            expected = [
+                (s, v, payload)
+                for s in sorted(g.neighbors(v), key=repr)
+                for r, payload in calls(s)
+                if r == v
+            ]
+            assert out[v] == expected
+        # Spelled out: node 9 is the last neighbor of both 10 and 100,
+        # so it gets all four messages of each, 10's first; node 10 is
+        # only node 2's last neighbor.
+        assert [p for _, _, p in out[9]] == [
+            (10, 0), (10, 1), (10, 2), (10, 3),
+            (100, 0), (100, 1), (100, 2), (100, 3),
+        ]
+        assert [p for _, _, p in out[10]] == [
+            (100, 1), (2, 0), (2, 1), (2, 2), (2, 3), (9, 1),
+        ]
+        sent = sum(len(calls(s)) for s in g.nodes())
+        assert (net.stats.messages, net.stats.total_words) == (
+            sent, 2 * sent
+        )
+        assert (net.stats.rounds, net.stats.max_message_words) == (1, 2)
+
+    def test_message_fields_are_named_and_frozen(self):
+        msg = Message("a", "b", ("x", 1))
+        assert Message._fields == ("sender", "receiver", "payload")
+        assert (msg.sender, msg.receiver, msg.payload) == ("a", "b", ("x", 1))
+        sender, _, payload = msg
+        assert (sender, payload) == ("a", ("x", 1))
+        for field in Message._fields:
+            with pytest.raises(AttributeError):
+                setattr(msg, field, "z")
+        assert msg == Message("a", "b", ("x", 1))
+
+    @pytest.mark.parametrize("how", ["send", "broadcast"])
+    def test_violation_raises_at_the_call(self, how):
+        # The protocol catches the violation inside init: it can only
+        # do so if the call itself raised.  The oversize payload queues
+        # nothing; the legal one sent next is delivered and counted.
+        caught = []
+
+        class Catch(NodeProtocol):
+            def init(self, ctx):
+                if ctx.node != 0:
+                    return
+                try:
+                    if how == "send":
+                        ctx.send(ctx.neighbors[0], tuple(range(100)))
+                    else:
+                        ctx.broadcast(tuple(range(100)))
+                except CongestViolation:
+                    caught.append(ctx.round)
+                ctx.send(ctx.neighbors[0], ("ok",))
+
+            def receive(self, ctx, messages):
+                ctx.halt()
+
+        net = SyncNetwork(Graph(TestBudgetEnforcement.STAR), model="CONGEST")
+        net.run(Catch)
+        assert caught == [0]
+        assert (net.stats.messages, net.stats.max_message_words) == (1, 1)
 
 
 class TestStableSeeding:
