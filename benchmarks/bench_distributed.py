@@ -25,7 +25,10 @@ Each row times ``--repeats`` (default 5) interleaved sequential/parallel
 pairs and reports each mode's median with its interquartile range
 (``*_iqr``: the first and third quartiles), so a row that moves with
 host noise shows its spread instead of one lucky best time.  The
-speedup is the ratio of the two medians.
+speedup is the ratio of the two medians; a row whose speedup range
+``[seq_q1 / par_q3, seq_q3 / par_q1]`` contains 1.0 is labelled
+``"within_noise": true``, since its spread cannot tell a speedup from a
+slowdown.
 
 Run from the repository root::
 
@@ -139,6 +142,8 @@ def bench_ft_instances(instances, repeats):
             if sec_par > 0 else float("inf"),
             "parity_ok": parity,
         }
+        if q1_seq / q3_par <= 1.0 <= q3_seq / q1_par:
+            row["within_noise"] = True
         rows.append(row)
         print(
             f"  n={n:5d} m={g.num_edges:6d} "

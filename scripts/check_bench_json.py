@@ -52,7 +52,10 @@ Checks, per report:
   ``repeats``, so each spread has quartiles worth the name.  The
   speedup itself is machine-dependent -- it reflects the CPUs the run
   actually had -- so its *value* is recorded, not asserted; parity is
-  the invariant.
+  the invariant.  What is asserted is that a row says when its speedup
+  is noise: when the range ``[seq_q1 / par_q3, seq_q3 / par_q1]``
+  contains 1.0 the row must carry ``"within_noise": true``, and only
+  then.
 
 Exit status 0 when every report passes, 1 otherwise.
 
@@ -333,6 +336,7 @@ def _check_distributed_instance(path, iw, inst, errors) -> None:
               f"timings must be positive numbers, got "
               f"seconds_sequential={t_seq!r}, seconds_parallel={t_par!r}")
         return
+    spreads_ok = True
     for mode, median in (("sequential", t_seq), ("parallel", t_par)):
         key = f"seconds_{mode}_iqr"
         iqr = inst[key]
@@ -343,6 +347,9 @@ def _check_distributed_instance(path, iw, inst, errors) -> None:
             _fail(errors, path, iw,
                   f"{key} must be [q1, q3] with 0 < q1 <= "
                   f"seconds_{mode} ({median!r}) <= q3, got {iqr!r}")
+            spreads_ok = False
+    if spreads_ok:
+        _check_noise_label(path, iw, inst, errors)
     claimed = inst["speedup"]
     actual = t_seq / t_par
     if abs(claimed - actual) > max(0.011, 0.01 * actual):
@@ -354,6 +361,28 @@ def _check_distributed_instance(path, iw, inst, errors) -> None:
               f"parity_ok must be true, got {inst['parity_ok']!r} -- "
               f"the parallel run diverged from the sequential "
               f"simulator")
+
+
+def _check_noise_label(path, iw, inst, errors) -> None:
+    """A distributed row whose speedup range contains 1.0 is labelled
+    ``"within_noise": true``; a row whose range does not is not."""
+    seq_q1, seq_q3 = inst["seconds_sequential_iqr"]
+    par_q1, par_q3 = inst["seconds_parallel_iqr"]
+    low, high = seq_q1 / par_q3, seq_q3 / par_q1
+    crosses = low <= 1.0 <= high
+    label = inst.get("within_noise")
+    where = f"speedup range [{low:.2f}, {high:.2f}]"
+    if label is not None and label is not True:
+        _fail(errors, path, iw,
+              f"within_noise must be true or absent, got {label!r}")
+    elif crosses and label is None:
+        _fail(errors, path, iw,
+              f"{where} contains 1.0 but the row is not labelled "
+              f"within_noise: true")
+    elif label and not crosses:
+        _fail(errors, path, iw,
+              f"{where} does not contain 1.0 but the row is labelled "
+              f"within_noise")
 
 
 def _check_flow_instance(path, iw, inst, errors) -> None:

@@ -517,8 +517,14 @@ def _verify_witness(
        the bound does the full max flow run, and then any f+1 of its
        paths within the bound certify -- so every pair the full flow
        alone would certify is still certified.  The labels d_u, d_v
-       stop at t times the largest checked weight: no test reads a
-       distance beyond it, so the ellipse is unchanged.
+       stop at B - w_min, B the largest pair bound and w_min the
+       weight of H's lightest edge: an ellipse edge has
+       d_u(x) + d_v(y) <= B - w(x, y), and a tail x other than u has
+       d_u(x) >= w_min, so no label the ellipse reads lies past the
+       cut.  u always joins the vertex ellipse, whose test reads
+       d_v(u).  The vertex ellipse is collected from the shorter of
+       the two labels' settled lists, and a pair with no ellipse edge
+       (d_u(v) > t*w) skips the flow.
     3. *Fallback* -- length-bounded Menger is not exact, so a missing
        witness is not a violation: the pair is decided by the exact
        per-pair fault sweep (exhaustive within ``exhaustive_budget``,
@@ -538,26 +544,34 @@ def _verify_witness(
         rows = rng.sample(rows, witness_pairs)
         full_coverage = False
     csr_h = snap.csr_h
-    indexer = snap.indexer
     network = DisjointPathNetwork(csr_h, fault_model)
     flow_ws = FlowWorkspace(network.net.num_nodes)
     need = f + 1
     # Labels cached for the whole run (every endpoint serves as a label
-    # source for each of its G-edges), as lists indexed by node.  No
-    # test below reads a distance beyond the longest pair bound, so the
-    # searches stop there; nodes past it read as INFINITY.
+    # source for each of its G-edges): a list indexed by node, and the
+    # nodes the search settled.  The ellipse tests below read d_u(x) and
+    # d_v(y) only where d_u(x) + w(x, y) + d_v(y) <= t * w, so no value
+    # they read lies past the longest pair bound minus w_min, H's
+    # lightest edge; the searches stop there and nodes past the cut read
+    # as INFINITY.  The one exception, d_v(u) in the vertex test, is
+    # handled where it is read.  Float sums associate differently from
+    # the test's, hence the same 1e-9 relative slack as there.
     n_h = csr_h.num_nodes
     engine = sssp_engine(snap.snap_h.profile)
     max_weight = snap.snap_h.max_weight
-    reach = t * max((row[4] for row in rows), default=0.0)
+    longest = t * max((row[4] for row in rows), default=0.0)
+    reach = longest - min(csr_h.weights, default=0.0)
+    if snap.snap_h.profile == "float":
+        reach += longest * 1e-9
+    reach = max(reach, 0.0)
     dist_ws: Union[BFSWorkspace, DijkstraWorkspace] = (
         BFSWorkspace(n_h) if engine == "bfs" else DijkstraWorkspace(n_h)
     )
     dist_cache: dict = {}
 
-    def distances(i: int) -> List[float]:
-        d = dist_cache.get(i)
-        if d is None:
+    def labels(i: int) -> Tuple[List[float], List[int]]:
+        entry = dist_cache.get(i)
+        if entry is None:
             if engine == "bfs":
                 reached = csr_bfs_distances(
                     csr_h, i, max_hops=math.floor(reach), workspace=dist_ws
@@ -570,8 +584,13 @@ def _verify_witness(
             d = [INFINITY] * n_h
             for x, dx in reached.items():
                 d[x] = dx
-            dist_cache[i] = d
-        return d
+            entry = dist_cache[i] = (d, list(reached))
+        return entry
+
+    h_nbrs, h_eids, h_w = (
+        csr_h.neighbors, csr_h.edge_id_rows, csr_h.weights.tolist()
+    )
+    edge_id = csr_h.edge_id
 
     def short_paths(paths: List[List[int]], bound: float) -> int:
         """How many of ``paths`` are within ``bound`` (counted up to f+1)."""
@@ -579,16 +598,13 @@ def _verify_witness(
         for path in paths:
             length = 0.0
             for a, b in zip(path, path[1:]):
-                length += h.weight(indexer.node(a), indexer.node(b))
+                length += h_w[edge_id(a, b)]
             if length <= bound:
                 short += 1
                 if short >= need:
                     break
         return short
 
-    h_nbrs, h_eids, h_w = (
-        csr_h.neighbors, csr_h.edge_id_rows, csr_h.weights.tolist()
-    )
     samples_eff = 300 if samples is None else samples
     checked = 0
     witnessed = 0
@@ -599,27 +615,31 @@ def _verify_witness(
         if h.has_edge(u, v) and h.weight(u, v) <= bound:
             witnessed += 1
             continue
-        du = distances(iu)
-        dv = distances(iv)
+        du, settled_u = labels(iu)
+        dv, settled_v = labels(iv)
+        # Each edge is tested in the orientation leaving x, from the rows
+        # of the vertex ellipse: an edge passing either orientation has
+        # both endpoints there, so both labels are finite on it and the
+        # shorter settled list holds it -- all but u, whose d_v(u) may
+        # lie past the cut.  The vertex test is only a prefilter; its
+        # 1e-9 slack keeps float rounding (the sums associate
+        # differently) from dropping an endpoint.
+        vertex_bound = bound + bound * 1e-9
+        ellipse = [
+            x for x in (
+                settled_u if len(settled_u) <= len(settled_v) else settled_v
+            )
+            if du[x] + dv[x] <= vertex_bound
+        ]
+        if dv[iu] > vertex_bound:
+            ellipse.append(iu)
+        allowed = [
+            eid for x in ellipse for y, eid in zip(h_nbrs[x], h_eids[x])
+            if du[x] + h_w[eid] + dv[y] <= bound
+        ]
         certified = False
-        if du[iv] <= bound:
-            # Each edge is tested in the orientation leaving x, from the
-            # rows of the vertex ellipse: an edge passing either
-            # orientation has both endpoints there.  The vertex test is
-            # only a prefilter; its 1e-9 slack keeps float rounding (the
-            # sums associate differently) from dropping an endpoint.
-            vertex_bound = bound + bound * 1e-9
-            ellipse = [
-                x for x, dux, dvx in zip(range(n_h), du, dv)
-                if dux + dvx <= vertex_bound
-            ]
-            allowed = []
-            for x in ellipse:
-                dux = du[x]
-                allowed += [
-                    eid for y, eid in zip(h_nbrs[x], h_eids[x])
-                    if dux + h_w[eid] + dv[y] <= bound
-                ]
+        # No ellipse edge means d_u(v) > t*w: no flow can certify.
+        if allowed:
             # f+1 units of flow are the whole certificate.  Only when
             # one of them decomposes into a path over the bound does
             # the full max flow run, to look for f+1 short ones among

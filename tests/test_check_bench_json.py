@@ -99,3 +99,49 @@ def _distributed_errors(tmp_path, mutate):
 def test_distributed_spread_fields_are_checked(tmp_path, mutation, message):
     errors = _distributed_errors(tmp_path, mutation)
     assert len(errors) == 1 and message in errors[0]
+
+
+def _respread(seq, par, label):
+    """A mutation giving the row the quartiles ``seq``/``par`` around
+    their midpoints, and ``within_noise: label`` unless ``label`` is
+    None."""
+    def mutate(report, row):
+        row.update(
+            seconds_sequential=sum(seq) / 2,
+            seconds_sequential_iqr=list(seq),
+            seconds_parallel=sum(par) / 2, seconds_parallel_iqr=list(par),
+            speedup=round(sum(seq) / sum(par), 2),
+        )
+        row.pop("within_noise", None)
+        if label is not None:
+            row["within_noise"] = label
+    return mutate
+
+
+@pytest.mark.parametrize("seq, par, label, message", [
+    # Range [0.75, 1.02] contains 1.0: the row must say it is noise.
+    ((0.283, 0.3518), (0.3438, 0.38), None,
+     "contains 1.0 but the row is not labelled"),
+    # Range [1.26, 1.68] is a speedup: a noise label is false.
+    ((0.6687, 0.8954), (0.438, 0.5318), True,
+     "does not contain 1.0 but the row is labelled"),
+    # Range [0.6, 0.8] is a slowdown: a noise label is false too.
+    ((0.3, 0.32), (0.4, 0.5), True,
+     "does not contain 1.0 but the row is labelled"),
+    ((0.283, 0.3518), (0.3438, 0.38), "yes",
+     "within_noise must be true or absent"),
+])
+def test_distributed_noise_label_is_checked(
+    tmp_path, seq, par, label, message
+):
+    errors = _distributed_errors(tmp_path, _respread(seq, par, label))
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("seq, par, label", [
+    ((0.283, 0.3518), (0.3438, 0.38), True),  # the committed n = 400 row
+    ((0.6687, 0.8954), (0.438, 0.5318), None),
+    ((0.3, 0.32), (0.4, 0.5), None),  # a clear slowdown is no noise
+])
+def test_distributed_noise_label_accepted(tmp_path, seq, par, label):
+    assert _distributed_errors(tmp_path, _respread(seq, par, label)) == []

@@ -1,10 +1,12 @@
-"""Seeded CONGEST builds do not depend on ``PYTHONHASHSEED``.
+"""Seeded builds and witness reports do not depend on ``PYTHONHASHSEED``.
 
 String and tuple labels hash differently in every interpreter run, so
 any output that follows ``set`` or ``frozenset`` iteration order moves
 between runs.  Each hash seed gets its own subprocess; the spanner's
 edge *list* (the insertion order that becomes the CSR row order), the
-round count and the measured extras must be identical across them.
+round count and the measured extras must be identical across them, for
+the CONGEST builds, the greedy, classic, incremental and Baswana-Sen
+builds, and the witness-mode report on the greedy spanner.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 from repro import build_spanner
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.verification import verify_ft_spanner
 
 base = generators.gnp_random_graph(60, 0.15, seed=1)
 labels = {
@@ -38,17 +41,32 @@ for kind, label in labels.items():
     for u, v, w in base.weighted_edges():
         g.add_edge(label(u), label(v), weight=w)
     for algorithm, params in (
-        ("congest", {"k": 2, "f": 2}),
-        ("congest-bs", {"k": 2}),
+        ("congest", {"k": 2, "f": 2, "seed": 5}),
+        ("congest-bs", {"k": 2, "seed": 5}),
+        ("greedy", {"k": 2, "f": 2}),
+        ("classic", {"k": 2}),
+        ("incremental", {"k": 2}),
+        ("baswana-sen", {"k": 2, "seed": 5}),
     ):
-        r = build_spanner(g, algorithm, seed=5, **params)
+        r = build_spanner(g, algorithm, **params)
         out[f"{kind}/{algorithm}"] = [
             repr(list(r.spanner.edges())),
             r.rounds,
             sorted(r.extra.items()),
         ]
+        if algorithm == "greedy":
+            report = verify_ft_spanner(g, r.spanner, t=3, f=2, mode="witness")
+            out[f"{kind}/witness"] = [
+                report.ok, report.exhaustive, report.pairs_checked,
+                report.pairs_witnessed, report.fault_sets_checked,
+            ]
 print(json.dumps(out))
 """
+
+BUILDS = (
+    "congest", "congest-bs", "greedy", "classic", "incremental",
+    "baswana-sen",
+)
 
 
 def _run_under(hash_seed: str) -> dict:
@@ -67,12 +85,17 @@ def runs():
 
 
 @pytest.mark.parametrize("label", ["str", "tuple"])
-@pytest.mark.parametrize("algorithm", ["congest", "congest-bs"])
-def test_outputs_equal_across_hash_seeds(runs, label, algorithm):
-    key = f"{label}/{algorithm}"
+@pytest.mark.parametrize("output", BUILDS + ("witness",))
+def test_outputs_equal_across_hash_seeds(runs, label, output):
+    key = f"{label}/{output}"
     first = runs[HASH_SEEDS[0]][key]
-    edges, rounds, _ = first
-    assert edges != "[]" and rounds > 0
+    if output == "witness":
+        ok, _, checked, witnessed, _ = first
+        assert ok and 0 < witnessed <= checked
+    else:
+        edges, rounds, _ = first
+        assert edges != "[]"
+        assert rounds > 0 if output.startswith("congest") else rounds is None
     for seed in HASH_SEEDS[1:]:
         assert runs[seed][key] == first, (
             f"{key}: PYTHONHASHSEED={seed} differs from "

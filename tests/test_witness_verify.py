@@ -38,6 +38,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, edge_key
 from repro.graph.traversal import dijkstra
 from repro.verification import disjoint_paths, verify_ft_spanner
+from repro.verification import spanner_check
 from tests import reference as ref
 
 INF = float("inf")
@@ -216,13 +217,14 @@ class TestEllipseFlows:
     guards the witness mode's bounded labels), and against the flow on
     all of H with every other edge banned and the same ``limit``."""
 
+    @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("profile", ["unit", "int", "float"])
     @pytest.mark.parametrize("model", MODELS)
     def test_paths_match_the_ban_formulation(
-        self, monkeypatch, model, profile
+        self, monkeypatch, model, profile, seed
     ):
         t, f = 3, 2
-        g = pinned_instance(0, profile)
+        g = pinned_instance(seed, profile)
         h = fault_tolerant_spanner(g, 2, f, fault_model=model).spanner
         calls = record_flows(monkeypatch)
         report = verify_ft_spanner(
@@ -275,6 +277,123 @@ class TestPinnedReports:
             r.ok, r.exhaustive, r.pairs_checked, r.pairs_witnessed,
             r.fault_sets_checked,
         ) == PINNED_REPORTS[key]
+
+
+def spy_labels(monkeypatch):
+    """Record every witness label search as (source, bound, reached),
+    the bound being ``max_hops`` (BFS) or ``max_dist`` (Dijkstra)."""
+    calls = []
+    bfs, dijkstra_ = spanner_check.csr_bfs_distances, spanner_check.csr_dijkstra
+
+    def spy_bfs(csr, source, **kwargs):
+        reached = bfs(csr, source, **kwargs)
+        calls.append((source, kwargs["max_hops"], reached))
+        return reached
+
+    def spy_dijkstra(csr, source, **kwargs):
+        reached = dijkstra_(csr, source, **kwargs)
+        calls.append((source, kwargs["max_dist"], reached))
+        return reached
+
+    monkeypatch.setattr(spanner_check, "csr_bfs_distances", spy_bfs)
+    monkeypatch.setattr(spanner_check, "csr_dijkstra", spy_dijkstra)
+    return calls
+
+
+def report_tuple(r):
+    return (
+        r.ok, r.exhaustive, r.pairs_checked, r.pairs_witnessed,
+        r.fault_sets_checked,
+    )
+
+
+class TestLabelReach:
+    """The witness labels stop at t * (largest checked weight) - w_min,
+    w_min the weight of H's lightest edge: an ellipse edge {x, y} has
+    d_u(x) + w(x, y) + d_v(y) <= t * w, so no label value the ellipse
+    reads lies past that cut.  ``TestEllipseFlows`` checks every allowed
+    set against full labels; these pin the cut itself and its edges."""
+
+    def test_unit_labels_stop_at_two_hops(self, monkeypatch):
+        g = pinned_instance(0, "unit")
+        h = fault_tolerant_spanner(g, 2, 2).spanner
+        calls = spy_labels(monkeypatch)
+        assert verify_ft_spanner(g, h, t=3, f=2, mode="witness").ok
+        assert calls and {bound for _, bound, _ in calls} == {2}
+
+    def test_int_labels_stop_at_the_bound_minus_w_min(self, monkeypatch):
+        g = pinned_instance(1, "int")
+        h = fault_tolerant_spanner(g, 2, 2, fault_model="edge").spanner
+        cut = 3 * max(w for _, _, w in g.weighted_edges()) - min(
+            w for _, _, w in h.weighted_edges()
+        )
+        calls = spy_labels(monkeypatch)
+        assert verify_ft_spanner(
+            g, h, t=3, f=2, fault_model="edge", mode="witness"
+        ).ok
+        assert calls and {bound for _, bound, _ in calls} == {cut}
+
+    def test_forced_u_tail(self, monkeypatch):
+        # H: two disjoint 3-hop u-v paths; G adds the edge {u, v}.  The
+        # labels stop at 2 hops, so neither endpoint's label reaches the
+        # other: d_v(u) = 3 lies past the cut, and only u's forced place
+        # in the vertex ellipse keeps its edges in the flow.
+        u, v = 0, 5
+        h = Graph()
+        for a, b in ((u, 1), (1, 2), (2, v), (u, 3), (3, 4), (4, v)):
+            h.add_edge(a, b)
+        g = h.copy()
+        g.add_edge(u, v)
+        labels = spy_labels(monkeypatch)
+        flows = record_flows(monkeypatch)
+        r = verify_ft_spanner(g, h, t=3, f=1, mode="witness")
+        monkeypatch.undo()
+        assert report_tuple(r) == (True, True, 7, 7, 0)
+        (csr, iu, iv, kwargs, paths), = flows
+        assert {csr.indexer.node(iu), csr.indexer.node(iv)} == {u, v}
+        assert sorted(kwargs["allowed_edges"]) == list(range(6))
+        assert len(paths) == 2
+        reached = {source: found for source, _, found in labels}
+        assert iv not in reached[iu] and iu not in reached[iv]
+
+    def test_h_without_edges(self):
+        # No w_min: every pair goes to the fallback, which finds the
+        # first pair broken under the empty fault set.
+        g = generators.cycle_graph(5)
+        h = Graph()
+        h.add_nodes(g.nodes())
+        for model in MODELS:
+            r = verify_ft_spanner(
+                g, h, t=3, f=1, fault_model=model, mode="witness"
+            )
+            assert report_tuple(r) == (False, True, 5, 0, 1)
+            assert r.counterexample.faults == frozenset()
+
+    @pytest.mark.parametrize("seed, pinned", [
+        # pair (0, 1): d_G(0, 1) = 2 < w, so no fault set (f = 0) makes
+        # the edge a shortest path; the fallback passes.
+        (2, (True, False, 1, 0, 1)),
+        # pair (0, 2): broken under the empty fault set.
+        (1, (False, True, 1, 0, 1)),
+    ])
+    def test_sampled_pairs_lighter_than_w_min(
+        self, monkeypatch, seed, pinned
+    ):
+        # The one sampled pair has t * w <= 15 < w_min = 20: the cut
+        # would be negative and is clamped at 0, and the pair goes to
+        # the fallback sweep.
+        g = Graph()
+        for a, b, w in ((0, 1, 5), (0, 2, 1), (1, 2, 1), (2, 3, 20)):
+            g.add_edge(a, b, weight=w)
+        h = Graph()
+        h.add_nodes(g.nodes())
+        h.add_edge(2, 3, weight=20)
+        calls = spy_labels(monkeypatch)
+        r = verify_ft_spanner(
+            g, h, t=3, f=0, mode="witness", witness_pairs=1, seed=seed
+        )
+        assert report_tuple(r) == pinned
+        assert calls and {bound for _, bound, _ in calls} == {0.0}
 
 
 def path_length(h, path):
