@@ -19,6 +19,14 @@ Two rows per scenario, same workload seed:
   hedging of stalled shards, health-checked respawn, and deadline
   enforcement under load.
 
+The two rows run five times, interleaved, each on a fresh server.  A row reports the median and ``[q1, q3]`` (``*_iqr``)
+of throughput, p50 and p99 over its repeats, the median of each
+counter, and ``p50_vs_deadline`` -- ``under``, ``over`` or
+``straddles`` as the p50 spread sits against the deadline.  The report
+records ``cpus`` and ``chaos_throughput_retention`` (chaos over healthy
+median throughput) with its range ``[chaos_q1 / healthy_q3, chaos_q3 /
+healthy_q1]``.
+
 Every *completed* answer is audited bit-identical against a fresh
 in-process :class:`~repro.graph.snapshot.ScenarioSweep` after the
 clock stops (``parity_ok``); a request that does not complete must
@@ -30,15 +38,17 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_serving.py [--quick]
 
-``--quick`` shrinks to a seconds-long smoke run (used by CI) and skips
-the JSON write unless ``--output`` is passed explicitly.
+``--quick`` shrinks to a seconds-long smoke run of one repeat (used by
+CI) and skips the JSON write unless ``--output`` is passed explicitly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 from pathlib import Path
 
 from repro.core.greedy_modified import fault_tolerant_spanner
@@ -53,6 +63,9 @@ INSTANCE = (120, 0.08)
 QUICK_INSTANCE = (40, 0.2)
 REQUESTS = 150
 QUICK_REQUESTS = 20
+# Interleaved healthy/chaos repeats behind each row's median and IQR.
+REPEATS = 5
+QUICK_REPEATS = 1
 RATE_RPS = 100.0
 DEADLINE_SECONDS = 1.0
 
@@ -75,7 +88,8 @@ def _instance(n, p):
     )
 
 
-def _serve_once(spanner, n, m, chaos_rate, requests, workers):
+def _serve_once(spanner, chaos_rate, requests, workers):
+    """One open-loop run on a fresh server: its LoadReport."""
     chaos = None
     if chaos_rate > 0:
         chaos = ChaosPolicy(
@@ -99,52 +113,84 @@ def _serve_once(spanner, n, m, chaos_rate, requests, workers):
             failures=F,
             seed=SEED,
         )
-    stats = report.stats
-    row = {
-        "n": n,
-        "m": m,
-        "workers": workers,
-        "requests": report.requests,
-        "completed": report.completed,
-        "unavailable": report.unavailable,
-        "rate_rps": RATE_RPS,
-        "throughput_rps": round(report.throughput_rps, 2),
-        "p50_ms": round(report.p50_ms, 3),
-        "p99_ms": round(report.p99_ms, 3),
-        "deadline_ms": DEADLINE_SECONDS * 1000.0,
-        "chaos_rate": chaos_rate,
-        "deadline_errors": report.deadline_errors,
-        "retries": stats["retries"],
-        "hedges": stats["hedges"],
-        "worker_deaths": stats["worker_deaths"],
-        "respawns": stats["respawns"],
-        "degraded_shards": stats["degraded_shards"],
-        "parity_ok": report.parity_ok,
-    }
     print(
-        f"  chaos={chaos_rate:4.0%}  {row['throughput_rps']:7.1f} rps  "
-        f"p50 {row['p50_ms']:8.2f} ms  p99 {row['p99_ms']:8.2f} ms  "
-        f"deadline_errors={row['deadline_errors']:2d}  "
-        f"retries={row['retries']:2d}  hedges={row['hedges']:2d}  "
-        f"respawns={row['respawns']:2d}  "
-        f"parity={'ok' if row['parity_ok'] else 'FAIL'}"
+        f"  chaos={chaos_rate:4.0%}  {report.throughput_rps:7.1f} rps  "
+        f"p50 {report.p50_ms:8.2f} ms  p99 {report.p99_ms:8.2f} ms  "
+        f"deadline_errors={report.deadline_errors:2d}  "
+        f"retries={report.stats['retries']:2d}  "
+        f"hedges={report.stats['hedges']:2d}  "
+        f"respawns={report.stats['respawns']:2d}  "
+        f"parity={'ok' if report.parity_ok else 'FAIL'}"
     )
+    return report
+
+
+def _quartiles(values, digits):
+    """(first quartile, median, third quartile), rounded to ``digits``."""
+    if len(values) == 1:
+        q = (values[0],) * 3
+    else:
+        q = statistics.quantiles(values, n=4, method="inclusive")
+    return tuple(round(x, digits) for x in q)
+
+
+def _p50_vs_deadline(p50_iqr, deadline_ms):
+    """Where the p50 spread sits against the deadline: a label, not a
+    gate (the chaos row's p50 is over it until serving stops blocking
+    behind stalls)."""
+    q1, q3 = p50_iqr
+    if q3 <= deadline_ms:
+        return "under"
+    if q1 > deadline_ms:
+        return "over"
+    return "straddles"
+
+
+def _row(reports, n, m, chaos_rate, requests, workers):
+    """One row: the median and ``[q1, q3]`` of each repeat's latency
+    and throughput, the median (low) of each counter."""
+    row = {"n": n, "m": m, "workers": workers, "requests": requests}
+    for key in ("completed", "unavailable"):
+        row[key] = statistics.median_low(getattr(r, key) for r in reports)
+    row["rate_rps"] = RATE_RPS
+    for key, digits in (("throughput_rps", 2), ("p50_ms", 3),
+                        ("p99_ms", 3)):
+        q1, med, q3 = _quartiles([getattr(r, key) for r in reports], digits)
+        row[key] = med
+        row[f"{key}_iqr"] = [q1, q3]
+    row["deadline_ms"] = DEADLINE_SECONDS * 1000.0
+    row["p50_vs_deadline"] = _p50_vs_deadline(
+        row["p50_ms_iqr"], row["deadline_ms"]
+    )
+    row["chaos_rate"] = chaos_rate
+    row["deadline_errors"] = statistics.median_low(
+        r.deadline_errors for r in reports
+    )
+    for key in ("retries", "hedges", "worker_deaths", "respawns",
+                "degraded_shards"):
+        row[key] = statistics.median_low(r.stats[key] for r in reports)
+    row["parity_ok"] = all(r.parity_ok for r in reports)
     return row
 
 
 def run(quick: bool = False):
     n, p = QUICK_INSTANCE if quick else INSTANCE
     requests = QUICK_REQUESTS if quick else REQUESTS
+    repeats = QUICK_REPEATS if quick else REPEATS
     g = _instance(n, p)
     spanner = fault_tolerant_spanner(g, K, F, fault_model="vertex").spanner
+    m = spanner.num_edges
+    rates = (0.0, 0.1)
     scenarios = {}
     name = "open_loop_healthy_vs_chaos"
-    print(f"{name}: n={n} m={spanner.num_edges} "
-          f"(spanner of a G({n}, {p}) instance, k={K}, f={F})")
-    rows = [
-        _serve_once(spanner, n, spanner.num_edges, rate, requests, 2)
-        for rate in (0.0, 0.1)
-    ]
+    print(f"{name}: n={n} m={m} "
+          f"(spanner of a G({n}, {p}) instance, k={K}, f={F}), "
+          f"{repeats} interleaved repeat(s)")
+    runs = {rate: [] for rate in rates}
+    for _ in range(repeats):
+        for rate in rates:
+            runs[rate].append(_serve_once(spanner, rate, requests, 2))
+    rows = [_row(runs[rate], n, m, rate, requests, 2) for rate in rates]
     scenarios[name] = {
         "description": (
             "open-loop load (scheduled arrivals, latency measured from "
@@ -152,7 +198,8 @@ def run(quick: bool = False):
             "multi-process serving pool on a shared-memory snapshot of "
             f"a (k={K}, f={F}) fault-tolerant spanner; the healthy row "
             "vs a 10% seeded injection of worker SIGKILLs and "
-            "deadline-overrunning stalls"
+            "deadline-overrunning stalls; each row is the median and "
+            "[q1, q3] over interleaved repeats"
         ),
         "parameters": {
             "k": K, "f": F, "p": p, "rate_rps": RATE_RPS,
@@ -166,16 +213,25 @@ def run(quick: bool = False):
         "benchmark": "resilient serving core, open-loop load test",
         "quick": quick,
         "seed": SEED,
-        "repeats": 1,
-        "timing": "open-loop wall clock, latency from scheduled arrival",
+        "repeats": repeats,
+        "timing": "open-loop wall clock, latency from scheduled arrival; "
+                  "median-of-interleaved-repeats",
         "python": platform.python_version(),
+        "cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1),
         "scenarios": scenarios,
     }
+    # From the rounded row values, so the committed JSON is
+    # self-consistent for scripts/check_bench_json.py.
     healthy, chaotic = rows
-    if chaotic["throughput_rps"] > 0:
-        report["chaos_throughput_retention"] = round(
-            chaotic["throughput_rps"] / healthy["throughput_rps"], 3
-        )
+    h_q1, h_q3 = healthy["throughput_rps_iqr"]
+    c_q1, c_q3 = chaotic["throughput_rps_iqr"]
+    report["chaos_throughput_retention"] = round(
+        chaotic["throughput_rps"] / healthy["throughput_rps"], 3
+    )
+    report["chaos_throughput_retention_iqr"] = [
+        round(c_q1 / h_q3, 3), round(c_q3 / h_q1, 3),
+    ]
     return report
 
 
@@ -193,8 +249,8 @@ def main(argv=None) -> int:
                         help=f"where to write the JSON report "
                              f"(default: {DEFAULT_OUTPUT})")
     parser.add_argument("--quick", action="store_true",
-                        help="smoke run: tiny instance, few requests "
-                             "(parity audit still applies)")
+                        help="smoke run: tiny instance, few requests, "
+                             "one repeat (parity audit still applies)")
     args = parser.parse_args(argv)
     report = run(quick=args.quick)
     if args.quick and args.output == DEFAULT_OUTPUT:

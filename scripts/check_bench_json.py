@@ -30,7 +30,17 @@ Checks, per report:
   latency quantiles with ``p99_ms >= p50_ms >= 0``, a ``chaos_rate``
   in ``[0, 1]``, non-negative ``deadline_errors``/``retries`` counters,
   and ``parity_ok`` exactly ``true`` (every completed answer was
-  audited bit-identical against the in-process engine);
+  audited bit-identical against the in-process engine).  Throughput,
+  p50 and p99 are medians over interleaved repeats, each with a
+  ``*_iqr`` ``[q1, q3]`` bracketing it; ``p50_vs_deadline`` must say
+  truthfully where the p50 spread sits against the deadline
+  (``under``: q3 within it, ``over``: q1 past it, else
+  ``straddles``) -- a label, not a gate.  The report's
+  ``chaos_throughput_retention`` must equal the chaos row's median
+  throughput over the healthy row's, with ``_iqr`` ``[chaos_q1 /
+  healthy_q3, chaos_q3 / healthy_q1]`` around it.  Like the
+  distributed reports below, it records ``cpus`` and at least
+  ``MIN_SPREAD_REPEATS`` ``repeats``;
 * dynamic-benchmark instances (any row carrying ``seconds_overlay``,
   as in ``BENCH_dynamic.json``) time the delta-overlay stream against
   a refreeze-per-batch baseline: positive ``updates``/``batches``,
@@ -104,6 +114,7 @@ def check_report(path: Path, errors: list) -> None:
                                          "mapping")
         return
     spreads = False  # whether any row reports a median and IQR
+    serving_rows = []
     for name, scenario in scenarios.items():
         where = f"scenario {name!r}"
         for key in ("description", "parameters", "instances"):
@@ -120,6 +131,8 @@ def check_report(path: Path, errors: list) -> None:
                 # latency under a load generator, not a two-backend
                 # timing pair; they get their own schema.
                 _check_serving_instance(path, iw, inst, errors)
+                serving_rows.append(inst)
+                spreads = True
                 continue
             if "seconds_overlay" in inst:
                 # Dynamic rows (BENCH_dynamic.json) compare churn
@@ -177,6 +190,8 @@ def check_report(path: Path, errors: list) -> None:
             _check_flow_instance(path, iw, inst, errors)
     if spreads:
         _check_spread_provenance(path, report, errors)
+    if serving_rows:
+        _check_retention(path, report, serving_rows, errors)
 
 
 def _check_spread_provenance(path, report, errors) -> None:
@@ -195,9 +210,10 @@ def _check_spread_provenance(path, report, errors) -> None:
 
 
 SERVING_KEYS = (
-    "n", "m", "workers", "requests", "throughput_rps", "p50_ms",
-    "p99_ms", "deadline_ms", "chaos_rate", "deadline_errors", "retries",
-    "parity_ok",
+    "n", "m", "workers", "requests", "throughput_rps",
+    "throughput_rps_iqr", "p50_ms", "p50_ms_iqr", "p99_ms", "p99_ms_iqr",
+    "deadline_ms", "p50_vs_deadline", "chaos_rate", "deadline_errors",
+    "retries", "parity_ok",
 )
 
 
@@ -236,11 +252,28 @@ def _check_serving_instance(path, iw, inst, errors) -> None:
     elif p99 < p50:
         _fail(errors, path, iw,
               f"p99_ms ({p99}) must be >= p50_ms ({p50})")
-    if not (isinstance(inst["deadline_ms"], (int, float))
-            and inst["deadline_ms"] > 0):
+    spreads_ok = True
+    for key in ("throughput_rps", "p50_ms", "p99_ms"):
+        if not _brackets(inst[f"{key}_iqr"], inst[key]):
+            _fail(errors, path, iw,
+                  f"{key}_iqr must be [q1, q3] with 0 <= q1 <= {key} "
+                  f"({inst[key]!r}) <= q3, got {inst[f'{key}_iqr']!r}")
+            spreads_ok = False
+    deadline = inst["deadline_ms"]
+    if not (isinstance(deadline, (int, float)) and deadline > 0):
         _fail(errors, path, iw,
-              f"deadline_ms must be a positive number, got "
-              f"{inst['deadline_ms']!r}")
+              f"deadline_ms must be a positive number, got {deadline!r}")
+    elif spreads_ok:
+        # A label, not a gate: where the p50 spread sits against the
+        # deadline must be stated truthfully, whichever side it is.
+        q1, q3 = inst["p50_ms_iqr"]
+        want = ("under" if q3 <= deadline
+                else "over" if q1 > deadline else "straddles")
+        if inst["p50_vs_deadline"] != want:
+            _fail(errors, path, iw,
+                  f"p50_vs_deadline must be {want!r} for p50_ms_iqr "
+                  f"{[q1, q3]} against deadline_ms {deadline}, got "
+                  f"{inst['p50_vs_deadline']!r}")
     rate = inst["chaos_rate"]
     if not (isinstance(rate, (int, float)) and 0 <= rate <= 1):
         _fail(errors, path, iw,
@@ -249,6 +282,55 @@ def _check_serving_instance(path, iw, inst, errors) -> None:
         _fail(errors, path, iw,
               f"parity_ok must be true, got {inst['parity_ok']!r} -- "
               f"a completed answer diverged from the in-process sweep")
+
+
+def _brackets(iqr, median) -> bool:
+    """Whether ``iqr`` is a ``[q1, q3]`` pair of non-negative numbers
+    with ``q1 <= median <= q3``."""
+    return (isinstance(iqr, list) and len(iqr) == 2
+            and all(isinstance(v, (int, float)) and v >= 0 for v in iqr)
+            and isinstance(median, (int, float))
+            and iqr[0] <= median <= iqr[1])
+
+
+def _check_retention(path, report, rows, errors) -> None:
+    """``chaos_throughput_retention`` is the chaos row's median
+    throughput over the healthy row's, and its ``_iqr`` is the range
+    ``[chaos_q1 / healthy_q3, chaos_q3 / healthy_q1]`` around it."""
+    healthy = [r for r in rows if r.get("chaos_rate") == 0]
+    chaotic = [r for r in rows if r.get("chaos_rate", 0) > 0]
+    if not (healthy and chaotic):
+        return
+    h, c = healthy[0], chaotic[0]
+    if not (_brackets(h.get("throughput_rps_iqr"), h.get("throughput_rps"))
+            and _brackets(c.get("throughput_rps_iqr"),
+                          c.get("throughput_rps"))
+            and h["throughput_rps_iqr"][0] > 0):
+        return  # the row checks already reported it
+    where = "chaos_throughput_retention"
+    claimed = report.get(where)
+    spread = report.get(f"{where}_iqr")
+    if not isinstance(claimed, (int, float)):
+        _fail(errors, path, "top-level",
+              f"{where} must be a number, got {claimed!r}")
+        return
+    if not _brackets(spread, claimed):
+        _fail(errors, path, "top-level",
+              f"{where}_iqr must be [low, high] with low <= {where} "
+              f"({claimed!r}) <= high, got {spread!r}")
+        return
+    (h_q1, h_q3), (c_q1, c_q3) = h["throughput_rps_iqr"], \
+        c["throughput_rps_iqr"]
+    # Rounded to 3 decimals from the rounded row values.
+    for label, got, want in (
+        (where, claimed, c["throughput_rps"] / h["throughput_rps"]),
+        (f"{where}_iqr low", spread[0], c_q1 / h_q3),
+        (f"{where}_iqr high", spread[1], c_q3 / h_q1),
+    ):
+        if abs(got - want) > 0.0011:
+            _fail(errors, path, "top-level",
+                  f"{label} {got} inconsistent with the rows' "
+                  f"throughput (expected {want:.3f})")
 
 
 DYNAMIC_KEYS = (

@@ -261,15 +261,16 @@ class Graph:
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """The subgraph induced by ``nodes`` (the paper's ``G[C]``)."""
+        """The subgraph induced by ``nodes`` (the paper's ``G[C]``).
+
+        Nodes and edges keep this graph's insertion order, whatever the
+        order (or hash) of ``nodes``; unknown nodes are ignored.
+        """
         keep = set(nodes)
+        order = [u for u in self._adj if u in keep]
         g = Graph()
-        for u in keep:
-            if u in self._adj:
-                g.add_node(u)
-        for u in keep:
-            if u not in self._adj:
-                continue
+        g.add_nodes(order)
+        for u in order:
             for v, w in self._adj[u].items():
                 if v in keep:
                     g.add_edge(u, v, weight=w)

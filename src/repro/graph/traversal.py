@@ -1167,6 +1167,15 @@ def _csr_probe_bidir(
     soon as ``top_f + top_b >= best``, which typically happens after
     each side has explored a small ball around its endpoint.
 
+    A relaxation that cannot beat ``best`` is not pushed: once ``best``
+    has been refreshed, an entry with ``nd + top_other >= best`` is
+    dropped (``top_other`` is the opposite heap's top, read once per
+    step).  A node the other side has not settled lies at least
+    ``top_other`` from that side's endpoint, and one it has settled
+    already offered ``nd + dist_other[v]`` as a candidate, so no path
+    through the dropped entry is shorter than ``best``.  A stale top
+    is a smaller key and only weakens the bound.
+
     Exactness: restricted (by the snapshot weight profile) to integral
     weights, where every path sum is exact no matter how it is
     associated -- so the returned distance is bit-identical to the
@@ -1200,9 +1209,11 @@ def _csr_probe_bidir(
         estamp, egen = edge_mask.stamp, edge_mask.gen
         eid_rows = csr.edge_id_rows
     while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
+        top_f = heap_f[0][0]
+        top_b = heap_b[0][0]
+        if top_f + top_b >= best:
             break
-        if heap_f[0][0] <= heap_b[0][0]:
+        if top_f <= top_b:
             d, u = pop(heap_f)
             if settled_f[u] == gen:
                 continue  # stale entry (or pre-stamped fault)
@@ -1226,6 +1237,8 @@ def _csr_probe_bidir(
                         cand = nd + dist_b[v]
                         if cand < best:
                             best = cand
+                    if nd + top_b >= best:
+                        continue
                     if label_f[v] != gen or nd < dist_f[v]:
                         label_f[v] = gen
                         dist_f[v] = nd
@@ -1241,6 +1254,8 @@ def _csr_probe_bidir(
                         cand = nd + dist_b[v]
                         if cand < best:
                             best = cand
+                    if nd + top_b >= best:
+                        continue
                     if label_f[v] != gen or nd < dist_f[v]:
                         label_f[v] = gen
                         dist_f[v] = nd
@@ -1269,6 +1284,8 @@ def _csr_probe_bidir(
                         cand = nd + dist_f[v]
                         if cand < best:
                             best = cand
+                    if nd + top_f >= best:
+                        continue
                     if label_b[v] != gen or nd < dist_b[v]:
                         label_b[v] = gen
                         dist_b[v] = nd
@@ -1284,6 +1301,8 @@ def _csr_probe_bidir(
                         cand = nd + dist_f[v]
                         if cand < best:
                             best = cand
+                    if nd + top_f >= best:
+                        continue
                     if label_b[v] != gen or nd < dist_b[v]:
                         label_b[v] = gen
                         dist_b[v] = nd

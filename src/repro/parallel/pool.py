@@ -59,9 +59,18 @@ __all__ = [
     "Worker",
     "WorkerPool",
     "attach_shared",
+    "create_segment",
     "default_start_method",
+    "remove_stale_segments",
     "worker_main",
 ]
+
+#: Name prefix of every segment :func:`create_segment` makes; the rest
+#: of the name is ``<owner pid>_<random hex>``.
+_SEGMENT_PREFIX = "repro_"
+
+#: Where Linux lists POSIX shared memory (absent elsewhere: no sweep).
+_SHM_DIR = "/dev/shm"
 
 
 def attach_shared(name: str) -> shared_memory.SharedMemory:
@@ -88,6 +97,65 @@ def attach_shared(name: str) -> shared_memory.SharedMemory:
             return shared_memory.SharedMemory(name=name)
         finally:
             resource_tracker.register = original
+
+
+def create_segment(size: int) -> shared_memory.SharedMemory:
+    """A new shared segment named ``repro_<owner pid>_<random hex>``.
+
+    Cleanup runs in the owner's ``close``; an owner killed by SIGKILL
+    never gets there.  The pid in the name lets the next owner's
+    :func:`remove_stale_segments` tell such a leftover from a segment
+    that a live process still serves.
+    """
+    while True:
+        name = f"{_SEGMENT_PREFIX}{os.getpid()}_{os.urandom(4).hex()}"
+        try:
+            return shared_memory.SharedMemory(
+                name=name, create=True, size=size
+            )
+        except FileExistsError:
+            continue
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # someone else's live process
+    return True
+
+
+def remove_stale_segments() -> None:
+    """Unlink every ``repro_<pid>_*`` segment whose owner pid is gone.
+
+    Names without the prefix, or whose owner is alive, are never
+    touched.  Unlinking goes through ``SharedMemory.unlink`` so a
+    resource tracker that still lists the name forgets it.  Does
+    nothing where ``/dev/shm`` does not exist.
+    """
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:
+        return
+    for name in names:
+        if not name.startswith(_SEGMENT_PREFIX):
+            continue
+        owner = name[len(_SEGMENT_PREFIX):].partition("_")[0]
+        if not (owner.isascii() and owner.isdigit()):
+            continue
+        if _pid_alive(int(owner)):
+            continue
+        try:
+            segment = shared_memory.SharedMemory(name=name)
+        except (OSError, ValueError):
+            continue  # gone meanwhile, not ours to open, or empty
+        segment.close()
+        try:
+            segment.unlink()
+        except OSError:
+            pass  # removed meanwhile, or not ours to remove
 
 
 def worker_main(

@@ -3,7 +3,9 @@
 The front end of the serving layer.  One server owns:
 
 * the packed snapshot in a ``multiprocessing.shared_memory`` segment
-  (written once at construction; workers adopt it zero-copy),
+  named ``repro_<owner pid>_<hex>`` (written once at construction;
+  workers adopt it zero-copy; a new server first removes the segments
+  of owners that died without closing),
 * a supervised :class:`~repro.serving.pool.WorkerPool` (the substrate
   pool running the snapshot-adopting executor factory),
 * and a :class:`~repro.parallel.dispatch.Dispatcher` that turns a
@@ -69,6 +71,7 @@ from repro.graph.snapshot import (
 )
 from repro.parallel.dispatch import DispatchStats, Dispatcher, Job as _Job
 from repro.parallel.errors import DeadlineExceeded, ServingUnavailable
+from repro.parallel.pool import create_segment, remove_stale_segments
 from repro.serving.pool import WorkerPool, execute_request
 
 
@@ -184,9 +187,8 @@ class SpannerServer:
         self._pool: Optional[WorkerPool] = None
         self._dispatcher: Optional[Dispatcher] = None
         try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=snapshot_nbytes(snapshot)
-            )
+            remove_stale_segments()
+            shm = create_segment(snapshot_nbytes(snapshot))
             self._shm = shm
             pack_snapshot_into(snapshot, shm.buf)
             self._pool = WorkerPool(

@@ -145,3 +145,69 @@ def test_distributed_noise_label_is_checked(
 ])
 def test_distributed_noise_label_accepted(tmp_path, seq, par, label):
     assert _distributed_errors(tmp_path, _respread(seq, par, label)) == []
+
+
+def _serving_errors(tmp_path, mutate):
+    report = json.loads((REPO / "BENCH_serving.json").read_text())
+    rows = report["scenarios"]["open_loop_healthy_vs_chaos"]["instances"]
+    healthy, chaotic = rows
+    assert healthy["chaos_rate"] == 0 and chaotic["chaos_rate"] > 0
+    mutate(report, healthy, chaotic)
+    path = tmp_path / "BENCH_serving.json"
+    path.write_text(json.dumps(report))
+    errors = []
+    check_bench_json.check_report(path, errors)
+    return errors
+
+
+@pytest.mark.parametrize("mutation, message", [
+    (lambda rep, h, c: rep.update(repeats=1), "repeats must be an int >= 5"),
+    (lambda rep, h, c: rep.pop("cpus"), "cpus must be a positive int"),
+    # A quartile on the wrong side of its median.
+    (lambda rep, h, c: h.update(p99_ms_iqr=[
+        h["p99_ms"] * 1.1, h["p99_ms"] * 1.2,
+    ]), "p99_ms_iqr must be [q1, q3]"),
+    (lambda rep, h, c: c.update(p50_ms_iqr=[
+        c["p50_ms"] * 0.9, c["p50_ms"] * 0.95,
+    ]), "p50_ms_iqr must be [q1, q3]"),
+    (lambda rep, h, c: c.pop("throughput_rps_iqr"),
+     "missing key 'throughput_rps_iqr'"),
+    # The chaos p50 against its deadline is a label that must be true.
+    (lambda rep, h, c: c.update(p50_vs_deadline="under"),
+     "p50_vs_deadline must be"),
+    (lambda rep, h, c: c.update(p50_ms_iqr=[
+        c["deadline_ms"] * 0.5, c["p50_ms"],
+    ]), "p50_vs_deadline must be 'straddles'"),
+    (lambda rep, h, c: rep.update(
+        chaos_throughput_retention=rep["chaos_throughput_retention"] + 0.1
+    ), "chaos_throughput_retention_iqr must be [low, high]"),
+    (lambda rep, h, c: rep.update(chaos_throughput_retention_iqr=[
+        0.0, rep["chaos_throughput_retention_iqr"][1],
+    ]), "chaos_throughput_retention_iqr low"),
+    (lambda rep, h, c: rep.pop("chaos_throughput_retention_iqr"),
+     "chaos_throughput_retention_iqr must be"),
+])
+def test_serving_spread_fields_are_checked(tmp_path, mutation, message):
+    errors = _serving_errors(tmp_path, mutation)
+    assert len(errors) == 1 and message in errors[0], errors
+
+
+def test_serving_retention_must_match_the_rows(tmp_path):
+    def mutate(rep, h, c):
+        low, high = rep["chaos_throughput_retention_iqr"]
+        rep["chaos_throughput_retention_iqr"] = [low - 0.1, high + 0.1]
+        rep["chaos_throughput_retention"] += 0.05
+    errors = _serving_errors(tmp_path, mutate)
+    assert [e.split("top-level: ")[1].split(" 0.")[0] for e in errors] == [
+        "chaos_throughput_retention",
+        "chaos_throughput_retention_iqr low",
+        "chaos_throughput_retention_iqr high",
+    ]
+
+
+def test_serving_chaos_p50_over_deadline_is_a_label(tmp_path):
+    # The committed chaos row's p50 is over its deadline: that is
+    # recorded, not failed.
+    def mutate(rep, h, c):
+        assert c["p50_vs_deadline"] == "over"
+    assert _serving_errors(tmp_path, mutate) == []

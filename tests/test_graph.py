@@ -205,6 +205,23 @@ class TestDerivation:
         g = Graph([(1, 2, 7.0)])
         assert g.subgraph([1, 2]).weight(1, 2) == 7.0
 
+    def test_subgraph_keeps_parent_order(self):
+        # Insertion order, not the order or hash of the requested nodes.
+        g = Graph()
+        g.add_nodes(f"v{i}" for i in range(12))
+        for i in range(12):
+            g.add_edge(f"v{i}", f"v{(i * 5 + 3) % 12}", weight=float(i + 1))
+        keep = [f"v{i}" for i in (9, 0, 7, 2, 11, 4, 3, 8)]
+        want_nodes = [u for u in g.nodes() if u in keep]
+        want_edges = [
+            (u, v, w) for u, v, w in g.weighted_edges()
+            if u in keep and v in keep
+        ]
+        for order in (keep, keep[::-1], sorted(keep), set(keep)):
+            sub = g.subgraph(order)
+            assert list(sub.nodes()) == want_nodes
+            assert list(sub.weighted_edges()) == want_edges
+
     def test_subgraph_with_unknown_nodes(self):
         g = Graph([(1, 2)])
         sub = g.subgraph([1, 99])

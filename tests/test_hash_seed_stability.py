@@ -5,8 +5,8 @@ any output that follows ``set`` or ``frozenset`` iteration order moves
 between runs.  Each hash seed gets its own subprocess; the spanner's
 edge *list* (the insertion order that becomes the CSR row order), the
 round count and the measured extras must be identical across them, for
-the CONGEST builds, the greedy, classic, incremental and Baswana-Sen
-builds, and the witness-mode report on the greedy spanner.
+the CONGEST builds, the greedy, classic, incremental, Baswana-Sen and
+Dinitz-Krauthgamer builds, and the witness-mode report on the greedy spanner.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ for kind, label in labels.items():
         ("classic", {"k": 2}),
         ("incremental", {"k": 2}),
         ("baswana-sen", {"k": 2, "seed": 5}),
+        ("dk", {"k": 2, "f": 1, "seed": 5}),
     ):
         r = build_spanner(g, algorithm, **params)
         out[f"{kind}/{algorithm}"] = [
@@ -65,7 +66,7 @@ print(json.dumps(out))
 
 BUILDS = (
     "congest", "congest-bs", "greedy", "classic", "incremental",
-    "baswana-sen",
+    "baswana-sen", "dk",
 )
 
 

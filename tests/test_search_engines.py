@@ -79,6 +79,25 @@ def _int_weighted(n, p, seed, high=9):
     )
 
 
+def _bidir_graph(kind, seed):
+    """A sparse gnp graph (some pairs disconnected) with integral
+    weights: all 2 (``"two"``), in {1, 2} (``"one-two"``) or in
+    [1, BUCKET_MAX_WEIGHT] (``"wide"``)."""
+    rng = random.Random(seed)
+    base = generators.gnp_random_graph(26, 0.1, seed=seed)
+    g = Graph()
+    g.add_nodes(base.nodes())
+    for u, v in base.edges():
+        if kind == "two":
+            w = 2
+        elif kind == "one-two":
+            w = rng.choice((1, 2))
+        else:
+            w = rng.randint(1, BUCKET_MAX_WEIGHT)
+        g.add_edge(u, v, weight=float(w))
+    return g
+
+
 class TestBucketEngineParity:
     """Bucket vs heap vs dict on random integer-weight graphs (the
     re-stamp test also runs the unit and float rows)."""
@@ -244,6 +263,56 @@ class TestBidirEngine:
             assert dh == d2
             ref = dijkstra(g, nodes[a], target=nodes[b]).get(nodes[b], INF)
             assert d2 == ref
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mask", ["none", "vertex", "edge"])
+    @pytest.mark.parametrize("kind", ["two", "one-two", "wide"])
+    def test_pruned_pushes_keep_every_pair_exact(self, kind, mask, seed):
+        # The probe drops relaxations with nd + top_other >= best.  Many
+        # equal sums (every weight 2, weights in {1, 2}) and wide
+        # weights (up to BUCKET_MAX_WEIGHT) stress that bound; a budget
+        # at the exact distance must still find it, one below must not.
+        g = _bidir_graph(kind, seed)
+        snap = CSRSnapshot(g)
+        assert snap.profile == "int"
+        csr, index = snap.csr, snap.indexer.index
+        sweep = ScenarioSweep(snap)
+        rng = random.Random(seed)
+        nodes = list(g.nodes())
+        view, masks = g, {}
+        if mask == "vertex":
+            faults = rng.sample(nodes, 3)
+            view = VertexFaultView(g, set(faults))
+            masks = {"vertex_mask": sweep.set_vertex_faults(faults)}
+        elif mask == "edge":
+            faults = rng.sample(list(g.edges()), 4)
+            view = EdgeFaultView(
+                g, {tuple(sorted(e, key=repr)) for e in faults}
+            )
+            masks = {"edge_mask": sweep.set_edge_faults(faults)}
+        survivors = [x for x in nodes if view.has_node(x)]
+        ws = DijkstraWorkspace(csr.num_nodes)
+
+        def probe(u, v, budget):
+            return csr_weighted_distance(
+                csr, index(u), index(v), max_dist=budget, workspace=ws,
+                search="bidir", **masks,
+            )
+
+        disconnected = 0
+        for u in survivors:
+            ref = dijkstra(view, u)
+            for v in survivors:
+                if v == u:
+                    continue
+                want = ref.get(v, INF)
+                assert probe(u, v, None) == want
+                if want == INF:
+                    disconnected += 1
+                    continue
+                assert probe(u, v, want) == want
+                assert probe(u, v, want - 1) == INF
+        assert disconnected
 
     def test_unit_weights_are_legal(self):
         g = generators.cycle_graph(9)

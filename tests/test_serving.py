@@ -24,7 +24,9 @@ The chaos-injected failure paths live in ``test_serving_chaos.py``.
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
 
 import pytest
 
@@ -432,3 +434,65 @@ class TestBudgetAndDegradationEdges:
                 g, g, failures=1, guarantee=3.0, fault_process="weird"
             )
         assert FAULT_PROCESSES == ("independent", "clustered", "cascade")
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and os.path.isdir("/dev/shm")),
+    reason="needs fork and a listable /dev/shm",
+)
+class TestStaleSegments:
+    """A SIGKILLed owner never reaches ``close``: its segment stays in
+    /dev/shm until the next server start removes it.  Only segments
+    named ``repro_<pid>_*`` whose pid is gone are removed."""
+
+    def test_dead_owner_segment_removed_at_next_start(self, snap):
+        from multiprocessing import resource_tracker, shared_memory
+
+        # The child then registers its segment with this process's
+        # tracker, which outlives the child and so cannot clean it up.
+        resource_tracker.ensure_running()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                server = SpannerServer(snap, config=ServingConfig(workers=1))
+                # Stop the worker first: a SIGKILLed owner's forked
+                # workers outlive it, and the test leaves no process.
+                server._pool.close()
+                os.write(write_fd, server._shm.name.encode())
+            finally:
+                os.kill(os.getpid(), signal.SIGKILL)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as fh:
+            dead = fh.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        live = shared_memory.SharedMemory(
+            name=f"repro_{os.getpid()}_0badf00d", create=True, size=16
+        )
+        foreign = shared_memory.SharedMemory(
+            name=f"other_{pid}_0badf00d", create=True, size=16
+        )
+
+        def present(name):
+            return os.path.exists(os.path.join("/dev/shm", name))
+
+        try:
+            assert dead.startswith(f"repro_{pid}_")
+            assert present(dead)
+            with SpannerServer(
+                snap, config=ServingConfig(workers=1)
+            ) as server:
+                assert server._shm.name.startswith(f"repro_{os.getpid()}_")
+                assert not present(dead)
+                assert present(live.name) and present(foreign.name)
+            assert not present(server._shm.name)
+        finally:
+            for segment in (live, foreign):
+                segment.close()
+                segment.unlink()
+            if dead and present(dead):
+                leftover = shared_memory.SharedMemory(name=dead)
+                leftover.close()
+                leftover.unlink()
